@@ -82,6 +82,12 @@ def _pick(ns: argparse.Namespace, config: dict, key: str):
     return _DEFAULTS.get(key)
 
 
+def _checked_fuel(fuel: int) -> int:
+    if fuel < 0:
+        raise ValueError(f"--fuel must be at least 0, got {fuel}")
+    return fuel
+
+
 class Env:
     """Resolved configuration shared by most commands."""
 
@@ -129,9 +135,11 @@ class Env:
             raise ValueError(f"bounds must be 'D,P' integers, got {_pick(ns, config, 'bounds')!r}")
         if self.bounds[0] < 0 or self.bounds[1] < 0:
             raise ValueError("bounds must be nonnegative")
-        self.fuel = int(_pick(ns, config, "fuel"))
+        self.fuel = _checked_fuel(int(_pick(ns, config, "fuel")))
         self.seed = int(_pick(ns, config, "seed"))
         self.jobs = int(_pick(ns, config, "jobs"))
+        if self.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {self.jobs}")
 
     def generator_set(self) -> GeneratorSet:
         if not self.entries and not self.concrete:
@@ -440,7 +448,7 @@ def _cmd_demo(ns) -> int:
         for name, blurb in _DEMOS.items():
             print(f"{name:14} {blurb}")
         return 0
-    fuel = ns.fuel if ns.fuel is not None else _DEFAULTS["fuel"]
+    fuel = _checked_fuel(ns.fuel if ns.fuel is not None else _DEFAULTS["fuel"])
     fn = {
         "splitting-unit": _demo_splitting_unit,
         "rb-commutator": _demo_rb_commutator,

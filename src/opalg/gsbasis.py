@@ -36,7 +36,9 @@ from .orders import OrderSpec
 from .poly import OPoly, render_opoly
 from .rewrite import RuleSet, normal_form
 from .terms import (
+    HOLE,
     Alphabet,
+    Bracket,
     Context,
     Word,
     all_words,
@@ -58,6 +60,7 @@ __all__ = [
     "compositions",
     "enumerate_irr",
     "evaluate_morphism",
+    "indexed_records",
     "is_irreducible",
     "is_trivial",
 ]
@@ -149,19 +152,12 @@ class GeneratorSet:
         if got is None:
             got = RuleSet.ordered(
                 self.order,
-                self.alphabet,
                 bounds,
                 opis=self.opis,
-                concrete=self.concrete,
+                generators=self.expanded(bounds),
             )
             self._ruleset_cache[bounds] = got
         return got
-
-    def envelope_ruleset(self, *words: Word) -> RuleSet:
-        """Rule set large enough to reduce anything at these words' sizes."""
-        max_z = max((w.z_degree for w in words), default=0)
-        max_op = max((w.op_degree for w in words), default=0)
-        return self.ruleset((max_z, max_op))
 
     def describe(self) -> str:
         parts = [e.key for e in self.entries] + [f"{len(self.concrete)} concrete"]
@@ -199,62 +195,73 @@ def _pair_kind(a: Generator, b: Generator) -> str:
     return f"{_side(a.kind)}-{_side(b.kind)}"
 
 
+def _fits(w: Word, bounds: tuple[int, int]) -> bool:
+    return w.z_degree <= bounds[0] and w.op_degree <= bounds[1]
+
+
+def _intersection(a: Generator, b: Generator, k: int, bounds: tuple[int, int]) -> CompositionRecord | None:
+    # a's last k top-level factors are b's first k
+    fa, fb = a.lm.factors, b.lm.factors
+    w = Word(fa + fb[k:])
+    if not _fits(w, bounds):
+        return None
+    u = Word(fb[k:])
+    v = Word(fa[: len(fa) - k])
+    return CompositionRecord(
+        kind="intersection",
+        left_id=a.gen_id,
+        right_id=b.gen_id,
+        w=w,
+        witness=f"overlap k={k}",
+        context=None,
+        value=a.poly * OPoly.from_word(u) - OPoly.from_word(v) * b.poly,
+        pair_kind=_pair_kind(a, b),
+    )
+
+
+def _inclusion(a: Generator, b: Generator, q: Context) -> CompositionRecord:
+    # b's leading word inside a's: a.lm == q.plug(b.lm)
+    return CompositionRecord(
+        kind="inclusion",
+        left_id=a.gen_id,
+        right_id=b.gen_id,
+        w=a.lm,
+        witness=f"context {q}",
+        context=q,
+        value=a.poly - substitute(q, b.poly),
+        pair_kind=_pair_kind(a, b),
+    )
+
+
 def _intersections(a: Generator, b: Generator, bounds: tuple[int, int]) -> list[CompositionRecord]:
     fa, fb = a.lm.factors, b.lm.factors
     out: list[CompositionRecord] = []
     for k in range(1, min(len(fa), len(fb))):
-        if fa[len(fa) - k :] != fb[:k]:
-            continue
-        w = Word(fa + fb[k:])
-        if w.z_degree > bounds[0] or w.op_degree > bounds[1]:
-            continue
-        u = Word(fb[k:])
-        v = Word(fa[: len(fa) - k])
-        value = a.poly * OPoly.from_word(u) - OPoly.from_word(v) * b.poly
-        out.append(
-            CompositionRecord(
-                kind="intersection",
-                left_id=a.gen_id,
-                right_id=b.gen_id,
-                w=w,
-                witness=f"overlap k={k}",
-                context=None,
-                value=value,
-                pair_kind=_pair_kind(a, b),
-            )
-        )
+        if fa[len(fa) - k :] == fb[:k]:
+            rec = _intersection(a, b, k, bounds)
+            if rec is not None:
+                out.append(rec)
     return out
 
 
 def _inclusions(a: Generator, b: Generator, bounds: tuple[int, int], same: bool) -> list[CompositionRecord]:
-    # b's leading word inside a's
-    out: list[CompositionRecord] = []
-    w = a.lm
-    if w.z_degree > bounds[0] or w.op_degree > bounds[1]:
-        return out
-    for q in iter_occurrences(w, b.lm):
-        if same and q.is_trivial():
-            continue
-        value = a.poly - substitute(q, b.poly)
-        out.append(
-            CompositionRecord(
-                kind="inclusion",
-                left_id=a.gen_id,
-                right_id=b.gen_id,
-                w=w,
-                witness=f"context {q}",
-                context=q,
-                value=value,
-                pair_kind=_pair_kind(a, b),
-            )
-        )
-    return out
+    if not _fits(a.lm, bounds):
+        return []
+    return [
+        _inclusion(a, b, q)
+        for q in iter_occurrences(a.lm, b.lm)
+        if not (same and q.is_trivial())
+    ]
 
 
 def pair_compositions(
     a: Generator, b: Generator, bounds: tuple[int, int], *, same: bool = False
 ) -> list[CompositionRecord]:
-    """All records between two generators (both directions when distinct)."""
+    """All records between two generators (both directions when distinct).
+
+    The per-pair reference: :func:`indexed_records` must list exactly the
+    records that this yields over all pairs.
+    """
     out = _intersections(a, b, bounds)
     if not same:
         out += _intersections(b, a, bounds)
@@ -266,6 +273,97 @@ def pair_compositions(
 
 def _record_sort_key(r: CompositionRecord):
     return (structural_key(r.w), r.kind, r.left_id, r.right_id, r.witness)
+
+
+def _factor_slices(fs: tuple, frames: tuple = ()):
+    """Every nonempty factor slice ``level[i:j]`` at every depth, as
+    ``(level, i, j, frames)``: ``level`` is the factor tuple the slice is cut
+    from and ``frames`` the enclosing ``(factors, bracket index)`` pairs,
+    outermost first."""
+    n = len(fs)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            yield fs, i, j, frames
+    for idx, f in enumerate(fs):
+        if isinstance(f, Bracket):
+            yield from _factor_slices(f.inner.factors, frames + ((fs, idx),))
+
+
+def _slice_context(level: tuple, i: int, j: int, frames: tuple) -> Context:
+    word = Word(level[:i] + (HOLE,) + level[j:])
+    for outer, idx in reversed(frames):
+        word = Word(outer[:idx] + (Bracket(word),) + outer[idx + 1 :])
+    return Context(word)
+
+
+def _scan(outer: Sequence[Generator], inner: Sequence[Generator], bounds: tuple[int, int], same: bool):
+    """``(i, j, phase, record)`` for each intersection ``(outer[i], inner[j])``
+    (phase 0) and each inclusion of ``inner[j]``'s leading word in
+    ``outer[i]``'s (phase 1), looked up in indexes over ``inner``.  With
+    ``same`` the lists are one, and a leading word is not included in
+    itself through the bare hole."""
+    # the per-pair scan refuses here too, inside iter_occurrences
+    if any(b.lm.is_unit() for b in inner) and any(_fits(a.lm, bounds) for a in outer):
+        raise ValueError("occurrences of the unit are everywhere; refusing")
+    by_word: dict[tuple, list[int]] = {}
+    by_prefix: dict[tuple, list[int]] = {}
+    for j, b in enumerate(inner):
+        fb = b.lm.factors
+        by_word.setdefault(fb, []).append(j)
+        for k in range(1, len(fb)):
+            by_prefix.setdefault(fb[:k], []).append(j)
+    for i, a in enumerate(outer):
+        fa = a.lm.factors
+        n = len(fa)
+        for k in range(1, n):
+            hits = by_prefix.get(fa[n - k :])
+            if not hits:
+                continue
+            # w = a.lm * b.lm with the shared factors counted once
+            shared = Word(fa[n - k :])
+            z_room = bounds[0] - a.lm.z_degree + shared.z_degree
+            op_room = bounds[1] - a.lm.op_degree + shared.op_degree
+            for j in hits:
+                b = inner[j]
+                if b.lm.z_degree <= z_room and b.lm.op_degree <= op_room:
+                    yield i, j, 0, _intersection(a, b, k, bounds)
+        if not _fits(a.lm, bounds):
+            continue
+        for level, lo, hi, frames in _factor_slices(fa):
+            for j in by_word.get(level[lo:hi], ()):
+                if same and i == j and not frames and hi - lo == n:
+                    continue
+                yield i, j, 1, _inclusion(a, inner[j], _slice_context(level, lo, hi, frames))
+
+
+def indexed_records(
+    left: Sequence[Generator],
+    right: Sequence[Generator] | None,
+    bounds: tuple[int, int],
+) -> list[CompositionRecord]:
+    """Every in-bounds record between ``left`` and ``right`` (``None`` pairs
+    ``left`` with itself), sorted.
+
+    The result equals the all-pairs :func:`pair_compositions` scan, record
+    for record and in the same order, but the cost follows the records
+    found: leading words are indexed by factor tuple (inclusions) and by
+    proper top-level prefix (intersections), and only hits are visited.
+    """
+    # Sort positions replay the scan's order, so ties of _record_sort_key
+    # (possible when two generators share an id) break as they did there:
+    # pair by pair, then intersections with either side on the left,
+    # then inclusions into either side.
+    keyed = []
+    if right is None:
+        for i, j, phase, rec in _scan(left, left, bounds, True):
+            keyed.append(((min(i, j), max(i, j), 2 * phase + (i > j)), rec))
+    else:
+        for i, j, phase, rec in _scan(left, right, bounds, False):
+            keyed.append(((i, j, 2 * phase), rec))
+        for j, i, phase, rec in _scan(right, left, bounds, False):
+            keyed.append(((i, j, 2 * phase + 1), rec))
+    keyed.sort(key=lambda t: (_record_sort_key(t[1]), t[0]))
+    return [rec for _, rec in keyed]
 
 
 def _as_generators(
@@ -301,17 +399,8 @@ def compositions(f, g, order: OrderSpec, bounds: tuple[int, int], alphabet: Alph
         alphabet = Alphabet(order.base)
     left = _as_generators(f, "f", order, bounds, alphabet)
     right = _as_generators(g, "g", order, bounds, alphabet)
-    records: list[CompositionRecord] = []
-    if [x.poly for x in left] == [y.poly for y in right]:
-        for i, a in enumerate(left):
-            for b in left[i:]:
-                records += pair_compositions(a, b, bounds, same=(a is b))
-    else:
-        for a in left:
-            for b in right:
-                records += pair_compositions(a, b, bounds, same=False)
-    records.sort(key=_record_sort_key)
-    return records
+    same = [x.poly for x in left] == [y.poly for y in right]
+    return indexed_records(left, None if same else right, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +609,10 @@ def check_gs(
     """
     if route not in ("auto", "raw"):
         raise ValueError(f"route must be 'auto' or 'raw', got {route!r}")
+    if fuel < 0:
+        raise ValueError(f"fuel must be at least 0, got {fuel}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     gens = generators
     expanded = gens.expanded(bounds)
     ruleset = gens.ruleset(bounds)
@@ -527,11 +620,7 @@ def check_gs(
     hyp, hyp_ok = _evaluate_hypotheses(gens, bounds)
     use_hypothesis = route == "auto" and hyp_ok and bool(gens.opis)
 
-    records: list[CompositionRecord] = []
-    for i, a in enumerate(expanded):
-        for b in expanded[i:]:
-            records += pair_compositions(a, b, bounds, same=(a is b))
-    records.sort(key=_record_sort_key)
+    records = indexed_records(expanded, None, bounds)
 
     to_check: list[CompositionRecord] = []
     for r in records:

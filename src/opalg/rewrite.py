@@ -4,8 +4,9 @@ Two modes share one engine:
 
 * ordered mode carries an OrderSpec; schema rules are guarded (an
   instance fires only where its leading monomial is the matched word, so
-  every step strictly descends), and unstable bounded instances are
-  pre-expanded into concrete rules so nothing the guard rejects is lost;
+  every step strictly descends), and the unstable bounded instances, which
+  the caller has already expanded, join as concrete rules so nothing the
+  guard rejects is lost;
 * raw mode has no order and no guard; it implements the structural
   rewriting that the type checkers are defined by.
 
@@ -23,9 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from .opi import OPI, CatalogEntry, expand_instances, instantiate, _sigma_tuples
+from .opi import OPI, CatalogEntry, instantiate, _sigma_tuples
 from .orders import OrderSpec
 from .poly import OPoly
 from .terms import (
@@ -39,6 +40,9 @@ from .terms import (
     render,
     substitute,
 )
+
+if TYPE_CHECKING:
+    from .gsbasis import Generator
 
 __all__ = [
     "ConcreteRule",
@@ -127,66 +131,51 @@ class ReductionResult:
 class RuleSet:
     """Prioritized rules plus the optional order that guards them."""
 
-    __slots__ = ("rules", "order", "bounds", "alphabet")
+    __slots__ = ("rules", "order", "bounds")
 
     def __init__(
         self,
         rules: Sequence[Rule],
         order: OrderSpec | None,
         bounds: tuple[int, int] | None = None,
-        alphabet: Alphabet | None = None,
     ):
         self.rules = tuple(rules)
         self.order = order
         self.bounds = bounds
-        self.alphabet = alphabet
 
     @classmethod
     def ordered(
         cls,
         order: OrderSpec,
-        alphabet: Alphabet,
         bounds: tuple[int, int],
-        opis: Sequence[OPI] = (),
-        concrete: Sequence[OPoly] = (),
-        concrete_ids: Sequence[str] | None = None,
+        opis: Sequence[OPI],
+        generators: Sequence[Generator],
     ) -> "RuleSet":
-        """Compile guarded schema rules, concrete generator rules, and the
-        bounded unstable instances of the schemas as extra concrete rules."""
-        rules: list[Rule] = []
-        for phi in opis:
-            rules.append(
-                SchemaRule(rule_id=phi.name, opi=phi, lhs=phi.lm(order.preset), guarded=True)
-            )
-        seen_polys: set[OPoly] = set()
-        for i, g in enumerate(concrete):
-            if g.is_zero():
-                raise ValueError("zero polynomial cannot be a generator")
-            monic = g.monicize(order)
-            lhs, _ = monic.leading(order)
-            if lhs.is_unit():
+        """Compile guarded schema rules for ``opis`` plus one concrete rule per
+        expanded generator that the guard does not cover.
+
+        ``generators`` are the monic generators that
+        :meth:`opalg.gsbasis.GeneratorSet.expanded` lists at ``bounds``:
+        concrete polynomials and degenerate (unstable) instances become
+        concrete rules in that order, stable instances are left to their
+        schema rule.  A unit leading monomial on any of them presents the
+        unit ideal and is refused."""
+        rules: list[Rule] = [
+            SchemaRule(rule_id=phi.name, opi=phi, lhs=phi.lm(order.preset), guarded=True)
+            for phi in opis
+        ]
+        for g in generators:
+            if g.lm.is_unit():
+                if g.kind == "concrete":
+                    raise ValueError(
+                        "generator with constant leading monomial presents the unit ideal"
+                    )
                 raise ValueError(
-                    "generator with constant leading monomial presents the unit ideal"
+                    f"instance {g.gen_id} is a nonzero constant; the ideal is the unit ideal"
                 )
-            seen_polys.add(monic)
-            rid = concrete_ids[i] if concrete_ids else f"g{i}"
-            rules.append(ConcreteRule(rid, lhs, OPoly.from_word(lhs) - monic))
-        for rec in expand_instances(opis, alphabet, bounds, order):
-            if rec.lm.is_unit():
-                # nonzero constant instance, stable or not
-                raise ValueError(
-                    f"instance {rec.gen_id()} is a nonzero constant; the ideal is the unit ideal"
-                )
-            if rec.stable:
-                continue
-            monic = rec.poly.monicize(order)
-            if monic in seen_polys:
-                continue
-            seen_polys.add(monic)
-            rules.append(
-                ConcreteRule(rec.gen_id(), rec.lm, OPoly.from_word(rec.lm) - monic)
-            )
-        return cls(rules, order, bounds, alphabet)
+            if g.kind != "schema":
+                rules.append(ConcreteRule(g.gen_id, g.lm, OPoly.from_word(g.lm) - g.poly))
+        return cls(rules, order, bounds)
 
     @classmethod
     def raw(cls, rules: Sequence[Rule]) -> "RuleSet":
@@ -280,9 +269,10 @@ def _apply_redex(f: OPoly, w: Word, c: Fraction, rdx: Redex, order: OrderSpec | 
     replacement = substitute(rdx.context, rdx.rhs)
     if order is not None and replacement:
         hi = replacement.leading_monomial(order)
-        assert order.compare(hi, w) < 0, (
-            f"non-descending step: {render(hi)} !< {render(w)} via {rdx.rule_id}"
-        )
+        if order.compare(hi, w) >= 0:
+            raise RuntimeError(
+                f"non-descending step: {render(hi)} !< {render(w)} via {rdx.rule_id}"
+            )
     return f - OPoly.from_word(w, c) + replacement.scale(c)
 
 

@@ -5,11 +5,13 @@ promises, checks results against independent oracles where one exists, and
 asserts the stated wall-clock ceiling.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import Z1, Z12
 from opalg import (
@@ -284,6 +286,7 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     """Every command, run twice with the same seed and inputs, produces
     byte-identical stdout, stderr, exit code, and report files."""
     base = [sys.executable, "-m", "opalg.cli"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     cases = [
         ["nf", "--catalog", "nijenhuis", "--trace", "[z1]*[z2]"],
         ["compare", "[z1*z2]", "z1*[z2]"],
@@ -306,7 +309,7 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
             argv = base + case
             if report is not None:
                 argv = argv + ["--report", str(report)]  # same path; bytes read per run
-            proc = subprocess.run(argv, capture_output=True, timeout=300)
+            proc = subprocess.run(argv, capture_output=True, timeout=300, env=env)
             blob = report.read_bytes() if report else b""
             outs.append((proc.returncode, proc.stdout, proc.stderr, blob))
         assert outs[0] == outs[1], f"non-deterministic output for {case[0]}"

@@ -304,6 +304,33 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "shiny" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--fuel", "-5"), ("--jobs", "0")])
+def test_check_gs_rejects_out_of_range_flags(capsys, flag, value):
+    code, out = run(
+        capsys, "check-gs", "--catalog", "rb:6?lambda=1", "--bounds", "3,2", flag, value
+    )
+    assert code == 2
+    assert f"error: {flag} must be at least" in out
+    assert "result:" not in out
+
+
+@pytest.mark.parametrize("line, flag", [("fuel = -1", "--fuel"), ("jobs = 0", "--jobs")])
+def test_config_file_rejects_out_of_range_values(tmp_path, capsys, line, flag):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out = run(
+        capsys, "check-gs", "--config", str(cfg), "--catalog", "rb:6?lambda=1", "--bounds", "3,2"
+    )
+    assert code == 2
+    assert f"error: {flag} must be at least" in out
+
+
+def test_demo_rejects_negative_fuel(capsys):
+    code, out = run(capsys, "demo", "rb-commutator", "--fuel", "-1")
+    assert code == 2
+    assert "error: --fuel must be at least 0" in out
+
+
 def test_parse_error_exits_two(capsys):
     code, out = run(capsys, "nf", "--catalog", "rb:1", "[z1")
     assert code == 2

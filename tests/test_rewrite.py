@@ -1,14 +1,20 @@
 """Rule sets, reduction, traces, and the two structural templates."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import Z1, Z12
 from opalg import (
     OPI,
+    CatalogEntry,
     ConcreteRule,
+    GeneratorSet,
     OPoly,
     OrderSpec,
     RuleSet,
@@ -43,8 +49,8 @@ def schema_poly(text, variables=("x1", "x2")):
 def rules_for(selector, bounds=(2, 2), alphabet=Z12, concrete=()):
     entry = parse_catalog(selector)
     order = OrderSpec.for_alphabet(entry.preset, alphabet)
-    gens = tuple(parse_opoly(t, alphabet) for t in concrete)
-    return RuleSet.ordered(order, alphabet, bounds, opis=entry.opis, concrete=gens), order
+    gens = GeneratorSet((entry,), tuple(parse_opoly(t, alphabet) for t in concrete), order, alphabet)
+    return gens.ruleset(bounds), order
 
 
 # -- rule construction --------------------------------------------------------
@@ -69,15 +75,18 @@ def test_ordered_ruleset_materializes_degenerate_instances():
 
 def test_ordered_ruleset_flags_unit_ideal():
     phi = OPI("skew", ("x1", "x2"), schema_poly("x1*x2 - 2*x2*x1"))
-    with pytest.raises(ValueError):
-        RuleSet.ordered(DB, Z12, (2, 0), opis=(phi,))
+    entry = CatalogEntry("skew", "skew", (phi,), "db", (), False, False)
+    expanded = GeneratorSet((entry,), (), DB, Z12).expanded((2, 0))
+    with pytest.raises(ValueError, match="nonzero constant"):
+        RuleSet.ordered(DB, (2, 0), opis=(phi,), generators=expanded)
 
 
 def test_concrete_generator_with_constant_lead_refused():
+    expanded = GeneratorSet((), (P("2"),), DB, Z12).expanded((2, 0))
+    with pytest.raises(ValueError, match="constant leading monomial"):
+        RuleSet.ordered(DB, (2, 0), opis=(), generators=expanded)
     with pytest.raises(ValueError):
-        RuleSet.ordered(DB, Z12, (2, 0), concrete=(P("2"),))
-    with pytest.raises(ValueError):
-        RuleSet.ordered(DB, Z12, (2, 0), concrete=(OPoly.zero(),))
+        GeneratorSet((), (OPoly.zero(),), DB, Z12)
 
 
 # -- single steps and redex order --------------------------------------------
@@ -171,6 +180,29 @@ def test_reduction_strictly_descends():
     lm = f.leading(order)[0]
     for w in res.poly.support():
         assert order.compare(w, lm) < 0
+
+
+_NON_DESCENDING = """
+from opalg import Alphabet, ConcreteRule, OrderSpec, RuleSet, normal_form, parse_opoly, parse_word
+z12 = Alphabet(("z1", "z2"))
+rule = ConcreteRule("up", parse_word("z1", z12), parse_opoly("z1*z1", z12))
+try:
+    normal_form(parse_opoly("z1", z12), RuleSet([rule], OrderSpec.for_alphabet("db", z12)), 5)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_descent_check_survives_optimized_interpreter():
+    # python -O strips assert statements; the descent check must not be one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_DESCENDING],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "non-descending step: z1*z1 !< z1 via up"
 
 
 def test_joinable_pair():
