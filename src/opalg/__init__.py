@@ -40,7 +40,6 @@ from .gsbasis import (
 )
 from .opi import (
     OPI,
-    Catalog,
     CatalogEntry,
     InstanceRecord,
     catalog_help,
@@ -49,7 +48,6 @@ from .opi import (
     expand_instances,
     instantiate,
     parse_catalog,
-    s_phi_enumerate,
 )
 from .orders import OrderSpec, check_order_axioms
 from .poly import OPoly, parse_opoly, render_opoly
@@ -90,7 +88,6 @@ __all__ = [
     "Alphabet",
     "BoundsExceeded",
     "Bracket",
-    "Catalog",
     "CatalogEntry",
     "CompositionRecord",
     "ConcreteRule",
@@ -139,7 +136,6 @@ __all__ = [
     "parse_word",
     "render",
     "render_opoly",
-    "s_phi_enumerate",
     "schema_occurrences",
     "substitute",
     "__version__",

@@ -21,15 +21,16 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .orders import OrderSpec
-from .poly import OPoly
+from .poly import OPoly, _wrap
 from .terms import Alphabet, Bracket, Word, all_words, render
 
 __all__ = [
     "OPI",
-    "Catalog",
     "CatalogEntry",
     "InstanceRecord",
     "NoSubwordReport",
@@ -40,7 +41,6 @@ __all__ = [
     "expand_instances",
     "instantiate",
     "parse_catalog",
-    "s_phi_enumerate",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -114,37 +114,17 @@ class OPI:
         return f"OPI({self.name}: {self.body})"
 
 
-def _subst_word(m: Word, sigma: Mapping[str, Union[Word, OPoly]], variables: frozenset[str]) -> OPoly:
-    # expand one schema monomial; polynomial values distribute
-    acc: list[tuple[tuple, Fraction]] = [((), Fraction(1))]
-    for f in m.factors:
-        if isinstance(f, str) and f in variables:
-            val = sigma[f]
-            if isinstance(val, Word):
-                acc = [(fs + val.factors, c) for fs, c in acc]
-            else:
-                acc = [
-                    (fs + w.factors, c * cw)
-                    for fs, c in acc
-                    for w, cw in val.items(reverse=False)
-                ]
-        elif isinstance(f, str):
-            acc = [(fs + (f,), c) for fs, c in acc]
-        else:
-            inner = _subst_word(f.inner, sigma, variables)
-            acc = [
-                (fs + (Bracket(w),), c * cw)
-                for fs, c in acc
-                for w, cw in inner.items(reverse=False)
-            ]
-    return OPoly((Word(fs), c) for fs, c in acc)
-
-
 def instantiate(phi: OPI, sigma: Mapping[str, Union[Word, OPoly]]) -> OPoly:
     """Substitute words or polynomials for the variables of ``phi``.
 
-    Every variable must be assigned; polynomial values distribute by
-    multilinearity.  The result may be zero (instances can cancel).
+    Every variable must be assigned.  The body is multilinear, so a
+    polynomial value distributes: each choice of one term per value is a
+    word assignment weighted by the product of the chosen coefficients,
+    and a word value is a single assignment of weight 1.  Each assignment
+    is spliced into every body monomial with :func:`instantiate_word` and
+    the weighted coefficients are merged in one dict, so the cost is the
+    word splice; no polynomial is built per monomial.  The result may be
+    zero (instances can cancel).
     """
     missing = [v for v in phi.variables if v not in sigma]
     if missing:
@@ -152,11 +132,24 @@ def instantiate(phi: OPI, sigma: Mapping[str, Union[Word, OPoly]]) -> OPoly:
     extra = [k for k in sigma if k not in phi.variables]
     if extra:
         raise ValueError(f"OPI {phi.name}: unknown variable(s) {','.join(sorted(extra))}")
-    vset = frozenset(phi.variables)
-    out = OPoly.zero()
-    for m, c in phi.body.items(reverse=False):
-        out = out + _subst_word(m, sigma, vset).scale(c)
-    return out
+    vs = phi.variables
+    vset = frozenset(vs)
+    choices = [
+        ((val, 1),) if isinstance(val, Word) else val._terms.items()
+        for val in (sigma[v] for v in vs)
+    ]
+    body = phi.body._terms.items()
+    acc: dict[Word, Fraction] = {}
+    for combo in product(*choices):
+        words = {v: w for v, (w, _) in zip(vs, combo)}
+        weight = prod(c for _, c in combo)
+        for m, c in body:
+            w = instantiate_word(m, words, vset)
+            if weight != 1:
+                c = weight * c
+            prev = acc.get(w)
+            acc[w] = c if prev is None else prev + c
+    return _wrap({w: c for w, c in acc.items() if c})
 
 
 def instantiate_word(schema: Word, sigma: Mapping[str, Word], variables: frozenset[str]) -> Word:
@@ -258,17 +251,6 @@ def expand_instances(
                 )
             )
     return tuple(out)
-
-
-def s_phi_enumerate(
-    opis: Sequence[OPI],
-    alphabet: Alphabet,
-    bounds: tuple[int, int],
-    order: OrderSpec,
-) -> tuple[OPoly, ...]:
-    """The bounded schema part of a generating set: every distinct nonzero
-    instance whose leading monomial fits ``bounds``."""
-    return tuple(rec.poly for rec in expand_instances(opis, alphabet, bounds, order))
 
 
 # ---------------------------------------------------------------------------
@@ -858,26 +840,15 @@ def _no_item(selector: str, item_text: str) -> None:
         raise ValueError(f"selector {selector!r} does not take an item number")
 
 
-class Catalog:
-    """Registry facade over the built-in families."""
-
-    FAMILIES = (
-        "rb:1..14 (bracket-pair collapse; optional lambda, c on 13/14)",
-        "nijenhuis (alias of rb:5)",
-        "diff:1..6 (bracket-of-product expansion; item parameters apply)",
-        "diffprime (single-variable bracket collapse; parameter c)",
-        "averaging (three derived identities)",
-        "reynolds (nested family; parameter n >= 2)",
-    )
-
-    @staticmethod
-    def get(selector: str) -> CatalogEntry:
-        return parse_catalog(selector)
-
-    @staticmethod
-    def help() -> str:
-        return catalog_help()
+_FAMILIES = (
+    "rb:1..14 (bracket-pair collapse; optional lambda, c on 13/14)",
+    "nijenhuis (alias of rb:5)",
+    "diff:1..6 (bracket-of-product expansion; item parameters apply)",
+    "diffprime (single-variable bracket collapse; parameter c)",
+    "averaging (three derived identities)",
+    "reynolds (nested family; parameter n >= 2)",
+)
 
 
 def catalog_help() -> str:
-    return "catalog families:\n" + "\n".join(f"  {line}" for line in Catalog.FAMILIES)
+    return "catalog families:\n" + "\n".join(f"  {line}" for line in _FAMILIES)

@@ -9,9 +9,10 @@ and ``apply_bracket`` extends the bracket operator linearly.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Callable, Iterable, Iterator, Tuple, Union
 
 from .terms import (
     Alphabet,
@@ -42,11 +43,12 @@ class OPoly:
 
     def __init__(self, terms: Union[Mapping[Word, Scalar], Iterable[Tuple[Word, Scalar]]] = ()):
         acc: dict[Word, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         for w, c in items:
             if not isinstance(w, Word):
                 raise TypeError(f"monomial must be a Word, got {type(w).__name__}")
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if not c:
                 continue
             prev = acc.get(w)
@@ -59,7 +61,7 @@ class OPoly:
                 else:
                     del acc[w]
         self._terms = acc
-        self._hash = hash(frozenset(acc.items()))
+        self._hash = None
 
     # -- constructors ----------------------------------------------------
 
@@ -112,7 +114,11 @@ class OPoly:
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        return self._hash
+        # computed on first use: most polynomials are never hashed
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self._terms.items()))
+        return h
 
     # -- arithmetic ------------------------------------------------------
 
@@ -218,9 +224,11 @@ class OPoly:
 
 
 def _wrap(acc: dict) -> OPoly:
+    # trusted constructor: acc maps words to nonzero Fractions and is
+    # taken over without a copy
     p = OPoly.__new__(OPoly)
     p._terms = acc
-    p._hash = hash(frozenset(acc.items()))
+    p._hash = None
     return p
 
 

@@ -255,9 +255,6 @@ class RuleSet:
             out.append(rdx)
         return out
 
-    def is_reducible(self, w: Word) -> bool:
-        return self.find_redex(w) is not None
-
     def describe(self) -> str:
         schemas = sum(1 for r in self.rules if isinstance(r, SchemaRule))
         concrete = len(self.rules) - schemas

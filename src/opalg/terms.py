@@ -13,6 +13,9 @@ Measures used throughout the package:
 * op_degree: number of bracket occurrences at every depth
 * depth: maximal bracket nesting
 
+Parsed text may nest brackets at most ``MAX_DEPTH`` deep; deeper input is
+refused with a ``ParseError`` before any recursive step runs.
+
 Contexts are words with exactly one hole ``@``; plugging a word into the
 hole splices its factor sequence in place (plugging the unit deletes the
 hole).  Schema words may contain variable letters that match arbitrary
@@ -26,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "HOLE",
+    "MAX_DEPTH",
     "Alphabet",
     "Bracket",
     "Context",
@@ -55,6 +59,11 @@ __all__ = [
 ]
 
 HOLE = "@"
+
+# Deepest bracket nesting the parsers accept.  Rendering, comparison and
+# matching recurse once or more per level, so this keeps well inside the
+# interpreter's recursion limit.
+MAX_DEPTH = 100
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -334,6 +343,14 @@ def parse_word(
     ``extra_letters`` admits schema variables on top of the alphabet.
     """
     toks = _Tokens(text)
+    depth = 0
+    for tok, pos in toks.toks:
+        if tok == "[":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ParseError(f"brackets nested deeper than the limit of {MAX_DEPTH}", pos)
+        elif tok == "]":
+            depth -= 1
     w = _parse_word_tokens(toks, alphabet, allow_hole, frozenset(extra_letters))
     if toks.peek() is not None:
         raise ParseError(f"trailing input {toks.peek()!r}", toks.pos())

@@ -337,6 +337,17 @@ def test_parse_error_exits_two(capsys):
     assert "error:" in out
 
 
+def test_deep_input_exits_two_naming_the_limit(capsys):
+    deep = "[" * 1200 + "z1" + "]" * 1200
+    code, out = run(capsys, "nf", "--catalog", "rb:6?lambda=1", deep)
+    assert code == 2
+    assert "error: brackets nested deeper than the limit of 100" in out
+    assert "recursion" not in out
+    code, out = run(capsys, "nf", "--catalog", "rb:6?lambda=1", "z1 + 2*" + deep)
+    assert code == 2
+    assert "limit of 100" in out
+
+
 def test_unknown_catalog_selector_exits_two(capsys):
     code, out = run(capsys, "nf", "--catalog", "rb:99", "z1")
     assert code == 2

@@ -16,7 +16,6 @@ from opalg import (
     parse_catalog,
     parse_opoly,
     render_opoly,
-    s_phi_enumerate,
 )
 from opalg.opi import catalog_help
 from opalg.terms import all_words, parse_word, render
@@ -144,8 +143,8 @@ def test_degenerate_instance_detected():
     assert render(unit_left.lm) == "[1]*z1"
 
 
-def test_s_phi_enumerate_is_monic_and_bounded():
-    polys = s_phi_enumerate(parse_catalog("averaging").opis, Z12, (2, 2), DT)
+def test_expand_instances_is_monic_and_bounded():
+    polys = [rec.poly for rec in expand_instances(parse_catalog("averaging").opis, Z12, (2, 2), DT)]
     assert polys
     for f in polys:
         lm, lc = f.leading(DT)

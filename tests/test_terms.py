@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import Z1, Z12, owords
 from opalg.terms import (
     HOLE,
+    MAX_DEPTH,
     TRIVIAL_CONTEXT,
     UNIT,
     Alphabet,
@@ -124,6 +125,19 @@ def test_parse_rejects_unbalanced():
         W("[z1")
     with pytest.raises(ParseError):
         W("z1]")
+
+
+def test_parse_enforces_bracket_depth_limit():
+    deepest = "[" * MAX_DEPTH + "z1" + "]" * MAX_DEPTH
+    w = W(deepest)
+    assert w.depth == MAX_DEPTH
+    assert render(w) == deepest
+    with pytest.raises(ParseError, match=f"limit of {MAX_DEPTH}") as exc:
+        W("z2*" + "[" * (MAX_DEPTH + 1) + "z1" + "]" * (MAX_DEPTH + 1))
+    assert exc.value.pos == 3 + MAX_DEPTH
+    # the check runs before the recursive descent, even for unbalanced text
+    with pytest.raises(ParseError, match="limit"):
+        W("[" * 5000)
 
 
 def test_parse_hole_requires_flag():
