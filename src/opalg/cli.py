@@ -43,7 +43,6 @@ _DEFAULTS = {
     "bounds": "2,2",
     "fuel": 2000,
     "seed": 0,
-    "jobs": 1,
 }
 
 _LIST_KEYS = ("catalog", "gens")
@@ -66,7 +65,7 @@ def _read_config(path: str) -> dict:
             val = val.strip()
             if key in _LIST_KEYS:
                 out[key] = [p.strip() for p in val.split(";") if p.strip()]
-            elif key in ("fuel", "seed", "jobs"):
+            elif key in ("fuel", "seed"):
                 out[key] = int(val)
             else:
                 out[key] = val
@@ -137,9 +136,6 @@ class Env:
             raise ValueError("bounds must be nonnegative")
         self.fuel = _checked_fuel(int(_pick(ns, config, "fuel")))
         self.seed = int(_pick(ns, config, "seed"))
-        self.jobs = int(_pick(ns, config, "jobs"))
-        if self.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {self.jobs}")
 
     def generator_set(self) -> GeneratorSet:
         if not self.entries and not self.concrete:
@@ -188,7 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-gs", help="bounded completeness check")
     _add_common(p)
     p.add_argument("--route", choices=("auto", "raw"), default="auto", help="raw forces reducing every record")
-    p.add_argument("--jobs", type=int, help="worker threads for record checking")
     p.add_argument("--report", help="write the full report as JSON to this path")
 
     p = sub.add_parser("check-type", help="audit a catalog family against its defining template")
@@ -309,7 +304,7 @@ def _cmd_compositions(ns) -> int:
 def _cmd_check_gs(ns) -> int:
     env = Env(ns)
     gens = env.generator_set()
-    report = check_gs(gens, env.bounds, env.fuel, route=ns.route, jobs=env.jobs)
+    report = check_gs(gens, env.bounds, env.fuel, route=ns.route)
     print(report.to_text())
     if ns.report:
         with open(ns.report, "w", encoding="utf-8") as fh:

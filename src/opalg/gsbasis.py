@@ -26,7 +26,6 @@ while everything touching a concrete generator is still reduced.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Mapping, Sequence, Union
@@ -36,14 +35,14 @@ from .orders import OrderSpec
 from .poly import OPoly, render_opoly
 from .rewrite import RuleSet, normal_form
 from .terms import (
-    HOLE,
     Alphabet,
-    Bracket,
     Context,
     Word,
     all_words,
     iter_occurrences,
+    iter_slices,
     render,
+    slice_context,
     structural_key,
     substitute,
 )
@@ -275,27 +274,6 @@ def _record_sort_key(r: CompositionRecord):
     return (structural_key(r.w), r.kind, r.left_id, r.right_id, r.witness)
 
 
-def _factor_slices(fs: tuple, frames: tuple = ()):
-    """Every nonempty factor slice ``level[i:j]`` at every depth, as
-    ``(level, i, j, frames)``: ``level`` is the factor tuple the slice is cut
-    from and ``frames`` the enclosing ``(factors, bracket index)`` pairs,
-    outermost first."""
-    n = len(fs)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            yield fs, i, j, frames
-    for idx, f in enumerate(fs):
-        if isinstance(f, Bracket):
-            yield from _factor_slices(f.inner.factors, frames + ((fs, idx),))
-
-
-def _slice_context(level: tuple, i: int, j: int, frames: tuple) -> Context:
-    word = Word(level[:i] + (HOLE,) + level[j:])
-    for outer, idx in reversed(frames):
-        word = Word(outer[:idx] + (Bracket(word),) + outer[idx + 1 :])
-    return Context(word)
-
-
 def _scan(outer: Sequence[Generator], inner: Sequence[Generator], bounds: tuple[int, int], same: bool):
     """``(i, j, phase, record)`` for each intersection ``(outer[i], inner[j])``
     (phase 0) and each inclusion of ``inner[j]``'s leading word in
@@ -329,11 +307,11 @@ def _scan(outer: Sequence[Generator], inner: Sequence[Generator], bounds: tuple[
                     yield i, j, 0, _intersection(a, b, k, bounds)
         if not _fits(a.lm, bounds):
             continue
-        for level, lo, hi, frames in _factor_slices(fa):
+        for level, lo, hi, frames in iter_slices(a.lm):
             for j in by_word.get(level[lo:hi], ()):
                 if same and i == j and not frames and hi - lo == n:
                     continue
-                yield i, j, 1, _inclusion(a, inner[j], _slice_context(level, lo, hi, frames))
+                yield i, j, 1, _inclusion(a, inner[j], slice_context(level, lo, hi, frames))
 
 
 def indexed_records(
@@ -599,7 +577,6 @@ def check_gs(
     bounds: tuple[int, int],
     fuel: int,
     route: str = "auto",
-    jobs: int = 1,
 ) -> GSReport:
     """Enumerate every in-bounds record and decide the certification.
 
@@ -611,8 +588,6 @@ def check_gs(
         raise ValueError(f"route must be 'auto' or 'raw', got {route!r}")
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     gens = generators
     expanded = gens.expanded(bounds)
     ruleset = gens.ruleset(bounds)
@@ -622,23 +597,11 @@ def check_gs(
 
     records = indexed_records(expanded, None, bounds)
 
-    to_check: list[CompositionRecord] = []
     for r in records:
         if use_hypothesis and r.pair_kind == "schema-schema":
             r.skipped = "schema-schema record; covered by the certified-family hypotheses"
         else:
-            to_check.append(r)
-
-    def judge(rec: CompositionRecord) -> TrivialityResult:
-        return is_trivial(rec.value, gens, rec.w, fuel, rules=ruleset)
-
-    if jobs > 1 and len(to_check) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            verdicts = list(ex.map(judge, to_check))
-    else:
-        verdicts = [judge(r) for r in to_check]
-    for rec, v in zip(to_check, verdicts):
-        rec.verdict = v
+            r.verdict = is_trivial(r.value, gens, r.w, fuel, rules=ruleset)
 
     counts = {
         "total": len(records),

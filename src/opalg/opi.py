@@ -27,9 +27,10 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .orders import OrderSpec
 from .poly import OPoly, _wrap
-from .terms import Alphabet, Bracket, Word, all_words, render
+from .terms import Alphabet, Bracket, Word, all_words, count_words, iter_slices, render
 
 __all__ = [
+    "MAX_EXPANSION_WORDS",
     "OPI",
     "CatalogEntry",
     "InstanceRecord",
@@ -186,6 +187,14 @@ class InstanceRecord:
         return f"{self.opi.name}[{self.sigma_text()}]"
 
 
+# Most words one variable may range over in expand_instances, checked
+# before any is built.  The pool grows exponentially with the operator
+# budget: two letters give 26,089 words at (3,4), the largest pool the
+# tests, demos and benchmark use, while ``nf`` under rb:6 on a 6-deep
+# bracket word needs 67,267 (18 s on CPython 3.11, 2 vCPU x86).
+MAX_EXPANSION_WORDS = 50_000
+
+
 @lru_cache(maxsize=None)
 def _words_upto(letters: tuple[str, ...], max_z: int, max_op: int) -> tuple[Word, ...]:
     return all_words(letters, max_z, max_op)
@@ -215,19 +224,30 @@ def expand_instances(
     exact under multilinearity, and each monomial's op_degree is its schema
     op_degree plus the assignment total, so capping the total at
     ``max_op - min_schema_op`` covers every monomial that could lead.
+    A net whose per-variable word pool exceeds ``MAX_EXPANSION_WORDS`` is
+    refused with a ``ValueError`` before any word is built.
     """
     max_z, max_op = bounds
     letters = tuple(alphabet.letters)
-    out: list[InstanceRecord] = []
-    seen: set[OPoly] = set()
+    budgets = []
     for phi in opis:
-        schema_lm = phi.lm(order.preset)
-        vset = frozenset(phi.variables)
-        concrete_z = schema_lm.z_degree - phi.arity
+        concrete_z = phi.lm(order.preset).z_degree - phi.arity
         z_budget = max_z - concrete_z
         op_budget = max_op - min(m.op_degree for m in phi.body.support())
         if z_budget < 0 or op_budget < 0:
             continue
+        pool = count_words(len(letters), z_budget, op_budget)
+        if pool > MAX_EXPANSION_WORDS:
+            raise ValueError(
+                f"expanding {phi.name} at bounds {bounds} would range each variable over "
+                f"{pool} words, over the limit of {MAX_EXPANSION_WORDS}"
+            )
+        budgets.append((phi, z_budget, op_budget))
+    out: list[InstanceRecord] = []
+    seen: set[OPoly] = set()
+    for phi, z_budget, op_budget in budgets:
+        schema_lm = phi.lm(order.preset)
+        vset = frozenset(phi.variables)
         for values in _sigma_tuples(letters, phi.arity, z_budget, op_budget):
             sigma = dict(zip(phi.variables, values))
             inst = instantiate(phi, sigma)
@@ -278,21 +298,14 @@ def check_lm_no_subword(phi: OPI, preset: str) -> NoSubwordReport:
     """
     lm = phi.lm(preset)
     vset = frozenset(phi.variables)
-
-    def scan(w: Word) -> str | None:
-        fs = w.factors
-        for i in range(len(fs) - 1):
-            a, b = fs[i], fs[i + 1]
-            if isinstance(a, str) and isinstance(b, str) and a in vset and b in vset:
-                return f"{a}*{b}"
-        for f in fs:
-            if isinstance(f, Bracket):
-                hit = scan(f.inner)
-                if hit:
-                    return hit
-        return None
-
-    witness = scan(lm)
+    witness = next(
+        (
+            f"{level[i]}*{level[i + 1]}"
+            for level, i, j, _ in iter_slices(lm)
+            if j - i == 2 and level[i] in vset and level[i + 1] in vset
+        ),
+        None,
+    )
     return NoSubwordReport(opi=phi.name, lm=render(lm), ok=witness is None, witness=witness)
 
 
@@ -395,7 +408,7 @@ def check_lm_stability(
     letters = tuple(alphabet.letters)
     if phi.arity <= 2:
         values = _words_upto(letters, max_z, max_op)
-        pools: Iterable[tuple[Word, ...]] = _product_tuples(values, phi.arity)
+        pools: Iterable[tuple[Word, ...]] = product(values, repeat=phi.arity)
         rep.domain = f"per-value within {bounds}"
     else:
         # joint budget keeps high-arity enumeration tractable
@@ -419,15 +432,6 @@ def check_lm_stability(
                 rep.violations.append((sig, render(got)))
     rep.enumerated = count
     return rep
-
-
-def _product_tuples(values: tuple[Word, ...], arity: int) -> Iterator[tuple[Word, ...]]:
-    if arity == 0:
-        yield ()
-        return
-    for w in values:
-        for rest in _product_tuples(values, arity - 1):
-            yield (w,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ Two modes share one engine:
 * raw mode has no order and no guard; it implements the structural
   rewriting that the type checkers are defined by.
 
-Redex search is position-major: top-level slices left to right
-(shorter slices first at a given start), then bracket factors left to
-right, recursively; at one position, rules apply in declared priority.
+Redex search is position-major: slices come in the scan order that
+:func:`opalg.terms.iter_slices` owns (top-level slices left to right,
+shorter slices first at a given start, then bracket factors left to
+right, recursively); at one position, rules apply in declared priority.
 The randomized strategies below randomize which monomial and which
 position get reduced, never the rule priority at a position, so all
 strategies compute the same linear normal-form map wherever the system
@@ -30,14 +31,15 @@ from .opi import OPI, CatalogEntry, instantiate, _sigma_tuples
 from .orders import OrderSpec
 from .poly import OPoly
 from .terms import (
-    HOLE,
     Alphabet,
     Bracket,
     Context,
     Word,
     align_factors,
     all_words,
+    iter_slices,
     render,
+    slice_context,
     substitute,
 )
 
@@ -207,38 +209,30 @@ class RuleSet:
         return OPoly.from_word(slice_word) - inst
 
     def iter_redexes(self, w: Word) -> Iterator[Redex]:
-        fs = w.factors
-        n = len(fs)
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                sl = fs[i:j]
-                wrap = fs[:i] + (HOLE,) + fs[j:]
-                for rule in self.rules:
-                    if isinstance(rule, ConcreteRule):
-                        if sl == rule.lhs.factors:
-                            yield Redex(rule.rule_id, Context(Word(wrap)), None, rule.lhs, rule.rhs)
-                    else:
-                        slice_word = None
-                        for sigma in align_factors(
-                            rule.lhs.factors, sl, frozenset(rule.opi.variables), rule.nonempty
-                        ):
-                            if slice_word is None:
-                                slice_word = Word(sl)
-                            rhs = self._rhs_for_schema(rule, slice_word, sigma)
-                            if rhs is None:
-                                continue
-                            yield Redex(
-                                rule.rule_id,
-                                Context(Word(wrap)),
-                                tuple((v, sigma[v]) for v in rule.opi.variables),
-                                slice_word,
-                                rhs,
-                            )
-        for idx, f in enumerate(fs):
-            if isinstance(f, Bracket):
-                for rdx in self.iter_redexes(f.inner):
-                    outer = Word(fs[:idx] + (Bracket(rdx.context.word),) + fs[idx + 1 :])
-                    yield Redex(rdx.rule_id, Context(outer), rdx.sigma, rdx.matched, rdx.rhs)
+        """Every redex in ``w``: slices in :func:`opalg.terms.iter_slices`
+        order, rules in declared priority at each slice."""
+        for level, i, j, frames in iter_slices(w):
+            sl = level[i:j]
+            slice_word = None
+            for rule in self.rules:
+                if isinstance(rule, ConcreteRule):
+                    if sl == rule.lhs.factors:
+                        q = slice_context(level, i, j, frames)
+                        yield Redex(rule.rule_id, q, None, rule.lhs, rule.rhs)
+                    continue
+                for sigma in align_factors(rule.lhs.factors, sl, rule.opi.variables, rule.nonempty):
+                    if slice_word is None:
+                        slice_word = Word(sl)
+                    rhs = self._rhs_for_schema(rule, slice_word, sigma)
+                    if rhs is None:
+                        continue
+                    yield Redex(
+                        rule.rule_id,
+                        slice_context(level, i, j, frames),
+                        tuple((v, sigma[v]) for v in rule.opi.variables),
+                        slice_word,
+                        rhs,
+                    )
 
     def find_redex(self, w: Word) -> Redex | None:
         return next(self.iter_redexes(w), None)
@@ -385,21 +379,16 @@ def _extract_rest(body: OPoly, lead: Word, name: str) -> OPoly:
 
 
 def _scan_adjacent_nonunit_brackets(w: Word) -> str | None:
-    fs = w.factors
-    for i in range(len(fs) - 1):
-        a, b = fs[i], fs[i + 1]
-        if (
-            isinstance(a, Bracket)
-            and isinstance(b, Bracket)
-            and not a.inner.is_unit()
-            and not b.inner.is_unit()
-        ):
-            return f"[{render(a.inner)}]*[{render(b.inner)}]"
-    for f in fs:
-        if isinstance(f, Bracket):
-            hit = _scan_adjacent_nonunit_brackets(f.inner)
-            if hit:
-                return hit
+    for level, i, j, _ in iter_slices(w):
+        if j - i == 2:
+            a, b = level[i], level[i + 1]
+            if (
+                isinstance(a, Bracket)
+                and isinstance(b, Bracket)
+                and not a.inner.is_unit()
+                and not b.inner.is_unit()
+            ):
+                return f"[{render(a.inner)}]*[{render(b.inner)}]"
     return None
 
 

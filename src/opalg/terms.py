@@ -25,7 +25,7 @@ factor blocks; see :func:`schema_occurrences`.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "HOLE",
@@ -33,7 +33,6 @@ __all__ = [
     "Alphabet",
     "Bracket",
     "Context",
-    "MonoidOracle",
     "ParseError",
     "Word",
     "UNIT",
@@ -42,11 +41,12 @@ __all__ = [
     "all_words",
     "bracket",
     "concat",
+    "count_words",
     "iter_occurrences",
     "iter_schema_matches",
     "iter_schema_occurrences",
+    "iter_slices",
     "measures",
-    "normalize_mixed_word",
     "occurrences",
     "parse_context",
     "parse_word",
@@ -54,6 +54,7 @@ __all__ = [
     "random_word",
     "render",
     "schema_occurrences",
+    "slice_context",
     "structural_key",
     "substitute",
 ]
@@ -445,20 +446,47 @@ def substitute(q: Context, s):
     return s.map_words(q.plug)
 
 
+def iter_slices(w: Word) -> Iterator[tuple[tuple[Factor, ...], int, int, tuple]]:
+    """Every nonempty factor slice of ``w`` at every depth, as
+    ``(level, i, j, frames)``: the slice is ``level[i:j]``, ``level`` is the
+    factor tuple it is cut from and ``frames`` the enclosing
+    ``(factors, bracket index)`` pairs, outermost first.
+
+    This is the package's one scan order, shared by redex search,
+    occurrences, schema matching and record indexing: the top-level
+    slices by start, then by end, then the slices inside each bracket
+    factor, left to right, recursively.
+    """
+    stack = [(w.factors, ())]
+    while stack:
+        level, frames = stack.pop()
+        n = len(level)
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                yield level, i, j, frames
+        for k in range(n - 1, -1, -1):
+            f = level[k]
+            if isinstance(f, Bracket):
+                stack.append((f.inner.factors, frames + ((level, k),)))
+
+
+def slice_context(level: tuple[Factor, ...], i: int, j: int, frames: tuple) -> Context:
+    """The context around a slice from :func:`iter_slices`: plugging
+    ``Word(level[i:j])`` into it gives back the scanned word."""
+    word = Word(level[:i] + (HOLE,) + level[j:])
+    for outer, k in reversed(frames):
+        word = Word(outer[:k] + (Bracket(word),) + outer[k + 1 :])
+    return Context(word)
+
+
 def iter_occurrences(w: Word, u: Word) -> Iterator[Context]:
-    """Contexts ``q`` with ``q.plug(u) == w``; top-level scan first, then
-    descend into brackets left to right."""
+    """Contexts ``q`` with ``q.plug(u) == w``, in :func:`iter_slices` order."""
     if u.is_unit():
         raise ValueError("occurrences of the unit are everywhere; refusing")
     k = len(u.factors)
-    fs = w.factors
-    for i in range(len(fs) - k + 1):
-        if fs[i : i + k] == u.factors:
-            yield Context(Word(fs[:i] + (HOLE,) + fs[i + k :]))
-    for j, f in enumerate(fs):
-        if isinstance(f, Bracket):
-            for q in iter_occurrences(f.inner, u):
-                yield Context(Word(fs[:j] + (Bracket(q.word),) + fs[j + 1 :]))
+    for level, i, j, frames in iter_slices(w):
+        if j - i == k and level[i:j] == u.factors:
+            yield slice_context(level, i, j, frames)
 
 
 def occurrences(w: Word, u: Word) -> list[Context]:
@@ -553,23 +581,14 @@ def iter_schema_occurrences(
     """All ``(q, sigma)`` with ``q.plug(schema*sigma) == w``.
 
     Matched slices are nonempty (a schema instance standing for the unit
-    never counts as occurring).  Top-level slices come first (start
-    ascending, then end ascending), then brackets are searched left to
-    right.
+    never counts as occurring).  Slices come in :func:`iter_slices` order.
     """
     vs = frozenset(variables)
     _check_schema(schema, vs)
     ne = frozenset(nonempty)
-    fs = w.factors
-    n = len(fs)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for sigma in _align(schema.factors, fs[i:j], vs, ne, {}):
-                yield Context(Word(fs[:i] + (HOLE,) + fs[j:])), sigma
-    for j, f in enumerate(fs):
-        if isinstance(f, Bracket):
-            for q, sigma in iter_schema_occurrences(f.inner, schema, vs, nonempty=ne):
-                yield Context(Word(fs[:j] + (Bracket(q.word),) + fs[j + 1 :])), sigma
+    for level, i, j, frames in iter_slices(w):
+        for sigma in _align(schema.factors, level[i:j], vs, ne, {}):
+            yield slice_context(level, i, j, frames), sigma
 
 
 def schema_occurrences(
@@ -580,67 +599,6 @@ def schema_occurrences(
     nonempty: Iterable[str] = (),
 ) -> list[tuple[Context, dict[str, Word]]]:
     return list(iter_schema_occurrences(w, schema, variables, nonempty=nonempty))
-
-
-class MonoidOracle:
-    """Finite monoid given by a full multiplication table.
-
-    The table is validated on construction: total on elements x elements,
-    closed, unital, and associative (cubic scan; these tables are small).
-    """
-
-    __slots__ = ("elements", "unit", "_mul")
-
-    def __init__(self, elements: Iterable[str], unit: str, table: Mapping[tuple[str, str], str]):
-        elems = tuple(elements)
-        eset = set(elems)
-        if len(eset) != len(elems):
-            raise ValueError("duplicate monoid elements")
-        if unit not in eset:
-            raise ValueError(f"unit {unit!r} not among elements")
-        mul = dict(table)
-        for a in elems:
-            for b in elems:
-                if (a, b) not in mul:
-                    raise ValueError(f"multiplication table missing ({a!r}, {b!r})")
-                if mul[(a, b)] not in eset:
-                    raise ValueError(f"table not closed at ({a!r}, {b!r}) -> {mul[(a, b)]!r}")
-        for a in elems:
-            if mul[(unit, a)] != a or mul[(a, unit)] != a:
-                raise ValueError(f"unit law fails at {a!r}")
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
-                        raise ValueError(f"associativity fails at ({a!r}, {b!r}, {c!r})")
-        self.elements = eset
-        self.unit = unit
-        self._mul = mul
-
-    def mul(self, a: str, b: str) -> str:
-        return self._mul[(a, b)]
-
-
-def normalize_mixed_word(factors: Iterable[Factor], oracle: MonoidOracle) -> tuple[Factor, ...]:
-    """Canonical form of a word mixing oracle elements with other factors.
-
-    Adjacent oracle elements are merged through the table and resulting
-    units dropped, so the output alternates oracle elements with opaque
-    factors and contains no oracle unit.  Idempotent.
-    """
-    out: list[Factor] = []
-    for f in factors:
-        if isinstance(f, str) and f in oracle.elements:
-            if out and isinstance(out[-1], str) and out[-1] in oracle.elements:
-                merged = oracle.mul(out[-1], f)
-                out.pop()
-                if merged != oracle.unit:
-                    out.append(merged)
-            elif f != oracle.unit:
-                out.append(f)
-        else:
-            out.append(f)
-    return tuple(out)
 
 
 def all_words(alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> tuple[Word, ...]:
@@ -673,6 +631,23 @@ def all_words(alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> tu
         return out
 
     return tuple(sorted(gen(max_z, max_op), key=structural_key))
+
+
+def count_words(n_letters: int, max_z: int, max_op: int) -> int:
+    """``len(all_words(...))`` over ``n_letters`` letters, without building
+    a single word."""
+    # exact[z][p]: words with exactly z letters and p brackets, counted by
+    # their first factor (a letter, or a bracket [u] spending u's measures
+    # plus one bracket)
+    exact = [[0] * (max_op + 1) for _ in range(max_z + 1)]
+    exact[0][0] = 1
+    for p in range(max_op + 1):
+        for z in range(max_z + 1):
+            if z or p:
+                exact[z][p] = (n_letters * exact[z - 1][p] if z else 0) + sum(
+                    exact[a][b] * exact[z - a][p - 1 - b] for a in range(z + 1) for b in range(p)
+                )
+    return sum(map(sum, exact))
 
 
 def random_word(rng, alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> Word:

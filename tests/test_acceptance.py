@@ -293,7 +293,7 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         ["instantiate", "--catalog", "rb:6?lambda=1", "x1=z1", "x2=1"],
         ["compositions", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1"],
         ["check-gs", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1",
-         "--seed", "7", "--jobs", "2"],
+         "--seed", "7"],
         ["check-type", "--catalog", "rb:1", "--bounds", "2,1"],
         ["basis", "--catalog", "diffprime?c=1", "--alphabet", "z", "--bounds", "2,1"],
         ["quotient-eval", "--catalog", "rb:6?lambda=0", "--alphabet", "z", "[z]*[z]"],

@@ -2,10 +2,12 @@
 
 import shutil
 import subprocess
+import time
 
 import pytest
 
 from opalg.cli import main
+from opalg.opi import MAX_EXPANSION_WORDS
 
 
 def run(capsys, *argv):
@@ -166,12 +168,11 @@ def test_check_gs_report_bytes_stable(tmp_path, capsys):
         "--bounds",
         "2,1",
     ]
-    paths = [tmp_path / n for n in ("a.json", "b.json", "c.json")]
+    paths = [tmp_path / n for n in ("a.json", "b.json")]
     run(capsys, *args, "--report", str(paths[0]))
     run(capsys, *args, "--report", str(paths[1]))
-    run(capsys, *args, "--jobs", "3", "--report", str(paths[2]))
     blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
     assert blobs[0].endswith(b"\n")
 
 
@@ -304,7 +305,7 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "shiny" in out
 
 
-@pytest.mark.parametrize("flag, value", [("--fuel", "-5"), ("--jobs", "0")])
+@pytest.mark.parametrize("flag, value", [("--fuel", "-5")])
 def test_check_gs_rejects_out_of_range_flags(capsys, flag, value):
     code, out = run(
         capsys, "check-gs", "--catalog", "rb:6?lambda=1", "--bounds", "3,2", flag, value
@@ -314,7 +315,7 @@ def test_check_gs_rejects_out_of_range_flags(capsys, flag, value):
     assert "result:" not in out
 
 
-@pytest.mark.parametrize("line, flag", [("fuel = -1", "--fuel"), ("jobs = 0", "--jobs")])
+@pytest.mark.parametrize("line, flag", [("fuel = -1", "--fuel")])
 def test_config_file_rejects_out_of_range_values(tmp_path, capsys, line, flag):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -346,6 +347,28 @@ def test_deep_input_exits_two_naming_the_limit(capsys):
     code, out = run(capsys, "nf", "--catalog", "rb:6?lambda=1", "z1 + 2*" + deep)
     assert code == 2
     assert "limit of 100" in out
+
+
+def test_wide_expansion_scope_exits_two_naming_the_limit(capsys):
+    # nf widens the rule scope to the input's operator degree; 12 brackets
+    # would range each variable of rb:6 over about 89 million words
+    deep = "[" * 12 + "z1" + "]" * 12
+    start = time.perf_counter()
+    code, out = run(capsys, "nf", "--catalog", "rb:6?lambda=1", deep)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert f"over the limit of {MAX_EXPANSION_WORDS}" in out
+    assert "normal form" not in out
+
+
+def test_removed_jobs_flag_and_config_key_exit_two(tmp_path, capsys):
+    code, out = run(capsys, "check-gs", "--catalog", "rb:1", "--jobs", "2")
+    assert code == 2
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("jobs = 2\n")
+    code, out = run(capsys, "check-gs", "--config", str(cfg), "--catalog", "rb:1")
+    assert code == 2
+    assert "unknown config key 'jobs'" in out
 
 
 def test_unknown_catalog_selector_exits_two(capsys):

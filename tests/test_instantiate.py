@@ -8,6 +8,7 @@ polynomial, the same hash and the same text, for every catalog identity.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, seed
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import Z12, opolys
 from opalg import OPoly, OrderSpec, expand_instances, instantiate, parse_catalog, parse_opoly, render_opoly
-from opalg.opi import _product_tuples, _sigma_tuples, _words_upto
+from opalg.opi import _sigma_tuples, _words_upto
 from opalg.terms import Bracket, Word
 
 SELECTORS = [f"rb:{i}" for i in range(1, 6)]
@@ -79,7 +80,7 @@ def word_assignments(phi):
     joint = list(_sigma_tuples(LETTERS, phi.arity, 2, 2))
     if phi.arity > 2:
         return joint
-    per_value = _product_tuples(_words_upto(LETTERS, 2, 1), phi.arity)
+    per_value = product(_words_upto(LETTERS, 2, 1), repeat=phi.arity)
     return list(dict.fromkeys([*per_value, *joint]))
 
 

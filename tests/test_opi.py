@@ -17,8 +17,8 @@ from opalg import (
     parse_opoly,
     render_opoly,
 )
-from opalg.opi import catalog_help
-from opalg.terms import all_words, parse_word, render
+from opalg.opi import MAX_EXPANSION_WORDS, _words_upto, catalog_help
+from opalg.terms import all_words, count_words, parse_word, render
 
 DB = OrderSpec.for_alphabet("db", Z12)
 DT = OrderSpec.for_alphabet("dt", Z12)
@@ -150,6 +150,17 @@ def test_expand_instances_is_monic_and_bounded():
         lm, lc = f.leading(DT)
         assert lc == 1
         assert lm.z_degree <= 2 and lm.op_degree <= 2
+
+
+def test_expand_instances_refuses_a_pool_over_the_limit_before_building_it():
+    opis = parse_catalog("rb:6?lambda=1").opis
+    # op budget 7 - 1: each variable would range over every word within (2,6)
+    pool = count_words(2, 2, 6)
+    assert pool > MAX_EXPANSION_WORDS
+    misses = _words_upto.cache_info().misses
+    with pytest.raises(ValueError, match=f"{pool} words, over the limit of {MAX_EXPANSION_WORDS}"):
+        expand_instances(opis, Z12, (2, 7), DB)
+    assert _words_upto.cache_info().misses == misses
 
 
 # -- leading-schema shape -----------------------------------------------------

@@ -15,7 +15,6 @@ from opalg.terms import (
     Alphabet,
     Bracket,
     Context,
-    MonoidOracle,
     ParseError,
     Word,
     all_hole_insertions,
@@ -24,7 +23,6 @@ from opalg.terms import (
     concat,
     iter_schema_matches,
     measures,
-    normalize_mixed_word,
     occurrences,
     parse_context,
     parse_word,
@@ -312,55 +310,6 @@ def test_alphabet_reorder_checks_permutation():
 def test_alphabet_rejects_duplicates():
     with pytest.raises(ValueError):
         Alphabet(("z", "z"))
-
-
-# -- the finite monoid oracle -------------------------------------------------
-
-
-def _sign_monoid():
-    els = ("e", "m")
-    table = {
-        ("e", "e"): "e",
-        ("e", "m"): "m",
-        ("m", "e"): "m",
-        ("m", "m"): "e",
-    }
-    return MonoidOracle(els, "e", table)
-
-
-def test_monoid_oracle_validates_associativity():
-    els = ("e", "a")
-    table = {
-        ("e", "e"): "e",
-        ("e", "a"): "a",
-        ("a", "e"): "a",
-        ("a", "a"): "a",
-    }
-    MonoidOracle(els, "e", table)  # fine: this one is associative
-    bad = dict(table)
-    bad[("a", "a")] = "e"
-    bad[("a", "e")] = "e"  # breaks unitality
-    with pytest.raises(ValueError):
-        MonoidOracle(els, "e", bad)
-
-
-def test_monoid_oracle_requires_total_table():
-    with pytest.raises(ValueError):
-        MonoidOracle(("e", "a"), "e", {("e", "e"): "e"})
-
-
-def test_normalize_mixed_word_merges_and_drops_units():
-    orc = _sign_monoid()
-    out = normalize_mixed_word(("m", "m", Bracket(UNIT), "m"), orc)
-    assert out == (Bracket(UNIT), "m")
-    # unit produced at the end disappears entirely
-    assert normalize_mixed_word(("m", "m"), orc) == ()
-
-
-def test_normalize_mixed_word_idempotent():
-    orc = _sign_monoid()
-    first = normalize_mixed_word(("m", "e", "m", Bracket(UNIT), "m"), orc)
-    assert normalize_mixed_word(first, orc) == first
 
 
 # -- enumeration --------------------------------------------------------------
