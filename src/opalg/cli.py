@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", help="polynomial to evaluate in the quotient")
 
     p = sub.add_parser("demo", help="canned walkthroughs")
-    p.add_argument("which", nargs="?", choices=("splitting-unit", "rb-commutator", "averaging", "reynolds"))
+    p.add_argument("which", nargs="?", choices=tuple(_DEMOS))
     p.add_argument("--list", action="store_true", help="list available demos")
     p.add_argument("--fuel", type=int, help="reduction step budget (default 2000)")
 
@@ -301,17 +301,22 @@ def _cmd_compositions(ns) -> int:
     return worst
 
 
+def _emit(report, path: str | None) -> int:
+    """Print a check report, write its JSON to ``path`` if given, and
+    return the exit code of its verdict."""
+    print(report.to_text())
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"report written to {path}")
+    return 0 if report.passed else 1
+
+
 def _cmd_check_gs(ns) -> int:
     env = Env(ns)
     gens = env.generator_set()
-    report = check_gs(gens, env.bounds, env.fuel, route=ns.route)
-    print(report.to_text())
-    if ns.report:
-        with open(ns.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {ns.report}")
-    return 0 if report.passed else 1
+    return _emit(check_gs(gens, env.bounds, env.fuel, route=ns.route), ns.report)
 
 
 def _cmd_check_type(ns) -> int:
@@ -319,34 +324,14 @@ def _cmd_check_type(ns) -> int:
     if len(env.entries) != 1:
         raise ValueError("check-type needs exactly one --catalog entry")
     entry = env.entries[0]
+    # looked up by name at call time, so perfbench's tracer sees each call
     if entry.family in ("rb", "nijenhuis"):
-        report = check_rb_type(entry, env.alphabet, env.bounds, env.fuel)
-    elif entry.family == "diff":
-        report = check_diff_type(entry, env.alphabet, env.bounds, env.fuel)
-    else:
-        print(
-            f"error: no structural template for family {entry.family!r}; "
-            "check-type handles rb, nijenhuis, and diff"
-        )
-        return 2
-    print(report.to_text())
-    if ns.report:
-        payload = {
-            "opi": report.opi,
-            "family": report.family,
-            "bounds": list(report.bounds),
-            "fuel": report.fuel,
-            "conditions": [
-                {"label": label, "ok": ok, "detail": detail}
-                for label, ok, detail in report.conditions
-            ],
-            "passed": report.passed,
-        }
-        with open(ns.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {ns.report}")
-    return 0 if report.passed else 1
+        return _emit(check_rb_type(entry, env.alphabet, env.bounds, env.fuel), ns.report)
+    if entry.family == "diff":
+        return _emit(check_diff_type(entry, env.alphabet, env.bounds, env.fuel), ns.report)
+    raise ValueError(
+        f"no structural template for family {entry.family!r}; check-type handles rb, nijenhuis, and diff"
+    )
 
 
 def _cmd_basis(ns) -> int:
@@ -373,11 +358,22 @@ def _cmd_quotient_eval(ns) -> int:
     return 0
 
 
+# name -> (blurb, (order preset, catalog selector, concrete generators,
+# bounds) of a check_gs walkthrough); splitting-unit has its own function
 _DEMOS = {
-    "splitting-unit": "a splitting identity against z1*z2 - 1: one honest non-trivial record",
-    "rb-commutator": "weighted insertion family plus a commutator: bounded check passes",
-    "averaging": "averaging family: certified route with visibly skipped schema records",
-    "reynolds": "telescoping family: bounded check is vacuous at small operator degree",
+    "splitting-unit": ("a splitting identity against z1*z2 - 1: one honest non-trivial record", None),
+    "rb-commutator": (
+        "weighted insertion family plus a commutator: bounded check passes",
+        ("db", "rb:6?lambda=1", ("z2*z1 - z1*z2",), (3, 2)),
+    ),
+    "averaging": (
+        "averaging family: certified route with visibly skipped schema records",
+        ("dt", "averaging", (), (2, 2)),
+    ),
+    "reynolds": (
+        "telescoping family: bounded check is vacuous at small operator degree",
+        ("dt", "reynolds?n=4", (), (2, 2)),
+    ),
 }
 
 
@@ -407,50 +403,20 @@ def _demo_splitting_unit(fuel: int) -> int:
     return 1 if bad else 0
 
 
-def _demo_rb_commutator(fuel: int) -> int:
-    alphabet = Alphabet(("z1", "z2"))
-    order = OrderSpec.for_alphabet("db", alphabet)
-    entry = parse_catalog("rb:6?lambda=1")
-    g = parse_opoly("z2*z1 - z1*z2", alphabet)
-    gens = GeneratorSet((entry,), (g,), order, alphabet)
-    report = check_gs(gens, (3, 2), fuel)
-    print(report.to_text())
-    return 0 if report.passed else 1
-
-
-def _demo_averaging(fuel: int) -> int:
-    alphabet = Alphabet(("z1", "z2"))
-    order = OrderSpec.for_alphabet("dt", alphabet)
-    entry = parse_catalog("averaging")
-    gens = GeneratorSet((entry,), (), order, alphabet)
-    report = check_gs(gens, (2, 2), fuel)
-    print(report.to_text())
-    return 0 if report.passed else 1
-
-
-def _demo_reynolds(fuel: int) -> int:
-    alphabet = Alphabet(("z1", "z2"))
-    order = OrderSpec.for_alphabet("dt", alphabet)
-    entry = parse_catalog("reynolds?n=4")
-    gens = GeneratorSet((entry,), (), order, alphabet)
-    report = check_gs(gens, (2, 2), fuel)
-    print(report.to_text())
-    return 0 if report.passed else 1
-
-
 def _cmd_demo(ns) -> int:
     if ns.list or not ns.which:
-        for name, blurb in _DEMOS.items():
+        for name, (blurb, _) in _DEMOS.items():
             print(f"{name:14} {blurb}")
         return 0
     fuel = _checked_fuel(ns.fuel if ns.fuel is not None else _DEFAULTS["fuel"])
-    fn = {
-        "splitting-unit": _demo_splitting_unit,
-        "rb-commutator": _demo_rb_commutator,
-        "averaging": _demo_averaging,
-        "reynolds": _demo_reynolds,
-    }[ns.which]
-    return fn(fuel)
+    setup = _DEMOS[ns.which][1]
+    if setup is None:
+        return _demo_splitting_unit(fuel)
+    preset, selector, concrete, bounds = setup
+    alphabet = Alphabet(("z1", "z2"))
+    order = OrderSpec.for_alphabet(preset, alphabet)
+    gens = GeneratorSet((parse_catalog(selector),), tuple(parse_opoly(t, alphabet) for t in concrete), order, alphabet)
+    return _emit(check_gs(gens, bounds, fuel), None)
 
 
 def _cmd_catalog(ns) -> int:

@@ -187,11 +187,12 @@ class InstanceRecord:
         return f"{self.opi.name}[{self.sigma_text()}]"
 
 
-# Most words one variable may range over in expand_instances, checked
-# before any is built.  The pool grows exponentially with the operator
-# budget: two letters give 26,089 words at (3,4), the largest pool the
-# tests, demos and benchmark use, while ``nf`` under rb:6 on a 6-deep
-# bracket word needs 67,267 (18 s on CPython 3.11, 2 vCPU x86).
+# Most words one variable may range over in expand_instances, and most
+# words a family audit in ``rewrite`` probes, checked before any is built.
+# The pool grows exponentially with the operator budget: two letters give
+# 26,089 words at (3,4), the largest pool the tests, demos and benchmark
+# use, while ``nf`` under rb:6 on a 6-deep bracket word needs 67,267 (18 s
+# on CPython 3.11, 2 vCPU x86).
 MAX_EXPANSION_WORDS = 50_000
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .terms import Alphabet, Word, random_context, random_word, render
@@ -203,7 +204,7 @@ def check_order_axioms(
 
         counts["transitivity"] += 1
         trip = [u, v, w]
-        trip.sort(key=_CmpKey(order))
+        trip.sort(key=cmp_to_key(order.compare))
         if order.compare(trip[0], trip[2]) > 0:
             note(
                 "transitivity",
@@ -228,17 +229,3 @@ def check_order_axioms(
 
     rep.checked = counts
     return rep
-
-
-class _CmpKey:
-    __slots__ = ("order", "word")
-
-    def __init__(self, order, word=None):
-        self.order = order
-        self.word = word
-
-    def __call__(self, word):
-        return _CmpKey(self.order, word)
-
-    def __lt__(self, other):
-        return self.order.compare(self.word, other.word) < 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from .opi import OPI, CatalogEntry, instantiate, _sigma_tuples
+from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, _sigma_tuples, instantiate
 from .orders import OrderSpec
 from .poly import OPoly
 from .terms import (
@@ -37,6 +37,7 @@ from .terms import (
     Word,
     align_factors,
     all_words,
+    count_words,
     iter_slices,
     render,
     slice_context,
@@ -361,21 +362,85 @@ class TypeReport:
         lines.append("  => " + ("PASSED" if self.passed else "FAILED"))
         return "\n".join(lines)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "opi": self.opi,
+            "family": self.family,
+            "bounds": list(self.bounds),
+            "fuel": self.fuel,
+            "conditions": [{"label": label, "ok": ok, "detail": detail} for label, ok, detail in self.conditions],
+            "passed": self.passed,
+        }
 
-def _as_opi(candidate: Union[OPI, CatalogEntry]) -> OPI:
+
+def _open_audit(
+    candidate: Union[OPI, CatalogEntry], family: str, pattern, alphabet: Alphabet, bounds: tuple[int, int], fuel: int
+) -> tuple[OPI, TypeReport, tuple[Word, OPoly] | None]:
+    """The candidate's single identity, its report, and the leading pattern
+    ``pattern(x, y)`` with the rest ``lead - body / coeff(lead)``; the last
+    is None after a shape FAIL (not two variables, or no such lead).  A
+    scope whose word pool exceeds ``MAX_EXPANSION_WORDS`` is refused with a
+    ``ValueError`` before any probe runs."""
+    phi = candidate
     if isinstance(candidate, CatalogEntry):
         if len(candidate.opis) != 1:
             raise ValueError(f"{candidate.key}: family checks need a single identity")
-        return candidate.opis[0]
-    return candidate
-
-
-def _extract_rest(body: OPoly, lead: Word, name: str) -> OPoly:
-    lc = body.coeff(lead)
+        phi = candidate.opis[0]
+    pool = count_words(len(alphabet.letters), *bounds)
+    if pool > MAX_EXPANSION_WORDS:
+        raise ValueError(
+            f"auditing {phi.name} at bounds {bounds} would probe {pool} words, "
+            f"over the limit of {MAX_EXPANSION_WORDS}"
+        )
+    rep = TypeReport(opi=phi.name, family=family, bounds=bounds, fuel=fuel)
+    if phi.arity != 2:
+        rep.add("shape", False, f"needs exactly 2 variables, got {phi.arity}")
+        return phi, rep, None
+    lead = pattern(*phi.variables)
+    lc = phi.body.coeff(lead)
     if not lc:
-        raise ValueError(f"{name}: expected leading pattern {render(lead)} is absent")
-    scaled = body.scale(Fraction(1) / lc)
-    return OPoly.from_word(lead) - scaled
+        rep.add("shape", False, f"{phi.name}: expected leading pattern {render(lead)} is absent")
+        return phi, rep, None
+    return phi, rep, (lead, OPoly.from_word(lead) - phi.body.scale(Fraction(1) / lc))
+
+
+def _map_is_clean(rep: TypeReport, kind: str, poly: OPoly, scan, clean: str) -> bool:
+    """Shape pass for the extracted map, then (a) linearity and (b) the
+    first forbidden subword ``scan`` finds in its monomials."""
+    rep.add("shape", True, f"{kind} map with {len(poly)} term(s)")
+    rep.add("(a) linearity", True, "multilinear by construction")
+    witness = next(filter(None, map(scan, poly.support())), None)
+    rep.add("(b) no forbidden subword", witness is None, witness or clean)
+    return witness is None
+
+
+def _probe(
+    rep: TypeReport, alphabet: Alphabet, rules: "RuleSet", labels: tuple[str, str], sides, nonunit: bool = False
+) -> None:
+    """Termination: every word within the report's bounds reduces within
+    its fuel.  Then closure: for every jointly bounded triple (nonunit
+    only, if asked) the two ``sides(u, v, w)`` have equal normal forms."""
+    max_z, max_op = rep.bounds
+    stuck = None
+    for w in all_words(alphabet, max_z, max_op):
+        if normal_form(OPoly.from_word(w), rules, rep.fuel, want_trace=False).exhausted:
+            stuck = render(w)
+            break
+    rep.add(labels[0], stuck is None, stuck or "all bounded words reduce")
+    if stuck is not None:
+        return
+    bad = None
+    for u, v, w in _sigma_tuples(tuple(alphabet.letters), 3, max_z, max_op):
+        if nonunit and (u.is_unit() or v.is_unit() or w.is_unit()):
+            continue
+        left, right = sides(u, v, w)
+        res = normal_form(left - right, rules, rep.fuel, want_trace=False)
+        if res.exhausted or not res.poly.is_zero():
+            triple = f"({render(u)}, {render(v)}, {render(w)})"
+            bad = f"fuel exhausted at {triple}" if res.exhausted else f"{triple} leaves {res.poly}"
+            break
+    clean = f"all jointly bounded {'nonunit ' if nonunit else ''}triples close"
+    rep.add(labels[1], bad is None, bad or clean)
 
 
 def _scan_adjacent_nonunit_brackets(w: Word) -> str | None:
@@ -413,18 +478,12 @@ def check_rb_type(
     of bracket factors into one bracket, with a linear collapse map whose
     induced rewriting terminates at bounds and is associative up to
     rewriting (units included in the probe tuples, jointly budgeted)."""
-    phi = _as_opi(candidate)
-    rep = TypeReport(opi=phi.name, family="bracket-pair", bounds=bounds, fuel=fuel)
-    if phi.arity != 2:
-        rep.add("shape", False, f"needs exactly 2 variables, got {phi.arity}")
+    phi, rep, shaped = _open_audit(
+        candidate, "bracket-pair", lambda x, y: Word((Bracket(Word((x,))), Bracket(Word((y,))))), alphabet, bounds, fuel
+    )
+    if shaped is None:
         return rep
-    x, y = phi.variables
-    lead = Word((Bracket(Word((x,))), Bracket(Word((y,)))))
-    try:
-        rest = _extract_rest(phi.body, lead, phi.name)
-    except ValueError as exc:
-        rep.add("shape", False, str(exc))
-        return rep
+    lead, rest = shaped
     inner_terms: list[tuple[Word, Fraction]] = []
     for m, c in rest.items(reverse=False):
         if m.breadth != 1 or not isinstance(m.factors[0], Bracket):
@@ -432,50 +491,21 @@ def check_rb_type(
             return rep
         inner_terms.append((m.factors[0].inner, c))
     b_poly = OPoly(inner_terms)
-    rep.add("shape", True, f"collapse map with {len(b_poly)} term(s)")
-    rep.add("(a) linearity", True, "multilinear by construction")
-
-    witness = None
-    for m in b_poly.support():
-        witness = _scan_adjacent_nonunit_brackets(m)
-        if witness:
-            break
-    rep.add(
-        "(b) no forbidden subword",
-        witness is None,
-        witness or "no adjacent brackets with nonunit inners",
-    )
-    if witness is not None:
+    if not _map_is_clean(
+        rep, "collapse", b_poly, _scan_adjacent_nonunit_brackets, "no adjacent brackets with nonunit inners"
+    ):
         return rep
+    x, y = phi.variables
+    b_expr = OPI(f"{phi.name}.collapse", (x, y), b_poly)
+
+    def sides(u: Word, v: Word, w: Word) -> tuple[OPoly, OPoly]:  # B(B(u,v),w), B(u,B(v,w))
+        return (
+            instantiate(b_expr, {x: instantiate(b_expr, {x: u, y: v}), y: OPoly.from_word(w)}),
+            instantiate(b_expr, {x: OPoly.from_word(u), y: instantiate(b_expr, {x: v, y: w})}),
+        )
 
     rules = RuleSet.raw([SchemaRule(phi.name, phi, lead, guarded=False)])
-    max_z, max_op = bounds
-    stuck = None
-    for w in all_words(alphabet, max_z, max_op):
-        res = normal_form(OPoly.from_word(w), rules, fuel, want_trace=False)
-        if res.exhausted:
-            stuck = render(w)
-            break
-    rep.add("(c) termination at bounds", stuck is None, stuck or "all bounded words reduce")
-    if stuck is not None:
-        return rep
-
-    b_expr = OPI(f"{phi.name}.collapse", (x, y), b_poly)
-    letters = tuple(alphabet.letters)
-    bad = None
-    for u, v, w in _sigma_tuples(letters, 3, max_z, max_op):
-        left = instantiate(b_expr, {x: instantiate(b_expr, {x: u, y: v}), y: OPoly.from_word(w)})
-        right = instantiate(b_expr, {x: OPoly.from_word(u), y: instantiate(b_expr, {x: v, y: w})})
-        res = normal_form(left - right, rules, fuel, want_trace=False)
-        if res.exhausted:
-            bad = f"fuel exhausted at ({render(u)}, {render(v)}, {render(w)})"
-            break
-        if not res.poly.is_zero():
-            bad = (
-                f"({render(u)}, {render(v)}, {render(w)}) leaves {res.poly}"
-            )
-            break
-    rep.add("(d) associativity closure", bad is None, bad or "all jointly bounded triples close")
+    _probe(rep, alphabet, rules, ("(c) termination at bounds", "(d) associativity closure"), sides)
     return rep
 
 
@@ -489,61 +519,23 @@ def check_diff_type(
     bracket of a product through a linear map with no wide brackets, and
     the induced rewriting (nontrivial splits only) satisfies the cocycle
     closure on jointly bounded nonunit triples."""
-    phi = _as_opi(candidate)
-    rep = TypeReport(opi=phi.name, family="bracket-of-product", bounds=bounds, fuel=fuel)
-    if phi.arity != 2:
-        rep.add("shape", False, f"needs exactly 2 variables, got {phi.arity}")
+    phi, rep, shaped = _open_audit(
+        candidate, "bracket-of-product", lambda x, y: Word((Bracket(Word((x, y))),)), alphabet, bounds, fuel
+    )
+    if shaped is None:
+        return rep
+    lead, n_poly = shaped
+    if not _map_is_clean(rep, "expansion", n_poly, _scan_wide_bracket, "no bracket factor has a product inside"):
         return rep
     x, y = phi.variables
-    lead = Word((Bracket(Word((x, y))),))
-    try:
-        rest = _extract_rest(phi.body, lead, phi.name)
-    except ValueError as exc:
-        rep.add("shape", False, str(exc))
-        return rep
-    n_poly = rest
-    rep.add("shape", True, f"expansion map with {len(n_poly)} term(s)")
-    rep.add("(a) linearity", True, "multilinear by construction")
+    n_expr = OPI(f"{phi.name}.expand", (x, y), n_poly)
 
-    witness = None
-    for m in n_poly.support():
-        witness = _scan_wide_bracket(m)
-        if witness:
-            break
-    rep.add(
-        "(b) no forbidden subword",
-        witness is None,
-        witness or "no bracket factor has a product inside",
-    )
-    if witness is not None:
-        return rep
+    def sides(u: Word, v: Word, w: Word) -> tuple[OPoly, OPoly]:  # N(uv,w), N(u,vw)
+        return (
+            instantiate(n_expr, {x: u * v, y: OPoly.from_word(w)}),
+            instantiate(n_expr, {x: OPoly.from_word(u), y: v * w}),
+        )
 
     rules = RuleSet.raw([SchemaRule(phi.name, phi, lead, nonempty=frozenset((x, y)), guarded=False)])
-    max_z, max_op = bounds
-    stuck = None
-    for w in all_words(alphabet, max_z, max_op):
-        res = normal_form(OPoly.from_word(w), rules, fuel, want_trace=False)
-        if res.exhausted:
-            stuck = render(w)
-            break
-    rep.add("termination at bounds", stuck is None, stuck or "all bounded words reduce")
-    if stuck is not None:
-        return rep
-
-    n_expr = OPI(f"{phi.name}.expand", (x, y), n_poly)
-    letters = tuple(alphabet.letters)
-    bad = None
-    for u, v, w in _sigma_tuples(letters, 3, max_z, max_op):
-        if u.is_unit() or v.is_unit() or w.is_unit():
-            continue
-        left = instantiate(n_expr, {x: u * v, y: OPoly.from_word(w)})
-        right = instantiate(n_expr, {x: OPoly.from_word(u), y: v * w})
-        res = normal_form(left - right, rules, fuel, want_trace=False)
-        if res.exhausted:
-            bad = f"fuel exhausted at ({render(u)}, {render(v)}, {render(w)})"
-            break
-        if not res.poly.is_zero():
-            bad = f"({render(u)}, {render(v)}, {render(w)}) leaves {res.poly}"
-            break
-    rep.add("(c) cocycle closure", bad is None, bad or "all jointly bounded nonunit triples close")
+    _probe(rep, alphabet, rules, ("termination at bounds", "(c) cocycle closure"), sides, nonunit=True)
     return rep

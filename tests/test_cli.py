@@ -197,9 +197,20 @@ def test_check_type_insertion_family(capsys, tmp_path):
 
 
 def test_check_type_has_no_template_for_averaging(capsys):
-    code, out = run(capsys, "check-type", "--catalog", "averaging")
+    code = main(["check-type", "--catalog", "averaging"])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "no structural template" in out
+    assert captured.out == ""
+    assert captured.err.startswith("error: no structural template for family 'averaging'")
+
+
+def test_check_type_wide_scope_exits_two_naming_the_limit(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "check-type", "--catalog", "rb:1", "--bounds", "2,7")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert f"over the limit of {MAX_EXPANSION_WORDS}" in out
+    assert "check for" not in out
 
 
 def test_basis_for_erasure_family(capsys):

@@ -28,7 +28,8 @@ from opalg import (
     parse_opoly,
     render_opoly,
 )
-from opalg.terms import parse_word, render
+from opalg.opi import MAX_EXPANSION_WORDS
+from opalg.terms import count_words, parse_word, render
 
 DB = OrderSpec.for_alphabet("db", Z12)
 DT = OrderSpec.for_alphabet("dt", Z12)
@@ -290,3 +291,29 @@ def test_template_reports_render():
     text = rep.to_text()
     assert "PASSED" in text
     assert "(c) termination at bounds" in text
+
+
+def test_audits_refuse_a_scope_over_the_expansion_limit():
+    # (2,7) holds 286,486 words; the termination probe alone would walk all of them
+    pool = count_words(2, 2, 7)
+    assert pool > MAX_EXPANSION_WORDS
+    for audit, sel in ((check_rb_type, "rb:1"), (check_diff_type, "diff:1")):
+        with pytest.raises(ValueError, match=f"{pool} words, over the limit of {MAX_EXPANSION_WORDS}"):
+            audit(parse_catalog(sel), Z12, (2, 7), 2000)
+
+
+def test_type_report_json_dict():
+    rep = check_diff_type(parse_catalog("diff:1"), Z12, (2, 1), 0)
+    assert rep.to_json_dict() == {
+        "opi": "diff:1",
+        "family": "bracket-of-product",
+        "bounds": [2, 1],
+        "fuel": 0,
+        "conditions": [
+            {"label": "shape", "ok": True, "detail": "expansion map with 2 term(s)"},
+            {"label": "(a) linearity", "ok": True, "detail": "multilinear by construction"},
+            {"label": "(b) no forbidden subword", "ok": True, "detail": "no bracket factor has a product inside"},
+            {"label": "termination at bounds", "ok": False, "detail": "[z1*z1]"},
+        ],
+        "passed": False,
+    }
