@@ -58,7 +58,6 @@ from .rewrite import (
     SchemaRule,
     check_diff_type,
     check_rb_type,
-    joinable,
     normal_form,
     normal_form_random,
     one_step,
@@ -124,7 +123,6 @@ __all__ = [
     "instantiate",
     "is_irreducible",
     "is_trivial",
-    "joinable",
     "measures",
     "normal_form",
     "normal_form_random",

@@ -188,7 +188,8 @@ class InstanceRecord:
 
 
 # Most words one variable may range over in expand_instances, and most
-# words a family audit in ``rewrite`` probes, checked before any is built.
+# words (and jointly bounded triples) a family audit in ``rewrite`` probes,
+# checked before any is built.
 # The pool grows exponentially with the operator budget: two letters give
 # 26,089 words at (3,4), the largest pool the tests, demos and benchmark
 # use, while ``nf`` under rb:6 on a 6-deep bracket word needs 67,267 (18 s
@@ -347,6 +348,49 @@ def _has_top_level_variable(w: Word, vset: frozenset[str]) -> bool:
     return any(isinstance(f, str) and f in vset for f in w.factors)
 
 
+def _schema_cmp(u: Word, v: Word, order: OrderSpec, vset: frozenset[str]) -> tuple[int, str] | None:
+    """``(sign, reason)`` when ``u·σ`` compares to ``v·σ`` with the same
+    nonzero sign under every assignment σ of words to the variables in
+    ``vset`` (units included), else None.
+
+    Decided only where both sides carry the same multiset of variables
+    (always so for two monomials of a multilinear body): then their
+    z_degree and op_degree gaps do not depend on σ, nor does their breadth
+    gap while neither side has a top-level variable.  deglex is decided on
+    z_degree alone.  With equal measures the factors are walked in order:
+    identical schema factors stay identical under σ, a letter against a
+    bracket is settled by the order, and two brackets decide exactly when
+    their inner words do.
+    """
+    cu: dict[str, int] = {}
+    cv: dict[str, int] = {}
+    _var_counts(u, vset, cu)
+    _var_counts(v, vset, cv)
+    if cu != cv:
+        return None
+    if u.z_degree != v.z_degree:
+        return (1 if u.z_degree > v.z_degree else -1), f"z_degree gap {abs(u.z_degree - v.z_degree)}"
+    if order.preset not in ("db", "dt"):
+        return None
+    if u.op_degree != v.op_degree:
+        return (1 if u.op_degree > v.op_degree else -1), f"op_degree gap {abs(u.op_degree - v.op_degree)}"
+    if _has_top_level_variable(u, vset) or _has_top_level_variable(v, vset):
+        return None
+    if u.breadth != v.breadth:
+        wider = 1 if u.breadth > v.breadth else -1
+        return (wider if order.preset == "db" else -wider), f"constant breadth {u.breadth} vs {v.breadth}"
+    for i, (f, g) in enumerate(zip(u.factors, v.factors), 1):
+        if f == g:
+            continue
+        if isinstance(f, str) or isinstance(g, str):
+            return order._factor_cmp(f, g), f"{render(Word((f,)))} vs {render(Word((g,)))} at factor {i}"
+        got = _schema_cmp(f.inner, g.inner, order, vset)
+        if got is None:
+            return None
+        return got[0], f"{got[1]} inside factor {i}"
+    return None
+
+
 def check_lm_stability(
     phi: OPI,
     order: OrderSpec,
@@ -358,11 +402,13 @@ def check_lm_stability(
 
     For each assignment of words within ``bounds`` (per value), the
     instance must vanish or lead with the instantiated leading schema.
-    Monomials whose defeat is forced by measures alone are certified
-    structurally without enumeration: z_degree differences are constant
-    under multilinearity, op_degree differences likewise, and when neither
-    side has a top-level variable the breadths are constant too.  Only the
-    remaining monomials trigger exhaustive enumeration.
+    A monomial that loses to the leading schema under every assignment is
+    certified without enumeration (:func:`_schema_cmp`): z_degree
+    differences are constant under multilinearity, op_degree differences
+    likewise, and when neither side has a top-level variable the breadths
+    are constant too; with equal measures the factors are compared one by
+    one, down into brackets.  Only the monomials left open trigger
+    exhaustive enumeration.
     """
     rep = StabilityReport(
         opi=phi.name,
@@ -372,34 +418,15 @@ def check_lm_stability(
     )
     lm = phi.lm(order.preset)
     vset = frozenset(phi.variables)
-    op_second = order.preset in ("db", "dt")
     uncertified: list[Word] = []
     for m in phi.body.support():
         if m == lm:
             continue
-        dz = lm.z_degree - m.z_degree
-        dop = lm.op_degree - m.op_degree
-        if dz > 0:
-            rep.certified.append((render(m), f"z_degree gap {dz}"))
-            continue
-        if dz == 0 and op_second and dop > 0:
-            rep.certified.append((render(m), f"op_degree gap {dop}"))
-            continue
-        if (
-            dz == 0
-            and dop == 0
-            and op_second
-            and not _has_top_level_variable(lm, vset)
-            and not _has_top_level_variable(m, vset)
-        ):
-            db_wins = lm.breadth > m.breadth
-            dt_wins = lm.breadth < m.breadth
-            if (order.preset == "db" and db_wins) or (order.preset == "dt" and dt_wins):
-                rep.certified.append(
-                    (render(m), f"constant breadth {lm.breadth} vs {m.breadth}")
-                )
-                continue
-        uncertified.append(m)
+        got = _schema_cmp(lm, m, order, vset)
+        if got is not None and got[0] > 0:
+            rep.certified.append((render(m), got[1]))
+        else:
+            uncertified.append(m)
 
     if not uncertified:
         rep.domain = "none needed"

@@ -57,7 +57,6 @@ __all__ = [
     "TypeReport",
     "check_diff_type",
     "check_rb_type",
-    "joinable",
     "normal_form",
     "normal_form_random",
     "one_step",
@@ -324,15 +323,6 @@ def normal_form_random(
     return ReductionResult(cur, tuple(steps), False)
 
 
-def joinable(f: OPoly, g: OPoly, rules: RuleSet, fuel: int) -> bool | None:
-    """True/False when both normal forms land; None when fuel runs out."""
-    rf = normal_form(f, rules, fuel, want_trace=False)
-    rg = normal_form(g, rules, fuel, want_trace=False)
-    if rf.exhausted or rg.exhausted:
-        return None
-    return rf.poly == rg.poly
-
-
 # ---------------------------------------------------------------------------
 # shape checks for the two rewriting families
 
@@ -419,8 +409,16 @@ def _probe(
 ) -> None:
     """Termination: every word within the report's bounds reduces within
     its fuel.  Then closure: for every jointly bounded triple (nonunit
-    only, if asked) the two ``sides(u, v, w)`` have equal normal forms."""
+    only, if asked) the two ``sides(u, v, w)`` have equal normal forms.
+    More triples than ``MAX_EXPANSION_WORDS`` are refused with a
+    ``ValueError`` before either probe runs."""
     max_z, max_op = rep.bounds
+    triples = count_words(len(alphabet.letters), max_z, max_op, arity=3)
+    if triples > MAX_EXPANSION_WORDS:
+        raise ValueError(
+            f"auditing {rep.opi} at bounds {rep.bounds} would probe closure on {triples} "
+            f"jointly bounded triples, over the limit of {MAX_EXPANSION_WORDS}"
+        )
     stuck = None
     for w in all_words(alphabet, max_z, max_op):
         if normal_form(OPoly.from_word(w), rules, rep.fuel, want_trace=False).exhausted:

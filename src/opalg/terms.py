@@ -406,10 +406,6 @@ class Context:
         """Replace the hole by the factors of ``s`` (unit deletes the hole)."""
         return _splice(self.word, s)
 
-    def compose(self, inner: "Context") -> "Context":
-        """Context whose plug is ``self.plug(inner.plug(.))``."""
-        return Context(_splice(self.word, inner.word))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Context) and self.word == other.word
 
@@ -633,9 +629,10 @@ def all_words(alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> tu
     return tuple(sorted(gen(max_z, max_op), key=structural_key))
 
 
-def count_words(n_letters: int, max_z: int, max_op: int) -> int:
+def count_words(n_letters: int, max_z: int, max_op: int, arity: int = 1) -> int:
     """``len(all_words(...))`` over ``n_letters`` letters, without building
-    a single word."""
+    a single word; with ``arity`` k, the number of k-tuples of such words
+    whose measures sum within the bounds (a jointly bounded tuple)."""
     # exact[z][p]: words with exactly z letters and p brackets, counted by
     # their first factor (a letter, or a bracket [u] spending u's measures
     # plus one bracket)
@@ -647,7 +644,16 @@ def count_words(n_letters: int, max_z: int, max_op: int) -> int:
                 exact[z][p] = (n_letters * exact[z - 1][p] if z else 0) + sum(
                     exact[a][b] * exact[z - a][p - 1 - b] for a in range(z + 1) for b in range(p)
                 )
-    return sum(map(sum, exact))
+    joint = exact
+    for _ in range(arity - 1):
+        joint = [
+            [
+                sum(joint[a][b] * exact[z - a][p - b] for a in range(z + 1) for b in range(p + 1))
+                for p in range(max_op + 1)
+            ]
+            for z in range(max_z + 1)
+        ]
+    return sum(map(sum, joint))
 
 
 def random_word(rng, alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> Word:

@@ -213,6 +213,16 @@ def test_check_type_wide_scope_exits_two_naming_the_limit(capsys):
     assert "check for" not in out
 
 
+def test_check_type_wide_closure_probe_exits_two_naming_the_limit(capsys):
+    # 15,655 words pass the pool limit, but 148,916 jointly bounded triples do not
+    start = time.perf_counter()
+    code, out = run(capsys, "check-type", "--catalog", "rb:1", "--bounds", "2,5")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert f"148916 jointly bounded triples, over the limit of {MAX_EXPANSION_WORDS}" in out
+    assert "check for" not in out
+
+
 def test_basis_for_erasure_family(capsys):
     code, out = run(
         capsys, "basis", "--catalog", "diffprime?c=1", "--alphabet", "z", "--bounds", "2,1"

@@ -192,10 +192,21 @@ def test_stability_certified_without_enumeration_for_insertion():
 
 
 def test_stability_enumerates_when_no_certificate_applies():
-    phis = {phi.name: phi for phi in parse_catalog("averaging").opis}
-    rep = check_lm_stability(phis["averaging:C"], DT, Z12, (2, 2), include_units=True)
+    # [x1*x2] against [x1]*x2: a top-level variable leaves breadth open
+    phi = parse_catalog("diff:5").opis[0]
+    rep = check_lm_stability(phi, DT, Z12, (2, 2), include_units=True)
     assert rep.passed
     assert rep.enumerated == len(all_words(Z12, 2, 2)) ** 2
+
+
+@pytest.mark.parametrize("bounds", [(2, 2), (3, 3)])
+def test_averaging_stability_certified_without_enumeration(bounds):
+    phis = {phi.name: phi for phi in parse_catalog("averaging").opis}
+    rep = check_lm_stability(phis["averaging:C"], DT, Z12, bounds, include_units=True)
+    assert rep.passed
+    assert rep.enumerated == 0
+    assert rep.certified == [("[x1]*[[x2]]", "op_degree gap 1 inside factor 1")]
+    assert "  certified vs [x1]*[[x2]]: op_degree gap 1 inside factor 1" in rep.to_text()
 
 
 def test_splitting_identities_unstable_exactly_at_units():

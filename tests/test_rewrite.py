@@ -20,7 +20,6 @@ from opalg import (
     RuleSet,
     check_diff_type,
     check_rb_type,
-    joinable,
     normal_form,
     normal_form_random,
     one_step,
@@ -204,14 +203,6 @@ def test_descent_check_survives_optimized_interpreter():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "non-descending step: z1*z1 !< z1 via up"
-
-
-def test_joinable_pair():
-    rules, _ = rules_for("rb:1", bounds=(2, 2))
-    f = P("[z1]*[z2]")
-    g = P("[z1*[z2]]")
-    assert joinable(f, g, rules, 100) is True
-    assert joinable(f, P("[z2*[z1]]"), rules, 100) is False
 
 
 # -- randomized strategies ----------------------------------------------------

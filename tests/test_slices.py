@@ -11,7 +11,7 @@ import pytest
 
 from conftest import Z12
 from opalg import OPI, GeneratorSet, OPoly, OrderSpec, RuleSet, parse_catalog, parse_opoly
-from opalg.opi import check_lm_no_subword
+from opalg.opi import _sigma_tuples, check_lm_no_subword
 from opalg.rewrite import ConcreteRule, Redex, _scan_adjacent_nonunit_brackets
 from opalg.terms import (
     HOLE,
@@ -160,6 +160,12 @@ def test_slice_context_plugs_back_to_the_word():
 @pytest.mark.parametrize("letters, bounds", [(("z",), (3, 3)), (("z1", "z2"), (3, 2)), (("a", "b", "c"), (2, 2))])
 def test_count_words_matches_all_words(letters, bounds):
     assert count_words(len(letters), *bounds) == len(all_words(letters, *bounds))
+
+
+@pytest.mark.parametrize("arity, bounds", [(2, (3, 2)), (3, (2, 1)), (3, (2, 2)), (3, (3, 1))])
+def test_count_words_matches_jointly_bounded_tuples(arity, bounds):
+    letters = tuple(Z12.letters)
+    assert count_words(len(letters), *bounds, arity=arity) == sum(1 for _ in _sigma_tuples(letters, arity, *bounds))
 
 
 # -- exhaustive agreement ---------------------------------------------------------

@@ -187,12 +187,6 @@ def test_trivial_context():
     assert TRIVIAL_CONTEXT.plug(u) == u
 
 
-def test_context_compose():
-    outer = parse_context("[@]", Z12)
-    inner = parse_context("z1*@", Z12)
-    assert outer.compose(inner).plug(W("z2")) == W("[z1*z2]")
-
-
 @given(owords(max_z=2, max_op=2))
 def test_hole_insertions_recover_the_word(u):
     for q in all_hole_insertions(u):
