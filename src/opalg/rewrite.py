@@ -18,6 +18,12 @@ The randomized strategies below randomize which monomial and which
 position get reduced, never the rule priority at a position, so all
 strategies compute the same linear normal-form map wherever the system
 is confluent per word.
+
+A rule set never changes after construction, so it remembers each word's
+first redex, or that the word is irreducible, for as long as it lives.
+:func:`normal_form` picks each step's monomial without sorting the
+polynomial: it skips words already known to be irreducible and searches
+the rest greatest first.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .terms import (
     iter_slices,
     render,
     slice_context,
+    structural_key,
     substitute,
 )
 
@@ -130,10 +137,13 @@ class ReductionResult:
         return "\n".join(s.to_text() for s in self.steps)
 
 
+_UNSEEN = object()
+
+
 class RuleSet:
     """Prioritized rules plus the optional order that guards them."""
 
-    __slots__ = ("rules", "order", "bounds")
+    __slots__ = ("rules", "order", "bounds", "_redexes")
 
     def __init__(
         self,
@@ -144,6 +154,8 @@ class RuleSet:
         self.rules = tuple(rules)
         self.order = order
         self.bounds = bounds
+        # word -> first redex, or None when irreducible
+        self._redexes: dict[Word, Redex | None] = {}
 
     @classmethod
     def ordered(
@@ -235,7 +247,12 @@ class RuleSet:
                     )
 
     def find_redex(self, w: Word) -> Redex | None:
-        return next(self.iter_redexes(w), None)
+        """The first redex of :meth:`iter_redexes`, searched once per word."""
+        memo = self._redexes
+        rdx = memo.get(w, _UNSEEN)
+        if rdx is _UNSEEN:
+            rdx = memo[w] = next(self.iter_redexes(w), None)
+        return rdx
 
     def position_redexes(self, w: Word) -> list[Redex]:
         """First applicable rule at each position, in scan order."""
@@ -267,14 +284,36 @@ def _apply_redex(f: OPoly, w: Word, c: Fraction, rdx: Redex, order: OrderSpec | 
     return f - OPoly.from_word(w, c) + replacement.scale(c)
 
 
-def one_step(f: OPoly, rules: RuleSet, index: int = 0) -> tuple[OPoly, TraceStep] | None:
-    """Reduce the greatest reducible monomial at its first position."""
-    for w, c in f.items(rules.order):
+def _greatest_reducible(f: OPoly, rules: RuleSet) -> tuple[Word, Redex] | None:
+    """The greatest monomial of ``f`` that has a redex, with that redex:
+    descending under the rule set's order, or structurally descending in
+    raw mode (the order of ``f.items(rules.order)``).  Words the rule set
+    already knows to be irreducible are skipped unsearched; the others are
+    searched greatest first, so exactly the words of a descending scan are
+    searched."""
+    known = rules._redexes
+    cands = [w for w in f._terms if known.get(w, _UNSEEN) is not None]
+    order = rules.order
+    if order is None:
+        keys = {w: structural_key(w) for w in cands}
+    while cands:
+        w = order.max(cands) if order is not None else max(cands, key=keys.__getitem__)
         rdx = rules.find_redex(w)
         if rdx is not None:
-            step = TraceStep(index, rdx.rule_id, rdx.context, rdx.sigma, c, w)
-            return _apply_redex(f, w, c, rdx, rules.order), step
+            return w, rdx
+        cands.remove(w)
     return None
+
+
+def one_step(f: OPoly, rules: RuleSet, index: int = 0) -> tuple[OPoly, TraceStep] | None:
+    """Reduce the greatest reducible monomial at its first position."""
+    hit = _greatest_reducible(f, rules)
+    if hit is None:
+        return None
+    w, rdx = hit
+    c = f.coeff(w)
+    step = TraceStep(index, rdx.rule_id, rdx.context, rdx.sigma, c, w)
+    return _apply_redex(f, w, c, rdx, rules.order), step
 
 
 def normal_form(f: OPoly, rules: RuleSet, fuel: int, *, want_trace: bool = True) -> ReductionResult:
@@ -288,7 +327,7 @@ def normal_form(f: OPoly, rules: RuleSet, fuel: int, *, want_trace: bool = True)
         cur, st = hit
         if want_trace:
             steps.append(st)
-    still = any(rules.find_redex(w) is not None for w, _ in cur.items(rules.order))
+    still = _greatest_reducible(cur, rules) is not None
     return ReductionResult(cur, tuple(steps) if want_trace else (), still)
 
 
@@ -535,5 +574,5 @@ def check_diff_type(
         )
 
     rules = RuleSet.raw([SchemaRule(phi.name, phi, lead, nonempty=frozenset((x, y)), guarded=False)])
-    _probe(rep, alphabet, rules, ("termination at bounds", "(c) cocycle closure"), sides, nonunit=True)
+    _probe(rep, alphabet, rules, ("(c) termination at bounds", "(d) cocycle closure"), sides, nonunit=True)
     return rep

@@ -3,7 +3,9 @@
 ``indexed_records`` replaces a scan that called ``pair_compositions`` on
 every pair of generators.  The composition lemma fixes which intersection
 and inclusion records exist, so the scan is an exact oracle: both must
-list the same records, field for field and in the same order.
+list the same records, field for field and in the same order.  A second
+oracle uses neither: it walks every bounded word and derives the records
+at each place where two leading words overlap or nest.
 """
 
 import hashlib
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 from conftest import Z12, nonzero_opolys
 from opalg import (
     GeneratorSet,
+    OPoly,
     OrderSpec,
+    all_words,
     check_gs,
     compositions,
     parse_catalog,
@@ -25,6 +29,7 @@ from opalg import (
     render_opoly,
 )
 from opalg.gsbasis import _as_generators, _record_sort_key, indexed_records, pair_compositions
+from opalg.terms import HOLE, Bracket, Context, Word, substitute
 
 DB12 = OrderSpec.for_alphabet("db", Z12)
 
@@ -149,3 +154,68 @@ def test_rb_commutator_records_at_4_3_are_pinned():
     }
     blob = json.dumps(report["records"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == RB_COMMUTATOR_43_RECORDS_SHA256
+
+
+def _nestings(factors):
+    """``(context factors, slice)`` for every nonempty factor slice at every depth."""
+    n = len(factors)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            yield factors[:i] + (HOLE,) + factors[j:], factors[i:j]
+    for k, f in enumerate(factors):
+        if isinstance(f, Bracket):
+            for inner, sl in _nestings(f.inner.factors):
+                yield factors[:k] + (Bracket(Word(inner)),) + factors[k + 1 :], sl
+
+
+def derived_records(gens, bounds):
+    """The records of ``gens`` paired with themselves, found word by word:
+    at each bounded word where one leading word ends on a proper prefix of
+    another (intersection), or where one leading word is the word and the
+    other sits inside it (inclusion, but not a generator in itself)."""
+    by_lm = {}
+    for i, g in enumerate(gens):
+        by_lm.setdefault(g.lm.factors, []).append(i)
+
+    def row(kind, a, b, w, witness, value):
+        sides = "-".join("concrete" if g.kind == "concrete" else "schema" for g in (a, b))
+        return (kind, a.gen_id, b.gen_id, render(w), witness, sides, render_opoly(value))
+
+    out = []
+    for w in all_words(Z12, *bounds):
+        fw = w.factors
+        n = len(fw)
+        # w = x*y*z with x, y, z nonempty, a.lm = x*y and b.lm = y*z
+        for s in range(1, n - 1):
+            for p in range(s + 1, n):
+                for a in (gens[i] for i in by_lm.get(fw[:p], ())):
+                    for b in (gens[j] for j in by_lm.get(fw[s:], ())):
+                        x, z = OPoly.from_word(Word(fw[:s])), OPoly.from_word(Word(fw[p:]))
+                        out.append(row("intersection", a, b, w, f"overlap k={p - s}", a.poly * z - x * b.poly))
+        for i in by_lm.get(fw, ()):
+            for qf, sl in _nestings(fw):
+                q = Context(Word(qf))
+                for j in by_lm.get(sl, ()):
+                    if i != j or not q.is_trivial():
+                        a, b = gens[i], gens[j]
+                        out.append(row("inclusion", a, b, w, f"context {q}", a.poly - substitute(q, b.poly)))
+    return sorted(out)
+
+
+_DERIVED_CASES = [
+    (sel, gens, bounds)
+    for sel, gens in (("rb:6?lambda=1", "z2*z1 - z1*z2"), ("diff:1", "z1*z2 - 1"))
+    for bounds in ((2, 2), (3, 2))
+]
+# rb:6 leading words [x]*[y] overlap only from operator degree 3
+_DERIVED_CASES.append(("rb:6?lambda=1", "z2*z1 - z1*z2", (2, 3)))
+
+
+@pytest.mark.parametrize("selector, concrete, bounds", _DERIVED_CASES)
+def test_indexed_records_match_records_derived_word_by_word(selector, concrete, bounds):
+    entry = parse_catalog(selector)
+    order = OrderSpec.for_alphabet(entry.preset, Z12)
+    gens = GeneratorSet((entry,), (parse_opoly(concrete, Z12),), order, Z12).expanded(bounds)
+    want = derived_records(gens, bounds)
+    assert want
+    assert sorted(as_tuples(indexed_records(gens, None, bounds))) == want

@@ -1,0 +1,133 @@
+"""``normal_form`` against the sorted-scan reduction it replaced.
+
+A rule set remembers each word's first redex, and ``normal_form`` picks
+the greatest reducible monomial without sorting the polynomial.  The
+reference below is the sorted scan: every step sorts the polynomial in
+the rule set's order and searches each word from the top, with an
+uncached ``iter_redexes`` search, so no memo reaches it.  Both must agree
+on the result, every trace step and the ``exhausted`` flag, at every fuel
+up to the end of the reduction.
+"""
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import opalg.rewrite as rewrite
+from conftest import Z12, opolys
+from opalg import (
+    ConcreteRule,
+    GeneratorSet,
+    OPoly,
+    OrderSpec,
+    ReductionResult,
+    RuleSet,
+    all_words,
+    check_diff_type,
+    check_rb_type,
+    normal_form,
+    parse_catalog,
+    parse_opoly,
+    parse_word,
+)
+from opalg.rewrite import TraceStep, _apply_redex
+
+FUEL = 500
+WORDS = all_words(Z12, 3, 2)
+
+
+def reference_one_step(f, rules, index=0):
+    for w, c in f.items(rules.order):
+        rdx = next(rules.iter_redexes(w), None)
+        if rdx is not None:
+            step = TraceStep(index, rdx.rule_id, rdx.context, rdx.sigma, c, w)
+            return _apply_redex(f, w, c, rdx, rules.order), step
+    return None
+
+
+def reference_normal_form(f, rules, fuel):
+    steps = []
+    cur = f
+    for k in range(fuel):
+        hit = reference_one_step(cur, rules, index=k)
+        if hit is None:
+            return ReductionResult(cur, tuple(steps), False)
+        cur, st = hit
+        steps.append(st)
+    still = any(next(rules.iter_redexes(w), None) is not None for w, _ in cur.items(rules.order))
+    return ReductionResult(cur, tuple(steps), still)
+
+
+def assert_agree(f, rules, fuel):
+    want = reference_normal_form(f, rules, fuel)
+    got = normal_form(f, rules, fuel)
+    assert (got.poly, got.steps, got.exhausted) == (want.poly, want.steps, want.exhausted)
+    return want
+
+
+def _ordered(selector, concrete):
+    entry = parse_catalog(selector)
+    order = OrderSpec.for_alphabet(entry.preset, Z12)
+    gens = GeneratorSet((entry,), tuple(parse_opoly(g, Z12) for g in concrete), order, Z12)
+    return gens.ruleset((3, 2))
+
+
+def _raw(audit, selector):
+    """The raw rule set ``audit`` builds for its termination and closure probes."""
+    caught = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "_probe", lambda rep, alphabet, rules, *rest, **kw: caught.append(rules))
+        audit(parse_catalog(selector), Z12, (2, 1), FUEL)
+    (rules,) = caught
+    return rules
+
+
+# built once: every test below shares these rule sets and their memos
+RULE_SETS = {
+    "rb:6?lambda=1 + commutator": _ordered("rb:6?lambda=1", ["z2*z1 - z1*z2"]),
+    "diff:1 + z1*z2 - 1": _ordered("diff:1", ["z1*z2 - 1"]),
+    "averaging": _ordered("averaging", []),
+    "raw rb:10?lambda=1": _raw(check_rb_type, "rb:10?lambda=1"),
+    "raw diff:1": _raw(check_diff_type, "diff:1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_every_bounded_word_reduces_like_the_sorted_scan(name):
+    rules = RULE_SETS[name]
+    reduced = 0
+    for w in WORDS:
+        reduced += bool(assert_agree(OPoly.from_word(w), rules, FUEL).steps)
+    assert reduced, f"{name}: no word within (3,2) is reducible"
+
+
+def test_two_rule_sets_on_the_same_words_keep_their_own_memos():
+    # fresh rule sets, run turn by turn on the same words: a memo shared
+    # across rule sets would hand one of them the other's redexes
+    first = _ordered("rb:6?lambda=1", ["z2*z1 - z1*z2"])
+    second = _ordered("rb:6?lambda=0", [])
+    for w in WORDS:
+        f = OPoly.from_word(w)
+        for rules in (first, second, first):
+            assert_agree(f, rules, FUEL)
+
+
+@seed(7411)
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(RULE_SETS)), opolys(max_terms=5))
+def test_random_polynomials_agree_at_every_fuel(name, f):
+    rules = RULE_SETS[name]
+    full = assert_agree(f, rules, FUEL)
+    for fuel in range(len(full.steps) + 2):
+        assert_agree(f, rules, fuel)
+
+
+def test_descent_check_fires_when_the_memo_serves_the_redex():
+    # the first call searches z1, the later ones read its redex from the memo;
+    # the check is a RuntimeError, so it holds under python -O as well
+    rule = ConcreteRule("up", parse_word("z1", Z12), parse_opoly("z1*z1", Z12))
+    rules = RuleSet([rule], OrderSpec.for_alphabet("db", Z12))
+    for f in ("z1", "z1", "z2 + 3*z1"):
+        with pytest.raises(RuntimeError, match=r"non-descending step: z1\*z1 !< z1 via up"):
+            normal_form(parse_opoly(f, Z12), rules, 5)
+    assert rules.find_redex(parse_word("z1", Z12)).rule_id == "up"

@@ -304,7 +304,7 @@ def test_type_report_json_dict():
             {"label": "shape", "ok": True, "detail": "expansion map with 2 term(s)"},
             {"label": "(a) linearity", "ok": True, "detail": "multilinear by construction"},
             {"label": "(b) no forbidden subword", "ok": True, "detail": "no bracket factor has a product inside"},
-            {"label": "termination at bounds", "ok": False, "detail": "[z1*z1]"},
+            {"label": "(c) termination at bounds", "ok": False, "detail": "[z1*z1]"},
         ],
         "passed": False,
     }
