@@ -27,7 +27,6 @@ from .gsbasis import (
     BoundsExceeded,
     CompositionRecord,
     GSReport,
-    Generator,
     GeneratorSet,
     QuotientAlgebra,
     TrivialityResult,
@@ -41,7 +40,7 @@ from .gsbasis import (
 from .opi import (
     OPI,
     CatalogEntry,
-    InstanceRecord,
+    Generator,
     catalog_help,
     check_lm_no_subword,
     check_lm_stability,
@@ -94,7 +93,6 @@ __all__ = [
     "GSReport",
     "Generator",
     "GeneratorSet",
-    "InstanceRecord",
     "OPI",
     "OPoly",
     "OrderSpec",

@@ -66,7 +66,10 @@ def _read_config(path: str) -> dict:
             if key in _LIST_KEYS:
                 out[key] = [p.strip() for p in val.split(";") if p.strip()]
             elif key in ("fuel", "seed"):
-                out[key] = int(val)
+                try:
+                    out[key] = int(val)
+                except ValueError:
+                    raise ValueError(f"{path}:{ln}: {key} must be an integer, got {val!r}") from None
             else:
                 out[key] = val
     return out

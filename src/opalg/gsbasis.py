@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Mapping, Sequence, Union
 
-from .opi import OPI, CatalogEntry, check_lm_no_subword, check_lm_stability, expand_instances
+from .opi import OPI, CatalogEntry, Generator, check_lm_no_subword, check_lm_stability, expand_instances
 from .orders import OrderSpec
 from .poly import OPoly, render_opoly
 from .rewrite import RuleSet, normal_form
@@ -69,16 +69,6 @@ class BoundsExceeded(ValueError):
     """Raised when quotient arithmetic would leave the verified stratum."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    """One expanded generator: a monic polynomial with provenance."""
-
-    gen_id: str
-    poly: OPoly
-    lm: Word
-    kind: str  # "concrete" | "schema" | "degenerate"
-
-
 class GeneratorSet:
     """Catalog entries plus concrete polynomials under one order."""
 
@@ -106,6 +96,11 @@ class GeneratorSet:
         for i, g in enumerate(concrete):
             if g.is_zero():
                 raise ValueError(f"concrete generator #{i} is zero")
+            if order.preset == "deglex" and any(m.op_degree for m in g.support()):
+                raise ValueError(
+                    f"order deglex is not context-compatible on brackets; concrete generator "
+                    f"#{i} {render_opoly(g, order)} has a bracket (use db or dt)"
+                )
         self.entries = tuple(entries)
         self.concrete = tuple(concrete)
         self.order = order
@@ -134,14 +129,8 @@ class GeneratorSet:
                 continue
             seen.add(monic)
             gens.append(Generator(f"g{i}", monic, monic.leading_monomial(self.order), "concrete"))
-        for rec in expand_instances(self.opis, self.alphabet, bounds, self.order):
-            monic = rec.poly.monicize(self.order)
-            if monic in seen:
-                continue
-            seen.add(monic)
-            gens.append(
-                Generator(rec.gen_id(), monic, rec.lm, "schema" if rec.stable else "degenerate")
-            )
+        instances = expand_instances(self.opis, self.alphabet, bounds, self.order)
+        gens += (g for g in instances if g.poly not in seen)
         out = tuple(gens)
         self._expanded_cache[bounds] = out
         return out
@@ -347,17 +336,9 @@ def indexed_records(
 def _as_generators(
     obj, tag: str, order: OrderSpec, bounds: tuple[int, int], alphabet: Alphabet
 ) -> list[Generator]:
-    if isinstance(obj, GeneratorSet):
-        return list(obj.expanded(bounds))
     if isinstance(obj, CatalogEntry):
         gs = GeneratorSet(entries=(obj,), concrete=(), order=order, alphabet=alphabet)
         return list(gs.expanded(bounds))
-    if isinstance(obj, OPI):
-        out = []
-        for rec in expand_instances((obj,), alphabet, bounds, order):
-            monic = rec.poly.monicize(order)
-            out.append(Generator(rec.gen_id(), monic, rec.lm, "schema" if rec.stable else "degenerate"))
-        return out
     if isinstance(obj, OPoly):
         monic = obj.monicize(order)
         return [Generator(tag, monic, monic.leading_monomial(order), "concrete")]
@@ -368,8 +349,8 @@ def compositions(f, g, order: OrderSpec, bounds: tuple[int, int], alphabet: Alph
     """Every intersection and inclusion record between the two inputs whose
     shared word fits the bounds, deterministically sorted.
 
-    Inputs may be polynomials, identities, catalog entries, or whole
-    generator sets; identities expand to their bounded instances first.
+    Inputs may be polynomials or catalog entries; a catalog entry expands
+    to its bounded instances first.
     When both inputs expand to the same polynomials the pair is treated
     as one self-paired family (no mirrored duplicates).
     """
@@ -636,16 +617,17 @@ def check_gs(
 
 
 def is_irreducible(u: Word, generators: GeneratorSet) -> bool:
-    """No generator pattern (schema, degenerate, or concrete) matches in u."""
-    gap = generators.max_gap()
-    rules = generators.ruleset((u.z_degree, u.op_degree + gap))
-    return rules.find_redex(u) is None
+    """No generator pattern (schema, degenerate, or concrete) matches in u.
+
+    The rule set at u's own measures suffices: a rule compiled only at
+    wider bounds has a left side outside them, which no slice of u is."""
+    return generators.ruleset((u.z_degree, u.op_degree)).find_redex(u) is None
 
 
 def enumerate_irr(generators: GeneratorSet, bounds: tuple[int, int]) -> tuple[Word, ...]:
-    """All irreducible words within bounds, ascending in the active order."""
-    gap = generators.max_gap()
-    rules = generators.ruleset((bounds[0], bounds[1] + gap))
+    """All irreducible words within bounds, ascending in the active order,
+    read from the stratum's own rule set (see :func:`is_irreducible`)."""
+    rules = generators.ruleset(bounds)
     order = generators.order
     out = [w for w in all_words(generators.alphabet, *bounds) if rules.find_redex(w) is None]
     out.sort(key=cmp_to_key(order.compare))

@@ -33,7 +33,7 @@ __all__ = [
     "MAX_EXPANSION_WORDS",
     "OPI",
     "CatalogEntry",
-    "InstanceRecord",
+    "Generator",
     "NoSubwordReport",
     "StabilityReport",
     "catalog_help",
@@ -171,20 +171,13 @@ def instantiate_word(schema: Word, sigma: Mapping[str, Word], variables: frozens
 
 
 @dataclass(frozen=True)
-class InstanceRecord:
-    """One word instance of an OPI, tagged with leading-monomial data."""
+class Generator:
+    """One expanded generator: a monic polynomial with provenance."""
 
-    opi: OPI
-    sigma: tuple[tuple[str, Word], ...]
+    gen_id: str
     poly: OPoly
     lm: Word
-    stable: bool  # True when lm is the instantiated leading schema
-
-    def sigma_text(self) -> str:
-        return ", ".join(f"{v}={render(w)}" for v, w in self.sigma)
-
-    def gen_id(self) -> str:
-        return f"{self.opi.name}[{self.sigma_text()}]"
+    kind: str  # "concrete" | "schema" | "degenerate"
 
 
 # Most words one variable may range over in expand_instances, and most
@@ -218,9 +211,12 @@ def expand_instances(
     alphabet: Alphabet,
     bounds: tuple[int, int],
     order: OrderSpec,
-) -> tuple[InstanceRecord, ...]:
+) -> tuple[Generator, ...]:
     """All nonzero word instances whose true leading monomial fits the
-    bounds, deduplicated, in a deterministic order.
+    bounds, as monic generators without duplicates, in a deterministic
+    order.  An instance's id names the identity and its assignment, e.g.
+    ``rb:1[x1=z1, x2=[z2]]``; its kind is ``schema`` when it leads with the
+    instantiated leading schema, else ``degenerate``.
 
     The assignment net is sized so nothing is missed: instance z_degree is
     exact under multilinearity, and each monomial's op_degree is its schema
@@ -245,7 +241,7 @@ def expand_instances(
                 f"{pool} words, over the limit of {MAX_EXPANSION_WORDS}"
             )
         budgets.append((phi, z_budget, op_budget))
-    out: list[InstanceRecord] = []
+    out: list[Generator] = []
     seen: set[OPoly] = set()
     for phi, z_budget, op_budget in budgets:
         schema_lm = phi.lm(order.preset)
@@ -255,23 +251,16 @@ def expand_instances(
             inst = instantiate(phi, sigma)
             if inst.is_zero():
                 continue
-            lm = inst.leading_monomial(order)
+            lm, lc = inst.leading(order)
             if lm.z_degree > max_z or lm.op_degree > max_op:
                 continue
-            key = inst.monicize(order)
-            if key in seen:
+            monic = inst if lc == 1 else inst.scale(Fraction(1) / lc)
+            if monic in seen:
                 continue
-            seen.add(key)
-            expected = instantiate_word(schema_lm, sigma, vset)
-            out.append(
-                InstanceRecord(
-                    opi=phi,
-                    sigma=tuple(zip(phi.variables, values)),
-                    poly=inst,
-                    lm=lm,
-                    stable=(lm == expected),
-                )
-            )
+            seen.add(monic)
+            bindings = ", ".join(f"{v}={render(w)}" for v, w in zip(phi.variables, values))
+            kind = "schema" if lm == instantiate_word(schema_lm, sigma, vset) else "degenerate"
+            out.append(Generator(f"{phi.name}[{bindings}]", monic, lm, kind))
     return tuple(out)
 
 

@@ -31,9 +31,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, _sigma_tuples, instantiate
+from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, Generator, _sigma_tuples, instantiate
 from .orders import OrderSpec
 from .poly import OPoly
 from .terms import (
@@ -50,9 +50,6 @@ from .terms import (
     structural_key,
     substitute,
 )
-
-if TYPE_CHECKING:
-    from .gsbasis import Generator
 
 __all__ = [
     "ConcreteRule",
@@ -95,7 +92,6 @@ class SchemaRule:
     opi: OPI
     lhs: Word  # schema word over the OPI's variables
     nonempty: frozenset[str] = frozenset()
-    guarded: bool = True
 
 
 Rule = Union[ConcreteRule, SchemaRule]
@@ -175,8 +171,7 @@ class RuleSet:
         schema rule.  A unit leading monomial on any of them presents the
         unit ideal and is refused."""
         rules: list[Rule] = [
-            SchemaRule(rule_id=phi.name, opi=phi, lhs=phi.lm(order.preset), guarded=True)
-            for phi in opis
+            SchemaRule(rule_id=phi.name, opi=phi, lhs=phi.lm(order.preset)) for phi in opis
         ]
         for g in generators:
             if g.lm.is_unit():
@@ -193,12 +188,8 @@ class RuleSet:
 
     @classmethod
     def raw(cls, rules: Sequence[Rule]) -> "RuleSet":
-        fixed = []
-        for r in rules:
-            if isinstance(r, SchemaRule) and r.guarded:
-                r = SchemaRule(r.rule_id, r.opi, r.lhs, r.nonempty, guarded=False)
-            fixed.append(r)
-        return cls(fixed, order=None)
+        """The same rules without an order, so schema rules are unguarded."""
+        return cls(rules, order=None)
 
     # -- redex search ----------------------------------------------------
 
@@ -206,7 +197,7 @@ class RuleSet:
         inst = instantiate(rule.opi, sigma)
         if inst.is_zero():
             return None
-        if self.order is not None and rule.guarded:
+        if self.order is not None:
             lm, lc = inst.leading(self.order)
             if lm != slice_word:
                 return None
@@ -541,7 +532,7 @@ def check_rb_type(
             instantiate(b_expr, {x: OPoly.from_word(u), y: instantiate(b_expr, {x: v, y: w})}),
         )
 
-    rules = RuleSet.raw([SchemaRule(phi.name, phi, lead, guarded=False)])
+    rules = RuleSet.raw([SchemaRule(phi.name, phi, lead)])
     _probe(rep, alphabet, rules, ("(c) termination at bounds", "(d) associativity closure"), sides)
     return rep
 
@@ -573,6 +564,6 @@ def check_diff_type(
             instantiate(n_expr, {x: OPoly.from_word(u), y: v * w}),
         )
 
-    rules = RuleSet.raw([SchemaRule(phi.name, phi, lead, nonempty=frozenset((x, y)), guarded=False)])
+    rules = RuleSet.raw([SchemaRule(phi.name, phi, lead, nonempty=frozenset((x, y)))])
     _probe(rep, alphabet, rules, ("(c) termination at bounds", "(d) cocycle closure"), sides, nonunit=True)
     return rep

@@ -22,6 +22,12 @@ settings.load_profile("suite")
 Z12 = Alphabet(("z1", "z2"))
 Z1 = Alphabet(("z",))
 
+# every catalog family with its parameter variants: 33 selectors
+CATALOG_SELECTORS = [f"rb:{i}" for i in range(1, 6)]
+CATALOG_SELECTORS += [f"rb:{i}?lambda={v}" for i in range(6, 15) for v in (0, 1)]
+CATALOG_SELECTORS += ["nijenhuis", "diff:1", "diff:2", "diff:3", "diff:4", "diff:5", "diff:6"]
+CATALOG_SELECTORS += ["diffprime?c=1", "averaging", "reynolds?n=4"]
+
 
 @pytest.fixture(scope="session")
 def z12():

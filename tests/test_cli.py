@@ -347,6 +347,16 @@ def test_config_file_rejects_out_of_range_values(tmp_path, capsys, line, flag):
     assert f"error: {flag} must be at least" in out
 
 
+@pytest.mark.parametrize("key", ["fuel", "seed"])
+def test_config_file_names_a_non_integer_value(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# budgets\n{key} = abc\n")
+    code, out = run(capsys, "check-gs", "--config", str(cfg), "--catalog", "rb:1")
+    assert code == 2
+    assert f"error: {cfg}:2: {key} must be an integer, got 'abc'" in out
+    assert "invalid literal" not in out
+
+
 def test_demo_rejects_negative_fuel(capsys):
     code, out = run(capsys, "demo", "rb-commutator", "--fuel", "-1")
     assert code == 2
@@ -399,10 +409,35 @@ def test_unknown_catalog_selector_exits_two(capsys):
 
 
 def test_order_preset_conflict_with_catalog(capsys):
-    # rb wants db; forcing deglex on a bracketed stratum must be refused
+    # rb declares db; forcing dt on its entry must be refused
     code, out = run(capsys, "check-gs", "--catalog", "rb:1", "--order", "dt")
     assert code == 2
     assert "error:" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-gs", "--gens", "z1*[1] - z1", "--gens", "z2*z1 - z1*z2", "--bounds", "3,2"),
+        ("nf", "--gens", "z1*[1] - z1", "z1*[1]*[z2]"),
+    ],
+)
+def test_deglex_refuses_a_bracketed_concrete_generator(capsys, argv):
+    code, out = run(capsys, *argv, "--order", "deglex")
+    assert code == 2
+    assert "error: order deglex is not context-compatible on brackets" in out
+    assert "generator #0 z1*[1] - z1 has a bracket" in out
+    assert "result:" not in out and "normal form" not in out
+
+
+def test_deglex_runs_on_bracket_free_generators(capsys):
+    gens = ("--gens", "z2*z1 - z1*z2", "--gens", "z2*z2 - z1*z1")
+    code, out = run(capsys, "check-gs", "--order", "deglex", *gens, "--bounds", "3,2")
+    assert code == 0
+    assert "total=2, trivial=2" in out and "result: PASS" in out
+    code, out = run(capsys, "nf", "--order", "deglex", *gens[:2], "[z2*z1]*z2*z1")
+    assert code == 0
+    assert "normal form: [z1*z2]*z1*z2" in out
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -14,16 +14,12 @@ import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
-from conftest import Z12, opolys
+from conftest import CATALOG_SELECTORS, Z12, opolys
 from opalg import OPoly, OrderSpec, expand_instances, instantiate, parse_catalog, parse_opoly, render_opoly
 from opalg.opi import _sigma_tuples, _words_upto
 from opalg.terms import Bracket, Word
 
-SELECTORS = [f"rb:{i}" for i in range(1, 6)]
-SELECTORS += [f"rb:{i}?lambda={v}" for i in range(6, 15) for v in (0, 1)]
-SELECTORS += ["nijenhuis", "diff:1", "diff:2", "diff:3", "diff:4", "diff:5", "diff:6"]
-SELECTORS += ["diffprime?c=1", "averaging", "reynolds?n=4"]
-CASES = [(f"{sel}/{phi.name}", phi) for sel in SELECTORS for phi in parse_catalog(sel).opis]
+CASES = [(f"{sel}/{phi.name}", phi) for sel in CATALOG_SELECTORS for phi in parse_catalog(sel).opis]
 OPIS = [phi for _, phi in CASES]
 LETTERS = tuple(Z12.letters)
 
@@ -140,4 +136,4 @@ def test_expand_instances_deduplicates_through_lazy_hash():
     monic = [r.poly.monicize(order) for r in recs]
     assert len(set(monic)) == len(monic)
     twice = expand_instances(opis + opis, Z12, (2, 2), order)
-    assert [r.gen_id() for r in twice] == [r.gen_id() for r in recs]
+    assert [r.gen_id for r in twice] == [r.gen_id for r in recs]

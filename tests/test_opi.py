@@ -114,11 +114,11 @@ def test_instance_may_vanish():
 def test_expand_instances_counts_for_splitting_family():
     recs = expand_instances(parse_catalog("diff:1").opis, Z12, (2, 1), DT)
     assert len(recs) == 17
-    stable = [r for r in recs if r.stable]
-    degenerate = [r for r in recs if not r.stable]
+    stable = [r for r in recs if r.kind == "schema"]
+    degenerate = [r for r in recs if r.kind == "degenerate"]
     assert len(stable) == 5
     assert len(degenerate) == 12
-    ids = [r.gen_id() for r in recs]
+    ids = [r.gen_id for r in recs]
     assert len(set(ids)) == len(ids)
 
 
@@ -137,9 +137,9 @@ def test_expand_instances_leading_words_within_bounds():
 
 def test_degenerate_instance_detected():
     recs = expand_instances(parse_catalog("diff:1").opis, Z12, (1, 1), DT)
-    by_sigma = {r.sigma_text(): r for r in recs}
-    unit_left = by_sigma["x1=1, x2=z1"]
-    assert not unit_left.stable
+    by_id = {r.gen_id: r for r in recs}
+    unit_left = by_id["diff:1[x1=1, x2=z1]"]
+    assert unit_left.kind == "degenerate"
     assert render(unit_left.lm) == "[1]*z1"
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
-from conftest import Z12, nonzero_opolys
+from conftest import CATALOG_SELECTORS, Z12, nonzero_opolys
 from opalg import (
     GeneratorSet,
     OPoly,
@@ -33,10 +33,6 @@ from opalg.terms import HOLE, Bracket, Context, Word, substitute
 
 DB12 = OrderSpec.for_alphabet("db", Z12)
 
-SELECTORS = [f"rb:{i}" for i in range(1, 6)]
-SELECTORS += [f"rb:{i}?lambda={v}" for i in range(6, 15) for v in (0, 1)]
-SELECTORS += ["nijenhuis", "diff:1", "diff:2", "diff:3", "diff:4", "diff:5", "diff:6"]
-SELECTORS += ["diffprime?c=1", "averaging", "reynolds?n=4"]
 BOUNDS = [(2, 1), (2, 2), (3, 2)]
 COMMUTATOR = parse_opoly("z2*z1 - z1*z2", Z12)
 
@@ -74,7 +70,7 @@ def assert_agree(left, right, bounds):
     return len(want)
 
 
-@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("selector", CATALOG_SELECTORS)
 def test_check_gs_records_match_all_pairs_scan(selector):
     entry = parse_catalog(selector)
     order = OrderSpec.for_alphabet(entry.preset, Z12)
@@ -92,7 +88,7 @@ def reference_compositions(f, g, order, bounds):
     return all_pairs(left, right, bounds)
 
 
-@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("selector", CATALOG_SELECTORS)
 def test_compositions_match_all_pairs_scan(selector):
     entry = parse_catalog(selector)
     order = OrderSpec.for_alphabet(entry.preset, Z12)

@@ -10,13 +10,8 @@ disagreement, or a change in the known one, fails here.
 
 import pytest
 
-from conftest import Z12
+from conftest import CATALOG_SELECTORS, Z12
 from opalg import GeneratorSet, OrderSpec, check_gs, parse_catalog
-
-SELECTORS = [f"rb:{i}" for i in range(1, 6)]
-SELECTORS += [f"rb:{i}?lambda={v}" for i in range(6, 15) for v in (0, 1)]
-SELECTORS += ["nijenhuis", "diff:1", "diff:2", "diff:3", "diff:4", "diff:5", "diff:6"]
-SELECTORS += ["diffprime?c=1", "averaging", "reynolds?n=4"]
 
 FUEL = 2000
 
@@ -26,7 +21,7 @@ KNOWN_DISAGREEMENTS = {("averaging", (2, 2)): 12}
 
 
 @pytest.mark.parametrize("bounds", [(2, 1), (2, 2)])
-@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("selector", CATALOG_SELECTORS)
 def test_certified_and_raw_routes_agree(selector, bounds):
     entry = parse_catalog(selector)
     gens = GeneratorSet((entry,), (), OrderSpec.for_alphabet(entry.preset, Z12), Z12)

@@ -18,22 +18,17 @@ import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
-from conftest import Z12
+from conftest import CATALOG_SELECTORS, Z12
 from opalg import OPI, OPoly, OrderSpec, check_lm_stability, parse_catalog
 from opalg.opi import _schema_cmp, _sigma_tuples, instantiate_word
 from opalg.terms import Bracket, Word, all_words, parse_word, render
-
-SELECTORS = [f"rb:{i}" for i in range(1, 6)]
-SELECTORS += [f"rb:{i}?lambda={v}" for i in range(6, 15) for v in (0, 1)]
-SELECTORS += ["nijenhuis", "diff:1", "diff:2", "diff:3", "diff:4", "diff:5", "diff:6"]
-SELECTORS += ["diffprime?c=1", "averaging", "reynolds?n=4"]
 
 
 def _distinct_identities():
     # configurations that share a body and a preset (nijenhuis and rb:5,
     # diff:4 and diff:1 at their defaults, ...) are checked once
     seen = {}
-    for sel in SELECTORS:
+    for sel in CATALOG_SELECTORS:
         entry = parse_catalog(sel)
         for phi in entry.opis:
             seen.setdefault((phi.body, entry.preset), (phi, entry.preset))
