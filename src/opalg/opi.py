@@ -221,16 +221,22 @@ def expand_instances(
     The assignment net is sized so nothing is missed: instance z_degree is
     exact under multilinearity, and each monomial's op_degree is its schema
     op_degree plus the assignment total, so capping the total at
-    ``max_op - min_schema_op`` covers every monomial that could lead.
-    A net whose per-variable word pool exceeds ``MAX_EXPANSION_WORDS`` is
-    refused with a ``ValueError`` before any word is built.
+    ``max_op - min_schema_op`` covers every monomial that could lead.  When
+    :func:`_lead_certificates` proves the leading schema above every other
+    monomial under ``order``, the instantiated lead is every instance's
+    leading word, so the total is capped at ``max_op - lead_op`` instead:
+    the assignments this drops all lead out of bounds, and the ones kept
+    come in the same order, since word pools are sorted independently of
+    the bounds.  A wide net whose per-variable word pool exceeds
+    ``MAX_EXPANSION_WORDS`` is refused with a ``ValueError`` before any
+    word is built, whether or not the lead is certified.
     """
     max_z, max_op = bounds
     letters = tuple(alphabet.letters)
     budgets = []
     for phi in opis:
-        concrete_z = phi.lm(order.preset).z_degree - phi.arity
-        z_budget = max_z - concrete_z
+        lead = phi.lm(order.preset)
+        z_budget = max_z - (lead.z_degree - phi.arity)
         op_budget = max_op - min(m.op_degree for m in phi.body.support())
         if z_budget < 0 or op_budget < 0:
             continue
@@ -240,6 +246,10 @@ def expand_instances(
                 f"expanding {phi.name} at bounds {bounds} would range each variable over "
                 f"{pool} words, over the limit of {MAX_EXPANSION_WORDS}"
             )
+        if not _lead_certificates(phi, order)[1]:
+            op_budget = max_op - lead.op_degree
+            if op_budget < 0:
+                continue
         budgets.append((phi, z_budget, op_budget))
     out: list[Generator] = []
     seen: set[OPoly] = set()
@@ -380,6 +390,25 @@ def _schema_cmp(u: Word, v: Word, order: OrderSpec, vset: frozenset[str]) -> tup
     return None
 
 
+def _lead_certificates(phi: OPI, order: OrderSpec) -> tuple[list[tuple[Word, str]], list[Word]]:
+    """Split the body monomials other than the leading schema into those
+    :func:`_schema_cmp` proves below it under every assignment, each with
+    its reason, and those it leaves open."""
+    lm = phi.lm(order.preset)
+    vset = frozenset(phi.variables)
+    certified: list[tuple[Word, str]] = []
+    uncertified: list[Word] = []
+    for m in phi.body.support():
+        if m == lm:
+            continue
+        got = _schema_cmp(lm, m, order, vset)
+        if got is not None and got[0] > 0:
+            certified.append((m, got[1]))
+        else:
+            uncertified.append(m)
+    return certified, uncertified
+
+
 def check_lm_stability(
     phi: OPI,
     order: OrderSpec,
@@ -407,16 +436,8 @@ def check_lm_stability(
     )
     lm = phi.lm(order.preset)
     vset = frozenset(phi.variables)
-    uncertified: list[Word] = []
-    for m in phi.body.support():
-        if m == lm:
-            continue
-        got = _schema_cmp(lm, m, order, vset)
-        if got is not None and got[0] > 0:
-            rep.certified.append((render(m), got[1]))
-        else:
-            uncertified.append(m)
-
+    certified, uncertified = _lead_certificates(phi, order)
+    rep.certified = [(render(m), reason) for m, reason in certified]
     if not uncertified:
         rep.domain = "none needed"
         return rep

@@ -1,8 +1,11 @@
 """End-to-end command coverage, driven in-process through main()."""
 
+import os
 import shutil
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -460,4 +463,17 @@ def test_installed_script_runs():
         [exe, "compare", "z1", "z2"], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0
+    assert "z1 < z2" in proc.stdout
+
+
+def test_module_entry_point_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "opalg", "compare", "z1", "z2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
     assert "z1 < z2" in proc.stdout

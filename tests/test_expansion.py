@@ -10,23 +10,43 @@ commutator under ``db``, ``z1*z2 - 1`` under ``dt``), at three strata.
   The reference widens the operator bound by ``max_gap()``; the two must
   agree on every word of the stratum, since a rule the wider set adds has
   a left side outside the bounds and cannot match inside an in-bounds word.
+* ``expand_instances`` sizes its assignment net by the leading schema when
+  the lead is certified above every other monomial.  The reference keeps
+  the wide net, sized by the lowest monomial, and drops what leads out of
+  bounds; both must yield the same generators in the same order, over the
+  catalog under every preset and over seeded random bodies.  A counter
+  around ``instantiate`` pins how many instances each net builds.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import CATALOG_SELECTORS, Z12
 from opalg import (
+    OPI,
     GeneratorSet,
+    OPoly,
     OrderSpec,
     QuotientAlgebra,
     all_words,
+    expand_instances,
+    opi,
     parse_catalog,
     parse_opoly,
     render,
     render_opoly,
 )
+from opalg.opi import (
+    MAX_EXPANSION_WORDS,
+    Generator,
+    _lead_certificates,
+    _sigma_tuples,
+    instantiate_word,
+)
+from opalg.terms import Bracket, Word, count_words
 
 BOUNDS = [(2, 1), (2, 2), (3, 2)]
 CONCRETE = {"db": "z2*z1 - z1*z2", "dt": "z1*z2 - 1"}
@@ -82,3 +102,207 @@ def test_quotient_algebra_holds_one_rule_set():
     qa.nf(parse_opoly("[z1]*[z2] + z2*z1", Z12))
     assert list(gens._expanded_cache) == [(3, 2)]
     assert list(gens._ruleset_cache) == [(3, 2)]
+
+
+# -- the tight assignment net against the wide one ----------------------------
+
+
+def wide_net_instances(opis, alphabet, bounds, order):
+    """``expand_instances`` with every net sized by the lowest monomial."""
+    max_z, max_op = bounds
+    letters = tuple(alphabet.letters)
+    budgets = []
+    for phi in opis:
+        concrete_z = phi.lm(order.preset).z_degree - phi.arity
+        z_budget = max_z - concrete_z
+        op_budget = max_op - min(m.op_degree for m in phi.body.support())
+        if z_budget < 0 or op_budget < 0:
+            continue
+        pool = count_words(len(letters), z_budget, op_budget)
+        if pool > MAX_EXPANSION_WORDS:
+            raise ValueError(
+                f"expanding {phi.name} at bounds {bounds} would range each variable over "
+                f"{pool} words, over the limit of {MAX_EXPANSION_WORDS}"
+            )
+        budgets.append((phi, z_budget, op_budget))
+    out = []
+    seen = set()
+    for phi, z_budget, op_budget in budgets:
+        schema_lm = phi.lm(order.preset)
+        vset = frozenset(phi.variables)
+        for values in _sigma_tuples(letters, phi.arity, z_budget, op_budget):
+            sigma = dict(zip(phi.variables, values))
+            inst = opi.instantiate(phi, sigma)
+            if inst.is_zero():
+                continue
+            lm, lc = inst.leading(order)
+            if lm.z_degree > max_z or lm.op_degree > max_op:
+                continue
+            monic = inst if lc == 1 else inst.scale(Fraction(1) / lc)
+            if monic in seen:
+                continue
+            seen.add(monic)
+            bindings = ", ".join(f"{v}={render(w)}" for v, w in zip(phi.variables, values))
+            kind = "schema" if lm == instantiate_word(schema_lm, sigma, vset) else "degenerate"
+            out.append(Generator(f"{phi.name}[{bindings}]", monic, lm, kind))
+    return tuple(out)
+
+
+def _lines(gens):
+    return [f"{g.gen_id}|{render_opoly(g.poly)}|{render(g.lm)}|{g.kind}" for g in gens]
+
+
+NET_BOUNDS = [(2, 1), (2, 2), (3, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("preset", ["db", "dt", "deglex"])
+def test_tight_net_matches_the_wide_net_over_the_catalog(preset):
+    order = OrderSpec.for_alphabet(preset, Z12)
+    for selector in CATALOG_SELECTORS:
+        opis = parse_catalog(selector).opis
+        for bounds in NET_BOUNDS:
+            got = _lines(expand_instances(opis, Z12, bounds, order))
+            assert got == _lines(wide_net_instances(opis, Z12, bounds, order)), (selector, bounds)
+
+
+XVARS = ("x1", "x2")
+
+
+def _random_factors(rng, variables, depth, bare=0.5):
+    """The variables in order, split into runs; a run is left bare (with
+    probability ``bare``) or bracketed, recursively, and a unit bracket
+    may slip in between."""
+    out = []
+    i = 0
+    while i < len(variables):
+        j = rng.randint(i + 1, len(variables))
+        run = variables[i:j]
+        if depth and rng.random() >= bare:
+            out.append(Bracket(Word(_random_factors(rng, run, depth - 1))))
+        else:
+            out.extend(run)
+        if rng.random() < 0.15:
+            out.append(Bracket(Word(())))
+        i = j
+    if depth and bare and rng.random() < 0.3:
+        out = [Bracket(Word(out))]
+    return out
+
+
+def _insert(rng, factors, var):
+    """``factors`` with ``var`` inserted at a random place, at any depth."""
+    brackets = [i for i, f in enumerate(factors) if not isinstance(f, str)]
+    if brackets and rng.random() < 0.5:
+        i = rng.choice(brackets)
+        inner = _insert(rng, list(factors[i].inner.factors), var)
+        return factors[:i] + [Bracket(Word(inner))] + factors[i + 1 :]
+    k = rng.randint(0, len(factors))
+    return factors[:k] + [var] + factors[k:]
+
+
+def random_body(rng):
+    """Two to four random monomials, in one of four modes:
+
+    * ``free``: any monomials;
+    * ``level``: all share one op_degree, so breadth and the factor walk,
+      not the op_degree gap, must decide;
+    * ``bracketed``: as ``level``, without a top-level variable;
+    * ``twin``: two monomials with opposite coefficients that coincide
+      once one variable is the unit, plus one bracket-free monomial.  An
+      instance with that unit loses the leading schema and leads lower, so
+      a net sized by the leading schema alone would miss some."""
+    mode = rng.choice(("free", "level", "bracketed", "twin"))
+
+    def coeff():
+        return Fraction(rng.choice((1, -1, 2, -2)))
+
+    terms = {}
+    if mode == "twin":
+        unit, other = rng.sample(XVARS, 2)
+        core = _random_factors(rng, [other], 2)
+        c = coeff()
+        for word, co in (
+            (Word(_insert(rng, core, unit)), c),
+            (Word(_insert(rng, core, unit)), -c),
+            (Word(rng.sample(XVARS, 2)), coeff()),
+        ):
+            terms[word] = terms.get(word, 0) + co
+        return OPoly(terms)
+    for _ in range(rng.randint(2, 4)):
+        for _ in range(20):
+            variables = list(XVARS)
+            rng.shuffle(variables)
+            word = Word(_random_factors(rng, variables, 2, 0 if mode == "bracketed" else 0.5))
+            if mode == "free" or not terms or word.op_degree == next(iter(terms)).op_degree:
+                break
+        else:
+            continue
+        terms[word] = terms.get(word, 0) + coeff()
+    return OPoly(terms)
+
+
+def random_bodies(seed, count):
+    rng = random.Random(seed)
+    while count:
+        body = random_body(rng)
+        if len(body) > 1:
+            count -= 1
+            yield OPI("rand", XVARS, body)
+
+
+@pytest.mark.parametrize("preset", ["db", "dt"])
+def test_tight_net_matches_the_wide_net_on_random_bodies(preset, monkeypatch):
+    order = OrderSpec.for_alphabet(preset, Z12)
+    certified = caught = 0
+    for phi in random_bodies(7, 40):
+        open_monomials = _lead_certificates(phi, order)[1]
+        certified += not open_monomials
+        for bounds in [(2, 2), (3, 2)]:
+            wide = _lines(wide_net_instances((phi,), Z12, bounds, order))
+            assert _lines(expand_instances((phi,), Z12, bounds, order)) == wide, (phi, bounds)
+            if open_monomials:
+                # what a certificate that vouched for every lead would yield
+                with monkeypatch.context() as m:
+                    m.setattr(opi, "_lead_certificates", lambda phi, order: ([], []))
+                    caught += _lines(expand_instances((phi,), Z12, bounds, order)) != wide
+    # the comparison means something only if many bodies take the tight
+    # net, and if an unsound certificate would fail it
+    assert certified >= 15 and caught >= 5, (certified, caught)
+
+
+def count_instantiate_calls(monkeypatch):
+    calls = [0]
+    real = opi.instantiate
+
+    def counted(phi, sigma):
+        calls[0] += 1
+        return real(phi, sigma)
+
+    monkeypatch.setattr(opi, "instantiate", counted)
+    return calls
+
+
+def test_certified_lead_instantiates_only_what_fits(monkeypatch):
+    calls = count_instantiate_calls(monkeypatch)
+    opis = parse_catalog("rb:6?lambda=1").opis
+    order = OrderSpec.for_alphabet("db", Z12)
+    gens = expand_instances(opis, Z12, (4, 3), order)
+    assert (calls[0], len(gens)) == (1667, 1667)
+    calls[0] = 0
+    assert len(wide_net_instances(opis, Z12, (4, 3), order)) == 1667
+    assert calls[0] == 14472
+
+
+@pytest.mark.parametrize("selector, wide_calls", [("diff:1", 467), ("diff:4?b=1", 3192)])
+def test_uncertified_lead_keeps_the_wide_net(monkeypatch, selector, wide_calls):
+    # diff:4?b=1 has a bracket-free monomial, so its wide net is larger
+    # than the 467 assignments a net sized by the lead would hold
+    calls = count_instantiate_calls(monkeypatch)
+    phi = parse_catalog(selector).opis[0]
+    order = OrderSpec.for_alphabet("dt", Z12)
+    assert _lead_certificates(phi, order)[1]
+    gens = expand_instances((phi,), Z12, (3, 2), order)
+    assert calls[0] == wide_calls
+    calls[0] = 0
+    assert gens == wide_net_instances((phi,), Z12, (3, 2), order)
+    assert calls[0] == wide_calls
