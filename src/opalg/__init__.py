@@ -34,7 +34,6 @@ from .gsbasis import (
     compositions,
     enumerate_irr,
     evaluate_morphism,
-    is_irreducible,
     is_trivial,
 )
 from .opi import (
@@ -70,9 +69,6 @@ from .terms import (
     Word,
     all_words,
     bracket,
-    concat,
-    measures,
-    occurrences,
     parse_context,
     parse_word,
     render,
@@ -114,17 +110,13 @@ __all__ = [
     "check_order_axioms",
     "check_rb_type",
     "compositions",
-    "concat",
     "enumerate_irr",
     "evaluate_morphism",
     "expand_instances",
     "instantiate",
-    "is_irreducible",
     "is_trivial",
-    "measures",
     "normal_form",
     "normal_form_random",
-    "occurrences",
     "one_step",
     "parse_catalog",
     "parse_context",

@@ -30,7 +30,7 @@ from .gsbasis import (
     enumerate_irr,
     is_trivial,
 )
-from .opi import catalog_help, parse_catalog
+from .opi import catalog_help, instantiate, parse_catalog
 from .orders import PRESETS, OrderSpec
 from .poly import parse_opoly, render_opoly
 from .rewrite import check_diff_type, check_rb_type, normal_form
@@ -138,7 +138,6 @@ class Env:
         if self.bounds[0] < 0 or self.bounds[1] < 0:
             raise ValueError("bounds must be nonnegative")
         self.fuel = _checked_fuel(int(_pick(ns, config, "fuel")))
-        self.seed = int(_pick(ns, config, "seed"))
 
     def generator_set(self) -> GeneratorSet:
         if not self.entries and not self.concrete:
@@ -268,7 +267,7 @@ def _cmd_instantiate(ns) -> int:
         if not eq:
             raise ValueError(f"assignment {item!r} is not var=word")
         sigma[var.strip()] = parse_opoly(text, env.alphabet)
-    inst = phi.instantiate(sigma)
+    inst = instantiate(phi, sigma)
     print(f"identity: {phi.name} with variables {', '.join(phi.variables)}")
     print(f"instance: {render_opoly(inst, env.order)}")
     if inst.is_zero():

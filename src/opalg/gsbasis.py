@@ -60,7 +60,6 @@ __all__ = [
     "enumerate_irr",
     "evaluate_morphism",
     "indexed_records",
-    "is_irreducible",
     "is_trivial",
 ]
 
@@ -146,10 +145,6 @@ class GeneratorSet:
             )
             self._ruleset_cache[bounds] = got
         return got
-
-    def describe(self) -> str:
-        parts = [e.key for e in self.entries] + [f"{len(self.concrete)} concrete"]
-        return f"generators[{', '.join(parts)}] under {self.order.describe()}"
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +527,19 @@ def _evaluate_hypotheses(
         out.append((f"{phi.name}: leading schema shape", nos.ok, nos.witness or nos.lm))
         ok_all = ok_all and nos.ok
     for phi in gens.opis:
-        stab = check_lm_stability(phi, order, gens.alphabet, bounds, include_units=True)
-        detail = (
-            f"{len(stab.certified)} certified, {stab.enumerated} enumerated"
-            if stab.passed
-            else f"violation at {stab.violations[0][0]}"
-        )
-        out.append((f"{phi.name}: leading-monomial stability (units included)", stab.passed, detail))
-        ok_all = ok_all and stab.passed
+        try:
+            stab = check_lm_stability(phi, order, gens.alphabet, bounds, include_units=True)
+        except ValueError as exc:  # too many assignments to enumerate
+            ok, detail = False, str(exc)
+        else:
+            ok = stab.passed
+            detail = (
+                f"{len(stab.certified)} certified, {stab.enumerated} enumerated"
+                if ok
+                else f"violation at {stab.violations[0][0]}"
+            )
+        out.append((f"{phi.name}: leading-monomial stability (units included)", ok, detail))
+        ok_all = ok_all and ok
     bracket_free = all(m.op_degree == 0 for g in gens.concrete for m in g.support())
     if gens.concrete:
         out.append(
@@ -616,17 +616,11 @@ def check_gs(
 # irreducibles and quotient arithmetic
 
 
-def is_irreducible(u: Word, generators: GeneratorSet) -> bool:
-    """No generator pattern (schema, degenerate, or concrete) matches in u.
-
-    The rule set at u's own measures suffices: a rule compiled only at
-    wider bounds has a left side outside them, which no slice of u is."""
-    return generators.ruleset((u.z_degree, u.op_degree)).find_redex(u) is None
-
-
 def enumerate_irr(generators: GeneratorSet, bounds: tuple[int, int]) -> tuple[Word, ...]:
     """All irreducible words within bounds, ascending in the active order,
-    read from the stratum's own rule set (see :func:`is_irreducible`)."""
+    read from the stratum's own rule set: a rule compiled only at wider
+    bounds has a left side outside them, which no slice of an in-bounds
+    word is."""
     rules = generators.ruleset(bounds)
     order = generators.order
     out = [w for w in all_words(generators.alphabet, *bounds) if rules.find_redex(w) is None]

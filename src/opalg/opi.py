@@ -20,14 +20,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .orders import OrderSpec
 from .poly import OPoly, _wrap
-from .terms import Alphabet, Bracket, Word, all_words, count_words, iter_slices, render
+from .terms import Alphabet, Bracket, Word, all_words, count_words, iter_slices, render, var_counts, word_tuples
 
 __all__ = [
     "MAX_EXPANSION_WORDS",
@@ -45,15 +44,6 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
-def _var_counts(w: Word, variables: frozenset[str], acc: dict[str, int]) -> None:
-    for f in w.factors:
-        if isinstance(f, str):
-            if f in variables:
-                acc[f] = acc.get(f, 0) + 1
-        else:
-            _var_counts(f.inner, variables, acc)
 
 
 class OPI:
@@ -74,8 +64,7 @@ class OPI:
             raise ValueError(f"OPI {name}: body is zero")
         vset = frozenset(vs)
         for m in body.support():
-            counts: dict[str, int] = {}
-            _var_counts(m, vset, counts)
+            counts = var_counts(m, vset)
             bad = [v for v in vs if counts.get(v, 0) != 1]
             if bad:
                 raise ValueError(
@@ -104,12 +93,11 @@ class OPI:
 
     def op_gap(self, preset: str) -> int:
         """op_degree headroom between the leading schema and the lowest
-        monomial; instance enumeration widens its net by this much."""
+        monomial; :meth:`opalg.gsbasis.GeneratorSet.max_gap` takes the
+        largest, which widens the rule scope of ``nf`` and the default rule
+        set of ``is_trivial``."""
         lead_op = self.lm(preset).op_degree
         return lead_op - min(m.op_degree for m in self.body.support())
-
-    def instantiate(self, sigma: Mapping[str, Union[Word, OPoly]]) -> OPoly:
-        return instantiate(self, sigma)
 
     def __repr__(self) -> str:
         return f"OPI({self.name}: {self.body})"
@@ -180,30 +168,15 @@ class Generator:
     kind: str  # "concrete" | "schema" | "degenerate"
 
 
-# Most words one variable may range over in expand_instances, and most
-# words (and jointly bounded triples) a family audit in ``rewrite`` probes,
-# checked before any is built.
+# Most words one variable may range over in expand_instances, most
+# assignments check_lm_stability enumerates, and most words (and jointly
+# bounded triples) a family audit in ``rewrite`` probes, each counted
+# before any word is built.
 # The pool grows exponentially with the operator budget: two letters give
 # 26,089 words at (3,4), the largest pool the tests, demos and benchmark
 # use, while ``nf`` under rb:6 on a 6-deep bracket word needs 67,267 (18 s
 # on CPython 3.11, 2 vCPU x86).
 MAX_EXPANSION_WORDS = 50_000
-
-
-@lru_cache(maxsize=None)
-def _words_upto(letters: tuple[str, ...], max_z: int, max_op: int) -> tuple[Word, ...]:
-    return all_words(letters, max_z, max_op)
-
-
-def _sigma_tuples(
-    letters: tuple[str, ...], arity: int, z_budget: int, op_budget: int
-) -> Iterator[tuple[Word, ...]]:
-    if arity == 0:
-        yield ()
-        return
-    for w in _words_upto(letters, z_budget, op_budget):
-        for rest in _sigma_tuples(letters, arity - 1, z_budget - w.z_degree, op_budget - w.op_degree):
-            yield (w,) + rest
 
 
 def expand_instances(
@@ -232,7 +205,6 @@ def expand_instances(
     word is built, whether or not the lead is certified.
     """
     max_z, max_op = bounds
-    letters = tuple(alphabet.letters)
     budgets = []
     for phi in opis:
         lead = phi.lm(order.preset)
@@ -240,7 +212,7 @@ def expand_instances(
         op_budget = max_op - min(m.op_degree for m in phi.body.support())
         if z_budget < 0 or op_budget < 0:
             continue
-        pool = count_words(len(letters), z_budget, op_budget)
+        pool = count_words(len(alphabet), z_budget, op_budget)
         if pool > MAX_EXPANSION_WORDS:
             raise ValueError(
                 f"expanding {phi.name} at bounds {bounds} would range each variable over "
@@ -256,7 +228,7 @@ def expand_instances(
     for phi, z_budget, op_budget in budgets:
         schema_lm = phi.lm(order.preset)
         vset = frozenset(phi.variables)
-        for values in _sigma_tuples(letters, phi.arity, z_budget, op_budget):
+        for values in word_tuples(alphabet, z_budget, op_budget, phi.arity):
             sigma = dict(zip(phi.variables, values))
             inst = instantiate(phi, sigma)
             if inst.is_zero():
@@ -285,11 +257,6 @@ class NoSubwordReport:
     ok: bool
     witness: str | None = None
 
-    def to_text(self) -> str:
-        if self.ok:
-            return f"{self.opi}: leading schema {self.lm} has no adjacent-variable block"
-        return f"{self.opi}: leading schema {self.lm} contains adjacent variables {self.witness}"
-
 
 def check_lm_no_subword(phi: OPI, preset: str) -> NoSubwordReport:
     """Reject leading schemas with two adjacent variable factors anywhere.
@@ -315,32 +282,13 @@ class StabilityReport:
     """Outcome of the leading-monomial stability check."""
 
     opi: str
-    preset: str
-    bounds: tuple[int, int]
-    include_units: bool
     certified: list = field(default_factory=list)  # (monomial text, reason)
     enumerated: int = 0
-    domain: str = ""
     violations: list = field(default_factory=list)  # (sigma text, got-lm text)
 
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_text(self) -> str:
-        head = (
-            f"lm stability [{self.opi}] preset {self.preset} bounds {self.bounds} "
-            f"units={'in' if self.include_units else 'out'}"
-        )
-        lines = [head]
-        for mono, reason in self.certified:
-            lines.append(f"  certified vs {mono}: {reason}")
-        if self.enumerated:
-            lines.append(f"  enumerated {self.enumerated} assignments ({self.domain})")
-        for sig, got in self.violations:
-            lines.append(f"  VIOLATION at {sig}: leading monomial {got}")
-        lines.append("  ok" if self.passed else "  FAILED")
-        return "\n".join(lines)
 
 
 def _has_top_level_variable(w: Word, vset: frozenset[str]) -> bool:
@@ -361,11 +309,7 @@ def _schema_cmp(u: Word, v: Word, order: OrderSpec, vset: frozenset[str]) -> tup
     bracket is settled by the order, and two brackets decide exactly when
     their inner words do.
     """
-    cu: dict[str, int] = {}
-    cv: dict[str, int] = {}
-    _var_counts(u, vset, cu)
-    _var_counts(v, vset, cv)
-    if cu != cv:
+    if var_counts(u, vset) != var_counts(v, vset):
         return None
     if u.z_degree != v.z_degree:
         return (1 if u.z_degree > v.z_degree else -1), f"z_degree gap {abs(u.z_degree - v.z_degree)}"
@@ -418,40 +362,39 @@ def check_lm_stability(
 ) -> StabilityReport:
     """Verify the leading monomial commutes with instantiation at bounds.
 
-    For each assignment of words within ``bounds`` (per value), the
-    instance must vanish or lead with the instantiated leading schema.
+    For each assignment of words within ``bounds`` (per value up to arity
+    2, a joint budget above), the instance must vanish or lead with the
+    instantiated leading schema.
     A monomial that loses to the leading schema under every assignment is
     certified without enumeration (:func:`_schema_cmp`): z_degree
     differences are constant under multilinearity, op_degree differences
     likewise, and when neither side has a top-level variable the breadths
     are constant too; with equal measures the factors are compared one by
     one, down into brackets.  Only the monomials left open trigger
-    exhaustive enumeration.
+    exhaustive enumeration, and more assignments than
+    ``MAX_EXPANSION_WORDS`` are refused with a ``ValueError`` before any
+    word is built.
     """
-    rep = StabilityReport(
-        opi=phi.name,
-        preset=order.preset,
-        bounds=bounds,
-        include_units=include_units,
-    )
+    rep = StabilityReport(opi=phi.name)
     lm = phi.lm(order.preset)
     vset = frozenset(phi.variables)
     certified, uncertified = _lead_certificates(phi, order)
     rep.certified = [(render(m), reason) for m, reason in certified]
     if not uncertified:
-        rep.domain = "none needed"
         return rep
 
     max_z, max_op = bounds
-    letters = tuple(alphabet.letters)
     if phi.arity <= 2:
-        values = _words_upto(letters, max_z, max_op)
-        pools: Iterable[tuple[Word, ...]] = product(values, repeat=phi.arity)
-        rep.domain = f"per-value within {bounds}"
+        domain = count_words(len(alphabet), max_z, max_op) ** phi.arity
     else:
         # joint budget keeps high-arity enumeration tractable
-        pools = _sigma_tuples(letters, phi.arity, max_z, max_op)
-        rep.domain = f"joint budget within {bounds}"
+        domain = count_words(len(alphabet), max_z, max_op, arity=phi.arity)
+    if domain > MAX_EXPANSION_WORDS:
+        raise ValueError(f"not decided: {domain} assignments, over the limit of {MAX_EXPANSION_WORDS}")
+    if phi.arity <= 2:
+        pools: Iterable[tuple[Word, ...]] = product(all_words(alphabet, max_z, max_op), repeat=phi.arity)
+    else:
+        pools = word_tuples(alphabet, max_z, max_op, phi.arity)
 
     count = 0
     for tup in pools:
@@ -487,15 +430,6 @@ class CatalogEntry:
     params: tuple[tuple[str, Fraction], ...]
     asserted_gs: bool
     units_stable: bool
-    note: str = ""
-
-    def describe(self) -> str:
-        lines = [f"{self.key}  (preset {self.preset})"]
-        for phi in self.opis:
-            lines.append(f"  {phi.name}: {phi.body}")
-        if self.note:
-            lines.append(f"  note: {self.note}")
-        return "\n".join(lines)
 
 
 _X1, _X2 = "x1", "x2"
@@ -780,7 +714,6 @@ def parse_catalog(selector: str) -> CatalogEntry:
             params=(),
             asserted_gs=True,
             units_stable=True,
-            note="same identity as rb:5",
         )
 
     if fam == "diff":
@@ -805,8 +738,9 @@ def parse_catalog(selector: str) -> CatalogEntry:
             preset="dt",
             params=tuple(sorted(merged.items())),
             asserted_gs=True,
+            # the leading monomial shifts at unit assignments; those
+            # instances join as degenerate rules
             units_stable=False,
-            note="leading monomial shifts at unit assignments; unit instances join as degenerate rules",
         )
 
     if fam == "diffprime":
@@ -823,7 +757,6 @@ def parse_catalog(selector: str) -> CatalogEntry:
             params=(("c", c),),
             asserted_gs=True,
             units_stable=True,
-            note="normal forms scale bracket erasure by c per bracket",
         )
 
     if fam == "averaging":
@@ -837,7 +770,6 @@ def parse_catalog(selector: str) -> CatalogEntry:
             params=(),
             asserted_gs=True,
             units_stable=True,
-            note="derived three-element system; see check-gs routes for its verification status",
         )
 
     if fam == "reynolds":
@@ -856,7 +788,6 @@ def parse_catalog(selector: str) -> CatalogEntry:
             params=(("n", Fraction(n)),),
             asserted_gs=True,
             units_stable=True,
-            note=f"family truncated at nesting {n}",
         )
 
     raise ValueError(

@@ -198,10 +198,7 @@ class OPoly:
         """
         if not self._terms:
             return (UNIT, _ZERO)
-        lead = None
-        for w in self._terms:
-            if lead is None or order.compare(w, lead) > 0:
-                lead = w
+        lead = order.max(self._terms)
         return (lead, self._terms[lead])
 
     def leading_monomial(self, order) -> Word:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, Generator, _sigma_tuples, instantiate
+from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, Generator, instantiate
 from .orders import OrderSpec
 from .poly import OPoly
 from .terms import (
@@ -49,6 +49,7 @@ from .terms import (
     slice_context,
     structural_key,
     substitute,
+    word_tuples,
 )
 
 __all__ = [
@@ -257,12 +258,6 @@ class RuleSet:
             out.append(rdx)
         return out
 
-    def describe(self) -> str:
-        schemas = sum(1 for r in self.rules if isinstance(r, SchemaRule))
-        concrete = len(self.rules) - schemas
-        mode = f"ordered[{self.order.preset}]" if self.order else "raw"
-        return f"{mode}: {schemas} schema rule(s), {concrete} concrete rule(s)"
-
 
 def _apply_redex(f: OPoly, w: Word, c: Fraction, rdx: Redex, order: OrderSpec | None) -> OPoly:
     replacement = substitute(rdx.context, rdx.rhs)
@@ -458,7 +453,7 @@ def _probe(
     if stuck is not None:
         return
     bad = None
-    for u, v, w in _sigma_tuples(tuple(alphabet.letters), 3, max_z, max_op):
+    for u, v, w in word_tuples(alphabet, max_z, max_op, 3):
         if nonunit and (u.is_unit() or v.is_unit() or w.is_unit()):
             continue
         left, right = sides(u, v, w)

@@ -25,6 +25,7 @@ factor blocks; see :func:`schema_occurrences`.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -40,14 +41,9 @@ __all__ = [
     "all_hole_insertions",
     "all_words",
     "bracket",
-    "concat",
     "count_words",
     "iter_occurrences",
-    "iter_schema_matches",
-    "iter_schema_occurrences",
     "iter_slices",
-    "measures",
-    "occurrences",
     "parse_context",
     "parse_word",
     "random_context",
@@ -57,6 +53,8 @@ __all__ = [
     "slice_context",
     "structural_key",
     "substitute",
+    "var_counts",
+    "word_tuples",
 ]
 
 HOLE = "@"
@@ -163,18 +161,6 @@ UNIT = Word(())
 def bracket(u: Word) -> Word:
     """The one-factor word ``[u]``."""
     return Word((Bracket(u),))
-
-
-def concat(*words: Word) -> Word:
-    out: list[Factor] = []
-    for w in words:
-        out.extend(w.factors)
-    return Word(out)
-
-
-def measures(u: Word) -> tuple[int, int, int, int]:
-    """``(breadth, z_degree, op_degree, depth)`` of a word."""
-    return (u.breadth, u.z_degree, u.op_degree, u.depth)
 
 
 def structural_key(u: Word) -> tuple:
@@ -419,9 +405,6 @@ class Context:
         return f"Context({render(self.word)!r})"
 
 
-TRIVIAL_CONTEXT = Context(Word((HOLE,)))
-
-
 def parse_context(
     text: str,
     alphabet: Alphabet | None = None,
@@ -485,25 +468,18 @@ def iter_occurrences(w: Word, u: Word) -> Iterator[Context]:
             yield slice_context(level, i, j, frames)
 
 
-def occurrences(w: Word, u: Word) -> list[Context]:
-    return list(iter_occurrences(w, u))
-
-
-def _check_schema(schema: Word, variables: frozenset[str]) -> None:
+def var_counts(w: Word, variables: frozenset[str]) -> dict[str, int]:
+    """How often each of ``variables`` occurs in ``w``, at every depth."""
     counts: dict[str, int] = {}
-
-    def walk(u: Word) -> None:
-        for f in u.factors:
+    stack = [w]
+    while stack:
+        for f in stack.pop().factors:
             if isinstance(f, str):
                 if f in variables:
                     counts[f] = counts.get(f, 0) + 1
             else:
-                walk(f.inner)
-
-    walk(schema)
-    bad = [v for v, c in counts.items() if c > 1]
-    if bad:
-        raise ValueError(f"schema {render(schema)} repeats variable(s) {','.join(sorted(bad))}")
+                stack.append(f.inner)
+    return counts
 
 
 def _align(
@@ -550,43 +526,6 @@ def align_factors(
     yield from _align(schema_factors, target_factors, frozenset(variables), frozenset(nonempty), {})
 
 
-def iter_schema_matches(
-    target: Word,
-    schema: Word,
-    variables: Iterable[str],
-    *,
-    nonempty: Iterable[str] = (),
-) -> Iterator[dict[str, Word]]:
-    """Assignments sending the whole schema word onto the whole target.
-
-    ``nonempty`` variables must bind at least one factor.  Split points are
-    tried shortest-first, so the iteration order is deterministic.
-    """
-    vs = frozenset(variables)
-    _check_schema(schema, vs)
-    yield from _align(schema.factors, target.factors, vs, frozenset(nonempty), {})
-
-
-def iter_schema_occurrences(
-    w: Word,
-    schema: Word,
-    variables: Iterable[str],
-    *,
-    nonempty: Iterable[str] = (),
-) -> Iterator[tuple[Context, dict[str, Word]]]:
-    """All ``(q, sigma)`` with ``q.plug(schema*sigma) == w``.
-
-    Matched slices are nonempty (a schema instance standing for the unit
-    never counts as occurring).  Slices come in :func:`iter_slices` order.
-    """
-    vs = frozenset(variables)
-    _check_schema(schema, vs)
-    ne = frozenset(nonempty)
-    for level, i, j, frames in iter_slices(w):
-        for sigma in _align(schema.factors, level[i:j], vs, ne, {}):
-            yield slice_context(level, i, j, frames), sigma
-
-
 def schema_occurrences(
     w: Word,
     schema: Word,
@@ -594,16 +533,35 @@ def schema_occurrences(
     *,
     nonempty: Iterable[str] = (),
 ) -> list[tuple[Context, dict[str, Word]]]:
-    return list(iter_schema_occurrences(w, schema, variables, nonempty=nonempty))
+    """All ``(q, sigma)`` with ``q.plug(schema*sigma) == w``.
+
+    ``nonempty`` variables must bind at least one factor, and matched
+    slices are nonempty (a schema instance standing for the unit never
+    counts as occurring).  Slices come in :func:`iter_slices` order, split
+    points shortest-first.  A schema that repeats a variable is refused.
+    """
+    vs = frozenset(variables)
+    bad = sorted(v for v, c in var_counts(schema, vs).items() if c > 1)
+    if bad:
+        raise ValueError(f"schema {render(schema)} repeats variable(s) {','.join(bad)}")
+    ne = frozenset(nonempty)
+    return [
+        (slice_context(level, i, j, frames), sigma)
+        for level, i, j, frames in iter_slices(w)
+        for sigma in _align(schema.factors, level[i:j], vs, ne, {})
+    ]
 
 
-def all_words(alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> tuple[Word, ...]:
+@lru_cache(maxsize=None)
+def all_words(alphabet: Alphabet | tuple[str, ...], max_z: int, max_op: int) -> tuple[Word, ...]:
     """Every word with ``z_degree <= max_z`` and ``op_degree <= max_op``.
 
-    Deterministic order (graded by structural key).  The count grows fast;
-    intended for desk-scale bounds.
+    Deterministic order (graded by structural key), so a smaller pool is
+    the larger one filtered by the bounds.  Pools are cached per
+    ``(alphabet, max_z, max_op)`` for the life of the process; the count
+    grows fast, so callers check :func:`count_words` before asking.
     """
-    letters = tuple(alphabet.letters if isinstance(alphabet, Alphabet) else alphabet)
+    letters = tuple(alphabet)
     cache: dict[tuple[int, int], tuple[Word, ...]] = {}
 
     def gen(d: int, p: int) -> tuple[Word, ...]:
@@ -627,6 +585,20 @@ def all_words(alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> tu
         return out
 
     return tuple(sorted(gen(max_z, max_op), key=structural_key))
+
+
+def word_tuples(
+    alphabet: Alphabet | tuple[str, ...], max_z: int, max_op: int, arity: int
+) -> Iterator[tuple[Word, ...]]:
+    """Every ``arity``-tuple of words whose measures sum within the bounds
+    (a jointly bounded tuple), lexicographic in :func:`all_words` order;
+    :func:`count_words` with the same ``arity`` counts them."""
+    if arity == 0:
+        yield ()
+        return
+    for w in all_words(alphabet, max_z, max_op):
+        for rest in word_tuples(alphabet, max_z - w.z_degree, max_op - w.op_degree, arity - 1):
+            yield (w,) + rest
 
 
 def count_words(n_letters: int, max_z: int, max_op: int, arity: int = 1) -> int:

@@ -43,10 +43,9 @@ from opalg.opi import (
     MAX_EXPANSION_WORDS,
     Generator,
     _lead_certificates,
-    _sigma_tuples,
     instantiate_word,
 )
-from opalg.terms import Bracket, Word, count_words
+from opalg.terms import Bracket, Word, count_words, word_tuples
 
 BOUNDS = [(2, 1), (2, 2), (3, 2)]
 CONCRETE = {"db": "z2*z1 - z1*z2", "dt": "z1*z2 - 1"}
@@ -130,7 +129,7 @@ def wide_net_instances(opis, alphabet, bounds, order):
     for phi, z_budget, op_budget in budgets:
         schema_lm = phi.lm(order.preset)
         vset = frozenset(phi.variables)
-        for values in _sigma_tuples(letters, phi.arity, z_budget, op_budget):
+        for values in word_tuples(alphabet, z_budget, op_budget, phi.arity):
             sigma = dict(zip(phi.variables, values))
             inst = opi.instantiate(phi, sigma)
             if inst.is_zero():

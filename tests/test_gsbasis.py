@@ -17,7 +17,6 @@ from opalg import (
     compositions,
     enumerate_irr,
     evaluate_morphism,
-    is_irreducible,
     is_trivial,
     parse_catalog,
     parse_opoly,
@@ -88,11 +87,6 @@ def test_expanded_classifies_instances():
     gens = splitting_set()
     kinds = {g.kind for g in gens.expanded((2, 1))}
     assert kinds == {"concrete", "schema", "degenerate"}
-
-
-def test_describe_mentions_entries():
-    text = rb_commutator_set().describe()
-    assert "rb:6?lambda=1" in text and "1 concrete" in text
 
 
 # -- composition records ------------------------------------------------------
@@ -272,8 +266,9 @@ def test_check_gs_rejects_negative_fuel():
 def test_erasure_family_irreducibles():
     gens = GeneratorSet((parse_catalog("diffprime?c=1"),), (), DT1, Z1)
     assert enumerate_irr(gens, (2, 1)) == (W("1", Z1), W("z", Z1), W("z*z", Z1))
-    assert is_irreducible(W("z*z", Z1), gens)
-    assert not is_irreducible(W("[z]", Z1), gens)
+    rules = gens.ruleset((2, 1))
+    assert rules.find_redex(W("z*z", Z1)) is None
+    assert rules.find_redex(W("[z]", Z1)) is not None
 
 
 def test_quotient_refuses_failing_generator_set():

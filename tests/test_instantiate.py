@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 
 from conftest import CATALOG_SELECTORS, Z12, opolys
 from opalg import OPoly, OrderSpec, expand_instances, instantiate, parse_catalog, parse_opoly, render_opoly
-from opalg.opi import _sigma_tuples, _words_upto
-from opalg.terms import Bracket, Word
+from opalg.terms import Bracket, Word, all_words, word_tuples
 
 CASES = [(f"{sel}/{phi.name}", phi) for sel in CATALOG_SELECTORS for phi in parse_catalog(sel).opis]
 OPIS = [phi for _, phi in CASES]
-LETTERS = tuple(Z12.letters)
 
 
 def _subst_word(m, sigma, variables):
@@ -73,10 +71,10 @@ def word_assignments(phi):
     plus every assignment within the joint budget (2,2), the domain
     ``expand_instances`` enumerates.  Arity above 2 takes the joint budget
     only, as ``check_lm_stability`` does."""
-    joint = list(_sigma_tuples(LETTERS, phi.arity, 2, 2))
+    joint = list(word_tuples(Z12, 2, 2, phi.arity))
     if phi.arity > 2:
         return joint
-    per_value = product(_words_upto(LETTERS, 2, 1), repeat=phi.arity)
+    per_value = product(all_words(Z12, 2, 1), repeat=phi.arity)
     return list(dict.fromkeys([*per_value, *joint]))
 
 

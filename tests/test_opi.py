@@ -17,7 +17,7 @@ from opalg import (
     parse_opoly,
     render_opoly,
 )
-from opalg.opi import MAX_EXPANSION_WORDS, _words_upto, catalog_help
+from opalg.opi import MAX_EXPANSION_WORDS, catalog_help
 from opalg.terms import all_words, count_words, parse_word, render
 
 DB = OrderSpec.for_alphabet("db", Z12)
@@ -157,10 +157,10 @@ def test_expand_instances_refuses_a_pool_over_the_limit_before_building_it():
     # op budget 7 - 1: each variable would range over every word within (2,6)
     pool = count_words(2, 2, 6)
     assert pool > MAX_EXPANSION_WORDS
-    misses = _words_upto.cache_info().misses
+    misses = all_words.cache_info().misses
     with pytest.raises(ValueError, match=f"{pool} words, over the limit of {MAX_EXPANSION_WORDS}"):
         expand_instances(opis, Z12, (2, 7), DB)
-    assert _words_upto.cache_info().misses == misses
+    assert all_words.cache_info().misses == misses
 
 
 # -- leading-schema shape -----------------------------------------------------
@@ -170,7 +170,7 @@ def test_no_subword_check_passes_for_insertion_shapes():
     for sel in ("rb:1", "rb:6?lambda=1", "nijenhuis", "averaging", "reynolds?n=4"):
         for phi in parse_catalog(sel).opis:
             rep = check_lm_no_subword(phi, parse_catalog(sel).preset)
-            assert rep.ok, rep.to_text()
+            assert rep.ok, rep.witness
 
 
 def test_no_subword_check_flags_splitting_shapes():
@@ -206,7 +206,6 @@ def test_averaging_stability_certified_without_enumeration(bounds):
     assert rep.passed
     assert rep.enumerated == 0
     assert rep.certified == [("[x1]*[[x2]]", "op_degree gap 1 inside factor 1")]
-    assert "  certified vs [x1]*[[x2]]: op_degree gap 1 inside factor 1" in rep.to_text()
 
 
 def test_splitting_identities_unstable_exactly_at_units():
@@ -215,7 +214,7 @@ def test_splitting_identities_unstable_exactly_at_units():
     assert not with_units.passed
     assert any("=1" in sigma for sigma, _ in with_units.violations)
     without = check_lm_stability(phi, DT, Z12, (2, 1), include_units=False)
-    assert without.passed, without.to_text()
+    assert without.passed, without.violations
 
 
 def test_stability_negative_control_under_deglex():

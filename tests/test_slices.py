@@ -11,7 +11,7 @@ import pytest
 
 from conftest import Z12
 from opalg import OPI, GeneratorSet, OPoly, OrderSpec, RuleSet, parse_catalog, parse_opoly
-from opalg.opi import _sigma_tuples, check_lm_no_subword
+from opalg.opi import check_lm_no_subword
 from opalg.rewrite import ConcreteRule, Redex, _scan_adjacent_nonunit_brackets
 from opalg.terms import (
     HOLE,
@@ -19,16 +19,16 @@ from opalg.terms import (
     Context,
     Word,
     _align,
-    _check_schema,
     align_factors,
     all_words,
     count_words,
     iter_occurrences,
-    iter_schema_occurrences,
     iter_slices,
     parse_word,
     render,
+    schema_occurrences,
     slice_context,
+    word_tuples,
 )
 
 WORDS = all_words(Z12, 3, 2)
@@ -86,7 +86,6 @@ def reference_occurrences(w, u):
 
 def reference_schema_occurrences(w, schema, variables, nonempty):
     vs = frozenset(variables)
-    _check_schema(schema, vs)
     ne = frozenset(nonempty)
     fs = w.factors
     n = len(fs)
@@ -164,8 +163,7 @@ def test_count_words_matches_all_words(letters, bounds):
 
 @pytest.mark.parametrize("arity, bounds", [(2, (3, 2)), (3, (2, 1)), (3, (2, 2)), (3, (3, 1))])
 def test_count_words_matches_jointly_bounded_tuples(arity, bounds):
-    letters = tuple(Z12.letters)
-    assert count_words(len(letters), *bounds, arity=arity) == sum(1 for _ in _sigma_tuples(letters, arity, *bounds))
+    assert count_words(len(Z12), *bounds, arity=arity) == sum(1 for _ in word_tuples(Z12, *bounds, arity))
 
 
 # -- exhaustive agreement ---------------------------------------------------------
@@ -220,7 +218,7 @@ def test_schema_occurrences_agree_with_recursive_scan(all_nonempty):
     for schema, variables in LEADING_SCHEMAS:
         nonempty = variables if all_nonempty else ()
         for w in WORDS:
-            got = list(iter_schema_occurrences(w, schema, variables, nonempty=nonempty))
+            got = schema_occurrences(w, schema, variables, nonempty=nonempty)
             want = list(reference_schema_occurrences(w, schema, variables, nonempty))
             assert got == want, (render(w), render(schema))
             total += len(got)

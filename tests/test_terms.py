@@ -10,20 +10,17 @@ from conftest import Z1, Z12, owords
 from opalg.terms import (
     HOLE,
     MAX_DEPTH,
-    TRIVIAL_CONTEXT,
     UNIT,
     Alphabet,
     Bracket,
     Context,
     ParseError,
     Word,
+    align_factors,
     all_hole_insertions,
     all_words,
     bracket,
-    concat,
-    iter_schema_matches,
-    measures,
-    occurrences,
+    iter_occurrences,
     parse_context,
     parse_word,
     random_context,
@@ -57,7 +54,7 @@ def test_bracketed_unit_is_not_unit():
 
 def test_measures_sample():
     w = W("[z1*[z2]]*z1")
-    assert measures(w) == (2, 3, 2, 2)
+    assert (w.breadth, w.z_degree, w.op_degree, w.depth) == (2, 3, 2, 2)
 
 
 def test_iterated_bracket_depth():
@@ -88,7 +85,7 @@ def test_unit_is_neutral(u):
 
 def test_concat_matches_star():
     u, v, w = W("z1"), W("[z2]"), W("z2*z1")
-    assert concat(u, v, w) == u * v * w
+    assert u * v * w == W("z1*[z2]*z2*z1")
 
 
 def test_word_equality_and_hash():
@@ -182,9 +179,10 @@ def test_plug_inside_bracket():
 
 
 def test_trivial_context():
-    assert TRIVIAL_CONTEXT.is_trivial()
+    q = parse_context("@", Z12)
+    assert q.is_trivial()
     u = W("[z1]*z2")
-    assert TRIVIAL_CONTEXT.plug(u) == u
+    assert q.plug(u) == u
 
 
 @given(owords(max_z=2, max_op=2))
@@ -209,25 +207,25 @@ def test_random_context_nontrivial():
 
 
 def test_occurrences_sample():
-    occ = occurrences(W("[z1*z2]"), W("z1*z2"))
+    occ = list(iter_occurrences(W("[z1*z2]"), W("z1*z2")))
     assert [str(q) for q in occ] == ["[@]"]
 
 
 def test_occurrences_multiple():
-    occ = occurrences(W("z1*z1*z1"), W("z1*z1"))
+    occ = list(iter_occurrences(W("z1*z1*z1"), W("z1*z1")))
     assert [str(q) for q in occ] == ["@*z1", "z1*@"]
 
 
 def test_occurrences_of_unit_refused():
     with pytest.raises(ValueError):
-        occurrences(W("z1"), UNIT)
+        list(iter_occurrences(W("z1"), UNIT))
 
 
 @given(owords(max_z=2, max_op=2), owords(max_z=2, max_op=1))
 def test_occurrences_resubstitute(w, u):
     if u.is_unit():
         return
-    for q in occurrences(w, u):
+    for q in iter_occurrences(w, u):
         assert q.plug(u) == w
 
 
@@ -245,20 +243,28 @@ def test_substitute_distributes_over_poly():
 
 def test_schema_repeated_variable_rejected():
     schema = parse_word("x1*x1", Z12, extra_letters=("x1",))
-    with pytest.raises(ValueError):
-        list(iter_schema_matches(W("z1*z1"), schema, ("x1",)))
+    with pytest.raises(ValueError, match="repeats variable"):
+        schema_occurrences(W("z1*z1"), schema, ("x1",))
 
 
 def test_schema_match_binds_blocks():
     schema = parse_word("[x1]*x2", Z12, extra_letters=("x1", "x2"))
     target = W("[z1*z2]*z1")
-    sigmas = list(iter_schema_matches(target, schema, ("x1", "x2")))
+    sigmas = list(align_factors(schema.factors, target.factors, ("x1", "x2")))
     assert sigmas == [{"x1": W("z1*z2"), "x2": W("z1")}]
+
+
+def test_schema_match_splits_shortest_first():
+    schema = parse_word("x1*x2", Z12, extra_letters=("x1", "x2"))
+    sigmas = list(align_factors(schema.factors, W("z1*z2").factors, ("x1", "x2")))
+    assert [(render(s["x1"]), render(s["x2"])) for s in sigmas] == [("1", "z1*z2"), ("z1", "z2"), ("z1*z2", "1")]
+    sigmas = list(align_factors(schema.factors, W("z1*z2").factors, ("x1", "x2"), nonempty=("x1", "x2")))
+    assert sigmas == [{"x1": W("z1"), "x2": W("z2")}]
 
 
 def test_schema_match_variables_may_be_empty():
     schema = parse_word("x1*[x2]", Z12, extra_letters=("x1", "x2"))
-    sigmas = list(iter_schema_matches(W("[1]"), schema, ("x1", "x2")))
+    sigmas = list(align_factors(schema.factors, W("[1]").factors, ("x1", "x2")))
     assert sigmas == [{"x1": UNIT, "x2": UNIT}]
 
 
