@@ -154,7 +154,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gens-file", dest="gens_file", help="file with one generator polynomial per line")
     p.add_argument("--bounds", help="stratum bounds 'D,P': letter degree, operator degree (default 2,2)")
     p.add_argument("--fuel", type=int, help="reduction step budget (default 2000)")
-    p.add_argument("--seed", type=int, help="seed for randomized strategies (deterministic commands ignore it)")
+    p.add_argument("--seed", type=int, help="accepted for compatibility; no command uses it")
     p.add_argument("--config", help="file of key=value defaults; explicit flags win")
 
 

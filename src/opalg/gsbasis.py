@@ -507,9 +507,7 @@ class GSReport:
         }
 
 
-def _evaluate_hypotheses(
-    gens: GeneratorSet, bounds: tuple[int, int]
-) -> tuple[list, bool]:
+def _evaluate_hypotheses(gens: GeneratorSet) -> tuple[list, bool]:
     order = gens.order
     out: list = []
     ok_all = True
@@ -527,17 +525,14 @@ def _evaluate_hypotheses(
         out.append((f"{phi.name}: leading schema shape", nos.ok, nos.witness or nos.lm))
         ok_all = ok_all and nos.ok
     for phi in gens.opis:
-        try:
-            stab = check_lm_stability(phi, order, gens.alphabet, bounds, include_units=True)
-        except ValueError as exc:  # too many assignments to enumerate
-            ok, detail = False, str(exc)
+        stab = check_lm_stability(phi, order, include_units=True)
+        ok = stab.passed
+        if stab.violations:
+            detail = f"violation at {stab.violations[0][0]}"
+        elif stab.undecided:
+            detail = f"not decided: {stab.undecided[0][1]}"
         else:
-            ok = stab.passed
-            detail = (
-                f"{len(stab.certified)} certified, {stab.enumerated} enumerated"
-                if ok
-                else f"violation at {stab.violations[0][0]}"
-            )
+            detail = f"{len(stab.certified)} certified, {stab.enumerated} enumerated"
         out.append((f"{phi.name}: leading-monomial stability (units included)", ok, detail))
         ok_all = ok_all and ok
     bracket_free = all(m.op_degree == 0 for g in gens.concrete for m in g.support())
@@ -573,7 +568,7 @@ def check_gs(
     expanded = gens.expanded(bounds)
     ruleset = gens.ruleset(bounds)
 
-    hyp, hyp_ok = _evaluate_hypotheses(gens, bounds)
+    hyp, hyp_ok = _evaluate_hypotheses(gens)
     use_hypothesis = route == "auto" and hyp_ok and bool(gens.opis)
 
     records = indexed_records(expanded, None, bounds)

@@ -18,15 +18,16 @@ assumption that bounded checks cannot establish on their own).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from .orders import OrderSpec
 from .poly import OPoly, _wrap
-from .terms import Alphabet, Bracket, Word, all_words, count_words, iter_slices, render, var_counts, word_tuples
+from .terms import UNIT, Alphabet, Bracket, Word, count_words, iter_slices, render, var_counts, word_tuples
 
 __all__ = [
     "MAX_EXPANSION_WORDS",
@@ -168,10 +169,9 @@ class Generator:
     kind: str  # "concrete" | "schema" | "degenerate"
 
 
-# Most words one variable may range over in expand_instances, most
-# assignments check_lm_stability enumerates, and most words (and jointly
-# bounded triples) a family audit in ``rewrite`` probes, each counted
-# before any word is built.
+# Most words one variable may range over in expand_instances, and most
+# words (and jointly bounded triples) a family audit in ``rewrite`` probes,
+# each counted before any word is built.
 # The pool grows exponentially with the operator budget: two letters give
 # 26,089 words at (3,4), the largest pool the tests, demos and benchmark
 # use, while ``nf`` under rb:6 on a 6-deep bracket word needs 67,267 (18 s
@@ -196,8 +196,9 @@ def expand_instances(
     op_degree plus the assignment total, so capping the total at
     ``max_op - min_schema_op`` covers every monomial that could lead.  When
     :func:`_lead_certificates` proves the leading schema above every other
-    monomial under ``order``, the instantiated lead is every instance's
-    leading word, so the total is capped at ``max_op - lead_op`` instead:
+    monomial under ``order`` (see there for the unit cases), the
+    instantiated lead is every nonzero instance's leading word, so the
+    total is capped at ``max_op - lead_op`` instead:
     the assignments this drops all lead out of bounds, and the ones kept
     come in the same order, since word pools are sorted independently of
     the bounds.  A wide net whose per-variable word pool exceeds
@@ -218,7 +219,7 @@ def expand_instances(
                 f"expanding {phi.name} at bounds {bounds} would range each variable over "
                 f"{pool} words, over the limit of {MAX_EXPANSION_WORDS}"
             )
-        if not _lead_certificates(phi, order)[1]:
+        if not any(_lead_certificates(phi, order)[1:]):  # no violation, nothing open
             op_budget = max_op - lead.op_degree
             if op_budget < 0:
                 continue
@@ -279,35 +280,39 @@ def check_lm_no_subword(phi: OPI, preset: str) -> NoSubwordReport:
 
 @dataclass
 class StabilityReport:
-    """Outcome of the leading-monomial stability check."""
+    """Outcome of the leading-monomial stability check.  ``enumerated`` is
+    always 0 (the verdict is symbolic) and stays for the readers that count
+    it."""
 
     opi: str
     certified: list = field(default_factory=list)  # (monomial text, reason)
     enumerated: int = 0
-    violations: list = field(default_factory=list)  # (sigma text, got-lm text)
+    violations: list = field(default_factory=list)  # (unit case, monomial text)
+    undecided: list = field(default_factory=list)  # (unit case, monomial text)
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.undecided
 
 
-def _has_top_level_variable(w: Word, vset: frozenset[str]) -> bool:
-    return any(isinstance(f, str) and f in vset for f in w.factors)
-
-
-def _schema_cmp(u: Word, v: Word, order: OrderSpec, vset: frozenset[str]) -> tuple[int, str] | None:
+def _schema_cmp(
+    u: Word, v: Word, order: OrderSpec, vset: frozenset[str], nonunit: frozenset[str] = frozenset()
+) -> tuple[int, str] | None:
     """``(sign, reason)`` when ``u·σ`` compares to ``v·σ`` with the same
     nonzero sign under every assignment σ of words to the variables in
-    ``vset`` (units included), else None.
+    ``vset`` that sends no variable in ``nonunit`` to the unit, else None.
 
     Decided only where both sides carry the same multiset of variables
     (always so for two monomials of a multilinear body): then their
-    z_degree and op_degree gaps do not depend on σ, nor does their breadth
-    gap while neither side has a top-level variable.  deglex is decided on
-    z_degree alone.  With equal measures the factors are walked in order:
-    identical schema factors stay identical under σ, a letter against a
-    bracket is settled by the order, and two brackets decide exactly when
-    their inner words do.
+    z_degree and op_degree gaps do not depend on σ.  deglex is decided on
+    z_degree alone.  The breadth gap is a constant plus, per variable, its
+    top-level count on ``u`` minus that on ``v`` times breadth(σ(x)), which
+    is at least 1 for a variable in ``nonunit`` and at least 0 otherwise;
+    its sign is decided when that range excludes 0.  With a gap of 0 under
+    every σ the factors are walked in order: identical schema factors stay
+    identical under σ, a letter against a bracket is settled by the order,
+    two brackets decide exactly when their inner words do, and a variable
+    at the first difference leaves the pair open.
     """
     if var_counts(u, vset) != var_counts(v, vset):
         return None
@@ -317,102 +322,86 @@ def _schema_cmp(u: Word, v: Word, order: OrderSpec, vset: frozenset[str]) -> tup
         return None
     if u.op_degree != v.op_degree:
         return (1 if u.op_degree > v.op_degree else -1), f"op_degree gap {abs(u.op_degree - v.op_degree)}"
-    if _has_top_level_variable(u, vset) or _has_top_level_variable(v, vset):
+    top = Counter(f for f in u.factors if f in vset)
+    top.subtract(f for f in v.factors if f in vset)
+    signs = {d > 0 for d in top.values() if d}
+    # the breadth gap when every top-level variable takes its least breadth
+    least = u.breadth - v.breadth - sum(d for x, d in top.items() if x not in nonunit)
+    if least and signs <= {least > 0}:
+        wider = 1 if least > 0 else -1
+        reason = f"breadth gap at least {abs(least)}" if signs else f"constant breadth {u.breadth} vs {v.breadth}"
+        return (wider if order.preset == "db" else -wider), reason
+    if signs:
         return None
-    if u.breadth != v.breadth:
-        wider = 1 if u.breadth > v.breadth else -1
-        return (wider if order.preset == "db" else -wider), f"constant breadth {u.breadth} vs {v.breadth}"
     for i, (f, g) in enumerate(zip(u.factors, v.factors), 1):
         if f == g:
             continue
+        if f in vset or g in vset:
+            return None
         if isinstance(f, str) or isinstance(g, str):
             return order._factor_cmp(f, g), f"{render(Word((f,)))} vs {render(Word((g,)))} at factor {i}"
-        got = _schema_cmp(f.inner, g.inner, order, vset)
+        got = _schema_cmp(f.inner, g.inner, order, vset, nonunit)
         if got is None:
             return None
         return got[0], f"{got[1]} inside factor {i}"
     return None
 
 
-def _lead_certificates(phi: OPI, order: OrderSpec) -> tuple[list[tuple[Word, str]], list[Word]]:
-    """Split the body monomials other than the leading schema into those
-    :func:`_schema_cmp` proves below it under every assignment, each with
-    its reason, and those it leaves open."""
-    lm = phi.lm(order.preset)
-    vset = frozenset(phi.variables)
-    certified: list[tuple[Word, str]] = []
-    uncertified: list[Word] = []
-    for m in phi.body.support():
-        if m == lm:
-            continue
-        got = _schema_cmp(lm, m, order, vset)
-        if got is not None and got[0] > 0:
-            certified.append((m, got[1]))
-        else:
-            uncertified.append(m)
-    return certified, uncertified
+def _lead_certificates(
+    phi: OPI, order: OrderSpec, include_units: bool = True
+) -> tuple[list[tuple[Word, str]], list[tuple[str, Word]], list[tuple[str, Word]]]:
+    """``(certified, violations, undecided)``: whether every nonzero instance
+    of ``phi`` leads with the instantiated leading schema.
 
-
-def check_lm_stability(
-    phi: OPI,
-    order: OrderSpec,
-    alphabet: Alphabet,
-    bounds: tuple[int, int],
-    include_units: bool = True,
-) -> StabilityReport:
-    """Verify the leading monomial commutes with instantiation at bounds.
-
-    For each assignment of words within ``bounds`` (per value up to arity
-    2, a joint budget above), the instance must vanish or lead with the
-    instantiated leading schema.
-    A monomial that loses to the leading schema under every assignment is
-    certified without enumeration (:func:`_schema_cmp`): z_degree
-    differences are constant under multilinearity, op_degree differences
-    likewise, and when neither side has a top-level variable the breadths
-    are constant too; with equal measures the factors are compared one by
-    one, down into brackets.  Only the monomials left open trigger
-    exhaustive enumeration, and more assignments than
-    ``MAX_EXPANSION_WORDS`` are refused with a ``ValueError`` before any
-    word is built.
+    When :func:`_schema_cmp` proves every other monomial below the lead
+    under every assignment, each is certified with its reason.  Otherwise
+    each variable is split into two cases, σ(x) = 1 or σ(x) ≠ 1 (only the
+    case without units when ``include_units`` is false), and each case
+    substitutes its units with :func:`instantiate`, merging coefficients.
+    A case whose body vanishes holds.  A case whose lead cancels, or where
+    a monomial is proved above the lead, is a violation naming the lead or
+    that monomial.  Otherwise the lead is compared with each remaining
+    monomial knowing the other variables are not units; a pair left open
+    is undecided.  Entries from a split name their case, e.g. ``x1=1``.
     """
-    rep = StabilityReport(opi=phi.name)
     lm = phi.lm(order.preset)
     vset = frozenset(phi.variables)
-    certified, uncertified = _lead_certificates(phi, order)
-    rep.certified = [(render(m), reason) for m, reason in certified]
-    if not uncertified:
-        return rep
+    verdicts = [(m, _schema_cmp(lm, m, order, vset)) for m in phi.body.support() if m != lm]
+    if all(got and got[0] > 0 for _, got in verdicts):
+        return [(m, got[1]) for m, got in verdicts], [], []
+    certified: list[tuple[Word, str]] = []
+    violations: list[tuple[str, Word]] = []
+    undecided: list[tuple[str, Word]] = []
+    for k in range(phi.arity + 1 if include_units else 1):
+        for units in combinations(phi.variables, k):
+            case = ", ".join(f"{x}=1" for x in units) or "no unit"
+            sigma = {x: UNIT if x in units else Word((x,)) for x in phi.variables}
+            body = instantiate(phi, sigma)
+            if body.is_zero():
+                continue
+            lead = instantiate_word(lm, sigma, vset)
+            nonunit = vset.difference(units)
+            verdicts = [(m, _schema_cmp(lead, m, order, vset, nonunit)) for m in body.support() if m != lead]
+            above = [m for m, got in verdicts if got and got[0] < 0]
+            if above or not body.coeff(lead):
+                violations.append((case, above[0] if above else lead))
+                continue
+            undecided += [(case, m) for m, got in verdicts if got is None]
+            certified += [(m, f"{case}: {got[1]}") for m, got in verdicts if got]
+    return certified, violations, undecided
 
-    max_z, max_op = bounds
-    if phi.arity <= 2:
-        domain = count_words(len(alphabet), max_z, max_op) ** phi.arity
-    else:
-        # joint budget keeps high-arity enumeration tractable
-        domain = count_words(len(alphabet), max_z, max_op, arity=phi.arity)
-    if domain > MAX_EXPANSION_WORDS:
-        raise ValueError(f"not decided: {domain} assignments, over the limit of {MAX_EXPANSION_WORDS}")
-    if phi.arity <= 2:
-        pools: Iterable[tuple[Word, ...]] = product(all_words(alphabet, max_z, max_op), repeat=phi.arity)
-    else:
-        pools = word_tuples(alphabet, max_z, max_op, phi.arity)
 
-    count = 0
-    for tup in pools:
-        if not include_units and any(w.is_unit() for w in tup):
-            continue
-        sigma = dict(zip(phi.variables, tup))
-        inst = instantiate(phi, sigma)
-        count += 1
-        if inst.is_zero():
-            continue
-        expected = instantiate_word(lm, sigma, vset)
-        got = inst.leading_monomial(order)
-        if got != expected:
-            if len(rep.violations) < 10:
-                sig = ", ".join(f"{v}={render(w)}" for v, w in zip(phi.variables, tup))
-                rep.violations.append((sig, render(got)))
-    rep.enumerated = count
-    return rep
+def check_lm_stability(phi: OPI, order: OrderSpec, include_units: bool = True) -> StabilityReport:
+    """Whether every nonzero instance leads with the instantiated leading
+    schema, decided by :func:`_lead_certificates` at every bound at once;
+    ``include_units=False`` asks only about assignments without units."""
+    certified, violations, undecided = _lead_certificates(phi, order, include_units)
+    return StabilityReport(
+        opi=phi.name,
+        certified=[(render(m), reason) for m, reason in certified],
+        violations=[(case, render(m)) for case, m in violations],
+        undecided=[(case, render(m)) for case, m in undecided],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -250,9 +250,7 @@ def test_order_audits_and_leading_term_stability():
         entry = parse_catalog(sel)
         order = OrderSpec.for_alphabet(entry.preset, Z12)
         for phi in entry.opis:
-            rep = check_lm_stability(
-                phi, order, Z12, (2, 1), include_units=entry.units_stable
-            )
+            rep = check_lm_stability(phi, order, include_units=entry.units_stable)
             assert rep.passed, f"{sel}/{phi.name}: {rep.violations}"
 
 

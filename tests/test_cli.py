@@ -350,6 +350,14 @@ def test_config_file_rejects_out_of_range_values(tmp_path, capsys, line, flag):
     assert f"error: {flag} must be at least" in out
 
 
+def test_seed_help_says_no_command_uses_it(capsys):
+    code, out = run(capsys, "check-gs", "--help")
+    assert code == 0
+    out = " ".join(out.split())
+    assert "--seed SEED accepted for compatibility; no command uses it" in out
+    assert "randomized" not in out
+
+
 @pytest.mark.parametrize("key", ["fuel", "seed"])
 def test_config_file_names_a_non_integer_value(tmp_path, capsys, key):
     cfg = tmp_path / "bad.cfg"

@@ -154,10 +154,15 @@ def _lines(gens):
 NET_BOUNDS = [(2, 1), (2, 2), (3, 2), (2, 3)]
 
 
+# diff:3 leading with a unit bracket beside the product: certified only
+# once the variables are split into unit cases
+SPLIT_SELECTORS = ["diff:3?l01=1", "diff:3?l10=1,l00=0"]
+
+
 @pytest.mark.parametrize("preset", ["db", "dt", "deglex"])
 def test_tight_net_matches_the_wide_net_over_the_catalog(preset):
     order = OrderSpec.for_alphabet(preset, Z12)
-    for selector in CATALOG_SELECTORS:
+    for selector in CATALOG_SELECTORS + SPLIT_SELECTORS:
         opis = parse_catalog(selector).opis
         for bounds in NET_BOUNDS:
             got = _lines(expand_instances(opis, Z12, bounds, order))
@@ -254,15 +259,16 @@ def test_tight_net_matches_the_wide_net_on_random_bodies(preset, monkeypatch):
     order = OrderSpec.for_alphabet(preset, Z12)
     certified = caught = 0
     for phi in random_bodies(7, 40):
-        open_monomials = _lead_certificates(phi, order)[1]
-        certified += not open_monomials
+        _, violations, undecided = _lead_certificates(phi, order)
+        uncertified = violations or undecided
+        certified += not uncertified
         for bounds in [(2, 2), (3, 2)]:
             wide = _lines(wide_net_instances((phi,), Z12, bounds, order))
             assert _lines(expand_instances((phi,), Z12, bounds, order)) == wide, (phi, bounds)
-            if open_monomials:
+            if uncertified:
                 # what a certificate that vouched for every lead would yield
                 with monkeypatch.context() as m:
-                    m.setattr(opi, "_lead_certificates", lambda phi, order: ([], []))
+                    m.setattr(opi, "_lead_certificates", lambda phi, order: ([], [], []))
                     caught += _lines(expand_instances((phi,), Z12, bounds, order)) != wide
     # the comparison means something only if many bodies take the tight
     # net, and if an unsound certificate would fail it
@@ -299,9 +305,11 @@ def test_uncertified_lead_keeps_the_wide_net(monkeypatch, selector, wide_calls):
     calls = count_instantiate_calls(monkeypatch)
     phi = parse_catalog(selector).opis[0]
     order = OrderSpec.for_alphabet("dt", Z12)
-    assert _lead_certificates(phi, order)[1]
+    assert _lead_certificates(phi, order)[1]  # violations at x1=1 and x2=1
+    calls[0] = 0
     gens = expand_instances((phi,), Z12, (3, 2), order)
-    assert calls[0] == wide_calls
+    # four more: the certificate instantiates one body per unit case
+    assert calls[0] == wide_calls + 4
     calls[0] = 0
     assert gens == wide_net_instances((phi,), Z12, (3, 2), order)
     assert calls[0] == wide_calls

@@ -66,11 +66,11 @@ def assert_agree(phi, sigma):
 
 
 def word_assignments(phi):
-    """Every assignment with each value within (2,1) -- the domain
-    ``check_lm_stability`` enumerates at the bounds of the family audits --
-    plus every assignment within the joint budget (2,2), the domain
+    """Every assignment with each value within (2,1) -- the domain of the
+    exhaustive stability reference in ``test_stability`` -- plus every
+    assignment within the joint budget (2,2), the domain
     ``expand_instances`` enumerates.  Arity above 2 takes the joint budget
-    only, as ``check_lm_stability`` does."""
+    only, as that reference does."""
     joint = list(word_tuples(Z12, 2, 2, phi.arity))
     if phi.arity > 2:
         return joint

@@ -1,5 +1,6 @@
 """Identities, the built-in catalog, instances, leading-monomial checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from opalg import (
     parse_opoly,
     render_opoly,
 )
-from opalg.opi import MAX_EXPANSION_WORDS, catalog_help
-from opalg.terms import all_words, count_words, parse_word, render
+from opalg.opi import MAX_EXPANSION_WORDS, catalog_help, instantiate_word
+from opalg.terms import all_words, count_words, parse_word, random_word, render
 
 DB = OrderSpec.for_alphabet("db", Z12)
 DT = OrderSpec.for_alphabet("dt", Z12)
@@ -185,42 +186,61 @@ def test_no_subword_check_flags_splitting_shapes():
 
 def test_stability_certified_without_enumeration_for_insertion():
     phi = parse_catalog("rb:6?lambda=1").opis[0]
-    rep = check_lm_stability(phi, DB, Z12, (2, 2), include_units=True)
+    rep = check_lm_stability(phi, DB, include_units=True)
     assert rep.passed
     assert len(rep.certified) == 3
     assert rep.enumerated == 0
 
 
-def test_stability_enumerates_when_no_certificate_applies():
-    # [x1*x2] against [x1]*x2: a top-level variable leaves breadth open
+def test_stability_splits_unit_cases_when_no_certificate_applies():
+    # [x1*x2] against [x1]*x2: a top-level variable that may be the unit
+    # leaves the breadth gap open, so each variable is split into x=1 and
+    # x!=1; with x2=1 the body vanishes
     phi = parse_catalog("diff:5").opis[0]
-    rep = check_lm_stability(phi, DT, Z12, (2, 2), include_units=True)
+    rep = check_lm_stability(phi, DT, include_units=True)
     assert rep.passed
-    assert rep.enumerated == len(all_words(Z12, 2, 2)) ** 2
+    assert rep.enumerated == 0
+    assert rep.certified == [
+        ("[x1]*x2", "no unit: breadth gap at least 1"),
+        ("x1*[1]*x2", "no unit: breadth gap at least 2"),
+        ("x1*x2*[1]", "no unit: breadth gap at least 2"),
+        ("[1]*x2", "x1=1: breadth gap at least 1"),
+        ("x2*[1]", "x1=1: breadth gap at least 1"),
+    ]
 
 
 @pytest.mark.parametrize("bounds", [(2, 2), (3, 3)])
 def test_averaging_stability_certified_without_enumeration(bounds):
     phis = {phi.name: phi for phi in parse_catalog("averaging").opis}
-    rep = check_lm_stability(phis["averaging:C"], DT, Z12, bounds, include_units=True)
+    phi = phis["averaging:C"]
+    rep = check_lm_stability(phi, DT, include_units=True)
     assert rep.passed
     assert rep.enumerated == 0
     assert rep.certified == [("[x1]*[[x2]]", "op_degree gap 1 inside factor 1")]
+    # the certificate takes no bounds; it holds on seeded pairs within these
+    lead = phi.lm("dt")
+    rng = random.Random(7)
+    for _ in range(200):
+        sigma = {x: random_word(rng, Z12, *bounds) for x in XVARS}
+        want = render(instantiate_word(lead, sigma, frozenset(XVARS)))
+        assert render(instantiate(phi, sigma).leading_monomial(DT)) == want, sigma
 
 
 def test_splitting_identities_unstable_exactly_at_units():
     phi = parse_catalog("diff:1").opis[0]
-    with_units = check_lm_stability(phi, DT, Z12, (2, 1), include_units=True)
+    with_units = check_lm_stability(phi, DT, include_units=True)
     assert not with_units.passed
-    assert any("=1" in sigma for sigma, _ in with_units.violations)
-    without = check_lm_stability(phi, DT, Z12, (2, 1), include_units=False)
+    assert with_units.violations == [("x1=1", "[x2]"), ("x2=1", "[x1]")]
+    without = check_lm_stability(phi, DT, include_units=False)
     assert without.passed, without.violations
 
 
 def test_stability_negative_control_under_deglex():
+    # deglex is certified on z_degree alone, so the equal-degree pair stays
+    # open and the check fails
     phi = OPI("collapse", XVARS, schema_poly("[x1*x2] - [x1]*[x2]"))
     order = OrderSpec.for_alphabet("deglex", Z12)
-    rep = check_lm_stability(phi, order, Z12, (2, 1), include_units=True)
+    rep = check_lm_stability(phi, order, include_units=True)
     assert not rep.passed
 
 
