@@ -304,35 +304,36 @@ def _schema_cmp(
 
     Decided only where both sides carry the same multiset of variables
     (always so for two monomials of a multilinear body): then their
-    z_degree and op_degree gaps do not depend on σ.  deglex is decided on
-    z_degree alone.  The breadth gap is a constant plus, per variable, its
-    top-level count on ``u`` minus that on ``v`` times breadth(σ(x)), which
-    is at least 1 for a variable in ``nonunit`` and at least 0 otherwise;
-    its sign is decided when that range excludes 0.  With a gap of 0 under
-    every σ the factors are walked in order: identical schema factors stay
-    identical under σ, a letter against a bracket is settled by the order,
-    two brackets decide exactly when their inner words do, and a variable
-    at the first difference leaves the pair open.
+    z_degree and op_degree gaps do not depend on σ.  deglex goes from
+    z_degree straight to the factor walk.  The breadth gap is a constant
+    plus, per variable, its top-level count on ``u`` minus that on ``v``
+    times breadth(σ(x)), which is at least 1 for a variable in ``nonunit``
+    and at least 0 otherwise; its sign is decided when that range excludes
+    0.  With a gap of 0 under every σ the factors are walked in order:
+    identical schema factors stay identical under σ, a letter against a
+    bracket is settled by the order, two brackets decide exactly when their
+    inner words do, and a variable at the first difference leaves the pair
+    open.  When one side is a prefix of the other, the longer side is
+    greater.
     """
     if var_counts(u, vset) != var_counts(v, vset):
         return None
     if u.z_degree != v.z_degree:
         return (1 if u.z_degree > v.z_degree else -1), f"z_degree gap {abs(u.z_degree - v.z_degree)}"
-    if order.preset not in ("db", "dt"):
-        return None
-    if u.op_degree != v.op_degree:
-        return (1 if u.op_degree > v.op_degree else -1), f"op_degree gap {abs(u.op_degree - v.op_degree)}"
-    top = Counter(f for f in u.factors if f in vset)
-    top.subtract(f for f in v.factors if f in vset)
-    signs = {d > 0 for d in top.values() if d}
-    # the breadth gap when every top-level variable takes its least breadth
-    least = u.breadth - v.breadth - sum(d for x, d in top.items() if x not in nonunit)
-    if least and signs <= {least > 0}:
-        wider = 1 if least > 0 else -1
-        reason = f"breadth gap at least {abs(least)}" if signs else f"constant breadth {u.breadth} vs {v.breadth}"
-        return (wider if order.preset == "db" else -wider), reason
-    if signs:
-        return None
+    if order.preset != "deglex":
+        if u.op_degree != v.op_degree:
+            return (1 if u.op_degree > v.op_degree else -1), f"op_degree gap {abs(u.op_degree - v.op_degree)}"
+        top = Counter(f for f in u.factors if f in vset)
+        top.subtract(f for f in v.factors if f in vset)
+        signs = {d > 0 for d in top.values() if d}
+        # the breadth gap when every top-level variable takes its least breadth
+        least = u.breadth - v.breadth - sum(d for x, d in top.items() if x not in nonunit)
+        if least and signs <= {least > 0}:
+            wider = 1 if least > 0 else -1
+            reason = f"breadth gap at least {abs(least)}" if signs else f"constant breadth {u.breadth} vs {v.breadth}"
+            return (wider if order.preset == "db" else -wider), reason
+        if signs:
+            return None
     for i, (f, g) in enumerate(zip(u.factors, v.factors), 1):
         if f == g:
             continue
@@ -344,6 +345,12 @@ def _schema_cmp(
         if got is None:
             return None
         return got[0], f"{got[1]} inside factor {i}"
+    # one side is a prefix of the other; the sides hold the same variables,
+    # so the longer side's tail holds none and stays nonempty under every σ
+    n = min(u.breadth, v.breadth)
+    tail = u.factors[n:] or v.factors[n:]
+    if tail:
+        return (1 if u.breadth > n else -1), f"longer by {render(Word(tail))}"
     return None
 
 

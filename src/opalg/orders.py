@@ -91,8 +91,9 @@ class OrderSpec:
         return LT if len(fs) < len(gs) else GT
 
     def compare(self, u: Word, v: Word) -> int:
-        """-1, 0, or 1; zero exactly on structural equality."""
-        if u == v:
+        """-1, 0, or 1; zero exactly on structural equality (interned
+        words are equal exactly when identical)."""
+        if u is v:
             return EQ
         if self.preset == "deglex":
             if u.z_degree != v.z_degree:

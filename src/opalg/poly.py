@@ -20,6 +20,7 @@ from .terms import (
     UNIT,
     Word,
     bracket,
+    check_input_size,
     parse_word,
     render,
     structural_key,
@@ -332,6 +333,7 @@ def parse_opoly(
 
     Examples: ``"z1*[z2] - [z1]*z2"``, ``"-2/5*[1] + 3"``, ``"0"``.
     """
+    check_input_size(text)
     stripped = text.strip()
     if stripped == "0":
         return OPoly.zero()

@@ -280,10 +280,8 @@ def _greatest_reducible(f: OPoly, rules: RuleSet) -> tuple[Word, Redex] | None:
     known = rules._redexes
     cands = [w for w in f._terms if known.get(w, _UNSEEN) is not None]
     order = rules.order
-    if order is None:
-        keys = {w: structural_key(w) for w in cands}
     while cands:
-        w = order.max(cands) if order is not None else max(cands, key=keys.__getitem__)
+        w = order.max(cands) if order is not None else max(cands, key=structural_key)
         rdx = rules.find_redex(w)
         if rdx is not None:
             return w, rdx

@@ -13,8 +13,19 @@ Measures used throughout the package:
 * op_degree: number of bracket occurrences at every depth
 * depth: maximal bracket nesting
 
-Parsed text may nest brackets at most ``MAX_DEPTH`` deep; deeper input is
-refused with a ``ParseError`` before any recursive step runs.
+Words and brackets are interned (hash-consed).  ``Word(factors)`` looks
+the factor tuple up in one module-level table and returns the live word
+with those factors, building it only when there is none; ``Bracket(u)``
+returns the one live bracket cached on ``u``.  So structurally equal words
+are the same object, equality and hashing are by identity, and a word's
+measures, sort key and text are computed once.  This holds because words
+come only from ``Word(...)``; pickling and copying go through it too.  The
+table holds its words weakly: an entry goes when its word is freed, so the
+table never keeps alive a word that nothing else references.
+
+Parsed text may be at most ``MAX_INPUT_CHARS`` long and nest brackets at
+most ``MAX_DEPTH`` deep; other input is refused with a ``ParseError``
+before any recursive step runs.
 
 Contexts are words with exactly one hole ``@``; plugging a word into the
 hole splices its factor sequence in place (plugging the unit deletes the
@@ -25,12 +36,14 @@ factor blocks; see :func:`schema_occurrences`.
 from __future__ import annotations
 
 import re
+import weakref
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "HOLE",
     "MAX_DEPTH",
+    "MAX_INPUT_CHARS",
     "Alphabet",
     "Bracket",
     "Context",
@@ -41,6 +54,7 @@ __all__ = [
     "all_hole_insertions",
     "all_words",
     "bracket",
+    "check_input_size",
     "count_words",
     "iter_occurrences",
     "iter_slices",
@@ -64,30 +78,37 @@ HOLE = "@"
 # interpreter's recursion limit.
 MAX_DEPTH = 100
 
+# Longest text the parsers accept, checked before tokenising.
+MAX_INPUT_CHARS = 100_000
+
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class Bracket:
-    """A single bracketed factor wrapping an inner word."""
+    """A single bracketed factor wrapping an inner word.
 
-    __slots__ = ("inner", "_hash")
+    Interned like :class:`Word`: ``Bracket(u)`` returns the one live
+    bracket cached on ``u``, so two brackets are equal exactly when they
+    are the same object, and equality and hashing are by identity.  The
+    cache is a weak reference, so a word and its bracket form no cycle and
+    are freed as soon as nothing else holds them.
+    """
 
-    def __init__(self, inner: "Word"):
+    __slots__ = ("inner", "__weakref__")
+
+    def __new__(cls, inner: "Word"):
         if not isinstance(inner, Word):
             raise TypeError(f"bracket inner must be a Word, got {type(inner).__name__}")
-        self.inner = inner
-        self._hash = hash((Bracket, inner))
+        ref = inner._bracket
+        b = ref() if ref is not None else None
+        if b is None:
+            b = object.__new__(cls)
+            b.inner = inner
+            inner._bracket = weakref.ref(b)
+        return b
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Bracket) and self.inner == other.inner
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return (Bracket, (self.inner,))
 
     def __repr__(self) -> str:
         return f"Bracket({render(self.inner)!r})"
@@ -96,17 +117,45 @@ class Bracket:
 Factor = Union[str, Bracket]
 
 
-class Word:
-    """Immutable factor sequence with cached measures and hash.
+class _Entry(weakref.ref):
+    # a table entry: a weak reference to a word that knows its own key
+    __slots__ = ("key",)
 
-    Equality is structural.  Words are valid dict keys; all arithmetic
-    lives in :mod:`opalg.poly`.
+
+# Factor tuple -> weak reference to the one word with those factors.  An
+# entry goes when its word is freed, so the table keeps no word alive.
+_WORDS: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry, words: dict = _WORDS) -> None:
+    # the key may already name a newer word, built after this one died but
+    # before this callback ran
+    if words.get(entry.key) is entry:
+        del words[entry.key]
+
+
+class Word:
+    """Immutable factor sequence with cached measures.
+
+    Words are interned: ``Word(factors)`` returns the one live word with
+    those factors, building it only when there is none.  Equality and
+    hashing are therefore by identity, and structurally equal words are the
+    same object.  The invariant holds because words are made only through
+    ``Word(...)`` (pickling and copying go through it too).  The table
+    holds its words weakly, so a word nothing else references is freed.
+    :func:`structural_key` and :func:`render` fill a slot on first use.
+    Words are valid dict keys; all arithmetic lives in :mod:`opalg.poly`.
     """
 
-    __slots__ = ("factors", "z_degree", "op_degree", "depth", "_hash")
+    __slots__ = ("factors", "z_degree", "op_degree", "depth", "_bracket", "_key", "__weakref__")
 
-    def __init__(self, factors: Iterable[Factor] = ()):
+    def __new__(cls, factors: Iterable[Factor] = ()):
         fs = tuple(factors)
+        entry = _WORDS.get(fs)
+        if entry is not None:
+            w = entry()
+            if w is not None:
+                return w
         z = op = dep = 0
         for f in fs:
             if isinstance(f, str):
@@ -119,11 +168,19 @@ class Word:
                     dep = inner.depth + 1
             else:
                 raise TypeError(f"bad factor {f!r}")
-        self.factors = fs
-        self.z_degree = z
-        self.op_degree = op
-        self.depth = dep
-        self._hash = hash(fs)
+        w = object.__new__(cls)
+        w.factors = fs
+        w.z_degree = z
+        w.op_degree = op
+        w.depth = dep
+        w._bracket = None
+        w._key = None
+        entry = _WORDS[fs] = _Entry(w, _forget)
+        entry.key = fs
+        return w
+
+    def __reduce__(self):
+        return (Word, (self.factors,))
 
     @property
     def breadth(self) -> int:
@@ -131,17 +188,6 @@ class Word:
 
     def is_unit(self) -> bool:
         return not self.factors
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Word) and self._hash == other._hash and self.factors == other.factors
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -164,21 +210,21 @@ def bracket(u: Word) -> Word:
 
 
 def structural_key(u: Word) -> tuple:
-    """Deterministic sort key independent of any monomial order."""
-    return (u.z_degree, u.op_degree, u.breadth, render(u))
+    """Deterministic sort key independent of any monomial order, computed
+    once per word."""
+    key = u._key
+    if key is None:
+        if u.factors:
+            text = "*".join(f if isinstance(f, str) else "[" + render(f.inner) + "]" for f in u.factors)
+        else:
+            text = "1"
+        key = u._key = (u.z_degree, u.op_degree, len(u.factors), text)
+    return key
 
 
 def render(u: Word) -> str:
     """Canonical text form: ``*``-joined factors, unit rendered ``1``."""
-    if not u.factors:
-        return "1"
-    parts = []
-    for f in u.factors:
-        if isinstance(f, str):
-            parts.append(f)
-        else:
-            parts.append("[" + render(f.inner) + "]")
-    return "*".join(parts)
+    return structural_key(u)[3]
 
 
 class Alphabet:
@@ -274,6 +320,12 @@ class _Tokens:
         self.take()
 
 
+def check_input_size(text: str) -> None:
+    """Refuse text longer than ``MAX_INPUT_CHARS`` with a ``ParseError``."""
+    if len(text) > MAX_INPUT_CHARS:
+        raise ParseError(f"input of {len(text)} characters is over the limit of {MAX_INPUT_CHARS}", MAX_INPUT_CHARS)
+
+
 def _check_letter(name: str, alphabet: Alphabet | None, extra: frozenset[str], pos: int) -> None:
     if alphabet is not None and name not in alphabet and name not in extra:
         raise ParseError(f"unknown letter {name!r} (alphabet: {','.join(alphabet.letters)})", pos)
@@ -329,6 +381,7 @@ def parse_word(
     With an alphabet, unknown letters are rejected with their position.
     ``extra_letters`` admits schema variables on top of the alphabet.
     """
+    check_input_size(text)
     toks = _Tokens(text)
     depth = 0
     for tok, pos in toks.toks:

@@ -11,6 +11,7 @@ import pytest
 
 from opalg.cli import main
 from opalg.opi import MAX_EXPANSION_WORDS
+from opalg.terms import MAX_INPUT_CHARS
 
 
 def run(capsys, *argv):
@@ -389,6 +390,16 @@ def test_deep_input_exits_two_naming_the_limit(capsys):
     code, out = run(capsys, "nf", "--catalog", "rb:6?lambda=1", "z1 + 2*" + deep)
     assert code == 2
     assert "limit of 100" in out
+
+
+def test_long_input_exits_two_naming_the_limit_at_once(capsys):
+    long = "z1" + "*z1" * 33333
+    assert len(long) == MAX_INPUT_CHARS + 1
+    t0 = time.perf_counter()
+    code, out = run(capsys, "check-gs", "--gens", long, "--bounds", "2,1")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert f"error: input of 100001 characters is over the limit of {MAX_INPUT_CHARS}" in out
 
 
 def test_wide_expansion_scope_exits_two_naming_the_limit(capsys):

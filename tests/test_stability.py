@@ -267,11 +267,11 @@ def test_random_multilinear_pairs_match_exhaustive_reference():
             assert not ok, (rep, detail)
             assert detail in {f"not decided: {text}" for _, text in rep.undecided}, (rep, detail)
     print("open share:", ", ".join(f"{p} {opened[p]} of {total[p]}" for p in total))
-    # deglex is decided on z_degree alone, so its pairs of equal z_degree
-    # (all of them here) stay open; under db and dt a pair stays open only
-    # where the order of the instances depends on the values themselves,
-    # as for x2*x1 against x1*x2
-    assert opened["deglex"] == total["deglex"]
+    # under every preset a pair stays open only where the order of the
+    # instances depends on the values themselves, as for x2*x1 against
+    # x1*x2; deglex, which has no op_degree or breadth key, leaves more
+    # such pairs (50 of 74 here) than db and dt
+    assert opened["deglex"] * 10 <= total["deglex"] * 7, (opened, total)
     assert all(opened[p] * 5 <= total[p] for p in ("db", "dt")), (opened, total)
 
 
@@ -333,4 +333,10 @@ def test_schema_cmp_on_hand_picked_pairs():
     assert cmp("[[x1]]*[x2]", "[x1]*[[x2]]") == (1, "op_degree gap 1 inside factor 1")
     assert cmp("[x1]*[[x2]]", "[[x1]]*[x2]") == (-1, "op_degree gap 1 inside factor 1")
     assert cmp("z1*[[x1]]", "[z1]*[x1]") == (-1, "z1 vs [z1] at factor 1")
-    assert cmp("[[x1]]*[x2]", "[x1]*[[x2]]", OrderSpec.for_alphabet("deglex", Z12)) is None
+    deglex = OrderSpec.for_alphabet("deglex", Z12)
+    assert cmp("[[x1]]*[x2]", "[x1]*[[x2]]", deglex) is None
+    # deglex walks the factors after an equal z_degree; a strict prefix is
+    # below the longer side
+    assert cmp("[x1]*[1]", "[x1]", deglex) == (1, "longer by [1]")
+    assert cmp("x1*z1*[1]", "x1*[1]*z1", deglex) == (-1, "z1 vs [1] at factor 2")
+    assert cmp("[x1]*[x2]", "[x1*x2]", deglex) is None

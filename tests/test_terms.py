@@ -10,6 +10,7 @@ from conftest import Z1, Z12, owords
 from opalg.terms import (
     HOLE,
     MAX_DEPTH,
+    MAX_INPUT_CHARS,
     UNIT,
     Alphabet,
     Bracket,
@@ -133,6 +134,18 @@ def test_parse_enforces_bracket_depth_limit():
     # the check runs before the recursive descent, even for unbalanced text
     with pytest.raises(ParseError, match="limit"):
         W("[" * 5000)
+
+
+def test_parse_enforces_input_size_limit():
+    from opalg.poly import parse_opoly
+
+    padded = "z1*[z2]" + " " * (MAX_INPUT_CHARS - 7)
+    assert render(W(padded)) == "z1*[z2]"
+    assert str(parse_opoly(padded, Z12)) == "z1*[z2]"
+    for parse in (W, lambda text: parse_opoly(text, Z12)):
+        with pytest.raises(ParseError, match=f"over the limit of {MAX_INPUT_CHARS}") as exc:
+            parse(padded + " ")
+        assert exc.value.pos == MAX_INPUT_CHARS
 
 
 def test_parse_hole_requires_flag():
