@@ -19,11 +19,14 @@ position get reduced, never the rule priority at a position, so all
 strategies compute the same linear normal-form map wherever the system
 is confluent per word.
 
-A rule set never changes after construction, so it remembers each word's
-first redex, or that the word is irreducible, for as long as it lives.
+A rule set never changes after construction, so it remembers, for as
+long as it lives, the rule matches of every factor slice it has scanned
+(a match depends on the slice alone, so each slice runs the rule loop
+once) and each word's first redex, or that the word is irreducible.
 :func:`normal_form` picks each step's monomial without sorting the
 polynomial: it skips words already known to be irreducible and searches
-the rest greatest first.
+the rest greatest first.  Every strategy takes its steps in place on one
+term dict, through the one step function that checks descent.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Iterator, Sequence, Union
 
 from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, Generator, instantiate
 from .orders import OrderSpec
-from .poly import OPoly
+from .poly import OPoly, _wrap
 from .terms import (
     Alphabet,
     Bracket,
@@ -48,7 +51,6 @@ from .terms import (
     render,
     slice_context,
     structural_key,
-    substitute,
     word_tuples,
 )
 
@@ -138,9 +140,14 @@ _UNSEEN = object()
 
 
 class RuleSet:
-    """Prioritized rules plus the optional order that guards them."""
+    """Prioritized rules plus the optional order that guards them.
 
-    __slots__ = ("rules", "order", "bounds", "_redexes")
+    A rule set never changes after construction, so it remembers, for as
+    long as it lives, the matches of every factor slice it has scanned
+    (which rule, with which assignment, replacing the slice by what) and
+    the first redex of every word it has searched."""
+
+    __slots__ = ("rules", "order", "bounds", "_slices", "_redexes")
 
     def __init__(
         self,
@@ -151,6 +158,8 @@ class RuleSet:
         self.rules = tuple(rules)
         self.order = order
         self.bounds = bounds
+        # slice factors -> (rule_id, sigma, matched, rhs) per match, in priority order
+        self._slices: dict[tuple, tuple[tuple, ...]] = {}
         # word -> first redex, or None when irreducible
         self._redexes: dict[Word, Redex | None] = {}
 
@@ -212,31 +221,39 @@ class RuleSet:
                 inst = inst.scale(Fraction(1) / lc)
         return OPoly.from_word(slice_word) - inst
 
+    def _match_slice(self, sl: tuple) -> tuple[tuple, ...]:
+        """Every rule match on the slice ``sl``, in declared priority, as
+        ``(rule_id, sigma, matched, rhs)``; a match depends on the slice
+        alone, never on the word around it."""
+        out = []
+        slice_word = None
+        for rule in self.rules:
+            if isinstance(rule, ConcreteRule):
+                if sl == rule.lhs.factors:
+                    out.append((rule.rule_id, None, rule.lhs, rule.rhs))
+                continue
+            for sigma in align_factors(rule.lhs.factors, sl, rule.opi.variables, rule.nonempty):
+                if slice_word is None:
+                    slice_word = Word(sl)
+                rhs = self._rhs_for_schema(rule, slice_word, sigma)
+                if rhs is not None:
+                    out.append((rule.rule_id, tuple((v, sigma[v]) for v in rule.opi.variables), slice_word, rhs))
+        return tuple(out)
+
     def iter_redexes(self, w: Word) -> Iterator[Redex]:
         """Every redex in ``w``: slices in :func:`opalg.terms.iter_slices`
-        order, rules in declared priority at each slice."""
+        order, rules in declared priority at each slice.  Each slice's
+        matches are computed once per rule set."""
+        slices = self._slices
         for level, i, j, frames in iter_slices(w):
             sl = level[i:j]
-            slice_word = None
-            for rule in self.rules:
-                if isinstance(rule, ConcreteRule):
-                    if sl == rule.lhs.factors:
-                        q = slice_context(level, i, j, frames)
-                        yield Redex(rule.rule_id, q, None, rule.lhs, rule.rhs)
-                    continue
-                for sigma in align_factors(rule.lhs.factors, sl, rule.opi.variables, rule.nonempty):
-                    if slice_word is None:
-                        slice_word = Word(sl)
-                    rhs = self._rhs_for_schema(rule, slice_word, sigma)
-                    if rhs is None:
-                        continue
-                    yield Redex(
-                        rule.rule_id,
-                        slice_context(level, i, j, frames),
-                        tuple((v, sigma[v]) for v in rule.opi.variables),
-                        slice_word,
-                        rhs,
-                    )
+            matches = slices.get(sl)
+            if matches is None:
+                matches = slices[sl] = self._match_slice(sl)
+            if matches:
+                q = slice_context(level, i, j, frames)
+                for rule_id, sigma, matched, rhs in matches:
+                    yield Redex(rule_id, q, sigma, matched, rhs)
 
     def find_redex(self, w: Word) -> Redex | None:
         """The first redex of :meth:`iter_redexes`, searched once per word."""
@@ -259,26 +276,40 @@ class RuleSet:
         return out
 
 
-def _apply_redex(f: OPoly, w: Word, c: Fraction, rdx: Redex, order: OrderSpec | None) -> OPoly:
-    replacement = substitute(rdx.context, rdx.rhs)
+def _reduce_at(acc: dict[Word, Fraction], w: Word, rdx: Redex, order: OrderSpec | None) -> Fraction:
+    """One reduction step in place: the term ``c*w`` of ``acc`` becomes ``c``
+    times the redex's replacement, terms that cancel are dropped, and ``c``
+    is returned.  Under an order the replacement must lie strictly below
+    ``w``; a step that does not descend raises before ``acc`` changes."""
+    plug = rdx.context.plug
+    replacement = [(plug(m), d) for m, d in rdx.rhs._terms.items()]
     if order is not None and replacement:
-        hi = replacement.leading_monomial(order)
+        hi = order.max(m for m, _ in replacement)
         if order.compare(hi, w) >= 0:
             raise RuntimeError(
                 f"non-descending step: {render(hi)} !< {render(w)} via {rdx.rule_id}"
             )
-    return f - OPoly.from_word(w, c) + replacement.scale(c)
+    c = acc.pop(w)
+    for m, d in replacement:
+        s = c * d
+        prev = acc.get(m)
+        if prev is not None:
+            s += prev
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+    return c
 
 
-def _greatest_reducible(f: OPoly, rules: RuleSet) -> tuple[Word, Redex] | None:
-    """The greatest monomial of ``f`` that has a redex, with that redex:
+def _greatest_reducible(acc: dict[Word, Fraction], rules: RuleSet) -> tuple[Word, Redex] | None:
+    """The greatest monomial of ``acc`` that has a redex, with that redex:
     descending under the rule set's order, or structurally descending in
-    raw mode (the order of ``f.items(rules.order)``).  Words the rule set
-    already knows to be irreducible are skipped unsearched; the others are
-    searched greatest first, so exactly the words of a descending scan are
-    searched."""
+    raw mode.  Words the rule set already knows to be irreducible are
+    skipped unsearched; the others are searched greatest first, so exactly
+    the words of a descending scan are searched."""
     known = rules._redexes
-    cands = [w for w in f._terms if known.get(w, _UNSEEN) is not None]
+    cands = [w for w in acc if known.get(w, _UNSEEN) is not None]
     order = rules.order
     while cands:
         w = order.max(cands) if order is not None else max(cands, key=structural_key)
@@ -291,28 +322,31 @@ def _greatest_reducible(f: OPoly, rules: RuleSet) -> tuple[Word, Redex] | None:
 
 def one_step(f: OPoly, rules: RuleSet, index: int = 0) -> tuple[OPoly, TraceStep] | None:
     """Reduce the greatest reducible monomial at its first position."""
-    hit = _greatest_reducible(f, rules)
+    acc = dict(f._terms)
+    hit = _greatest_reducible(acc, rules)
     if hit is None:
         return None
     w, rdx = hit
-    c = f.coeff(w)
-    step = TraceStep(index, rdx.rule_id, rdx.context, rdx.sigma, c, w)
-    return _apply_redex(f, w, c, rdx, rules.order), step
+    c = _reduce_at(acc, w, rdx, rules.order)
+    return _wrap(acc), TraceStep(index, rdx.rule_id, rdx.context, rdx.sigma, c, w)
 
 
 def normal_form(f: OPoly, rules: RuleSet, fuel: int, *, want_trace: bool = True) -> ReductionResult:
-    """Iterate one_step until irreducible or out of fuel."""
+    """Reduce the greatest reducible monomial at its first position, step by
+    step in one term dict, until irreducible or out of fuel."""
     steps: list[TraceStep] = []
-    cur = f
+    acc = dict(f._terms)
+    order = rules.order
     for k in range(fuel):
-        hit = one_step(cur, rules, index=k)
+        hit = _greatest_reducible(acc, rules)
         if hit is None:
-            return ReductionResult(cur, tuple(steps) if want_trace else (), False)
-        cur, st = hit
+            return ReductionResult(_wrap(acc), tuple(steps), False)
+        w, rdx = hit
+        c = _reduce_at(acc, w, rdx, order)
         if want_trace:
-            steps.append(st)
-    still = _greatest_reducible(cur, rules) is not None
-    return ReductionResult(cur, tuple(steps) if want_trace else (), still)
+            steps.append(TraceStep(k, rdx.rule_id, rdx.context, rdx.sigma, c, w))
+    still = _greatest_reducible(acc, rules) is not None
+    return ReductionResult(_wrap(acc), tuple(steps), still)
 
 
 def normal_form_random(
@@ -326,24 +360,22 @@ def normal_form_random(
     """Like normal_form, but the reducible monomial and the position are
     chosen by ``rng``.  Rule priority at a position stays fixed."""
     steps: list[TraceStep] = []
-    cur = f
+    acc = dict(f._terms)
+    order = rules.order
     for k in range(fuel):
-        choices: list[tuple[Word, Fraction, list[Redex]]] = []
-        for w, c in cur.items(rules.order):
+        choices: list[tuple[Word, list[Redex]]] = []
+        for w, _ in _wrap(acc).items(order):
             pos = rules.position_redexes(w)
             if pos:
-                choices.append((w, c, pos))
+                choices.append((w, pos))
         if not choices:
-            return ReductionResult(cur, tuple(steps), False)
-        w, c, pos = choices[rng.randrange(len(choices))]
+            return ReductionResult(_wrap(acc), tuple(steps), False)
+        w, pos = choices[rng.randrange(len(choices))]
         rdx = pos[rng.randrange(len(pos))]
-        cur = _apply_redex(cur, w, c, rdx, rules.order)
+        c = _reduce_at(acc, w, rdx, order)
         if want_trace:
             steps.append(TraceStep(k, rdx.rule_id, rdx.context, rdx.sigma, c, w))
-    for w, _ in cur.items(rules.order):
-        if rules.find_redex(w) is not None:
-            return ReductionResult(cur, tuple(steps), True)
-    return ReductionResult(cur, tuple(steps), False)
+    return ReductionResult(_wrap(acc), tuple(steps), _greatest_reducible(acc, rules) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +496,40 @@ def _probe(
     rep.add(labels[1], bad is None, bad or clean)
 
 
+def _memoized_map(expr: OPI):
+    """The two-variable map ``(a, b) -> expr[a, b]`` on words or
+    polynomials, bilinear as :func:`opalg.opi.instantiate` is.  Each pair of
+    words is instantiated once, for as long as the returned function lives;
+    a polynomial argument is expanded term by term and the weighted
+    coefficients are merged in one dict."""
+    x, y = expr.variables
+    memo: dict[tuple[Word, Word], OPoly] = {}
+
+    def on_words(a: Word, b: Word) -> OPoly:
+        got = memo.get((a, b))
+        if got is None:
+            got = memo[a, b] = instantiate(expr, {x: a, y: b})
+        return got
+
+    def apply(a: Union[Word, OPoly], b: Union[Word, OPoly]) -> OPoly:
+        if isinstance(a, Word) and isinstance(b, Word):
+            return on_words(a, b)
+        left = ((a, 1),) if isinstance(a, Word) else a._terms.items()
+        right = ((b, 1),) if isinstance(b, Word) else b._terms.items()
+        acc: dict[Word, Fraction] = {}
+        for u, cu in left:
+            for v, cv in right:
+                weight = cu * cv
+                for m, c in on_words(u, v)._terms.items():
+                    if weight != 1:
+                        c = weight * c
+                    prev = acc.get(m)
+                    acc[m] = c if prev is None else prev + c
+        return _wrap({m: c for m, c in acc.items() if c})
+
+    return apply
+
+
 def _scan_adjacent_nonunit_brackets(w: Word) -> str | None:
     for level, i, j, _ in iter_slices(w):
         if j - i == 2:
@@ -516,14 +582,10 @@ def check_rb_type(
         rep, "collapse", b_poly, _scan_adjacent_nonunit_brackets, "no adjacent brackets with nonunit inners"
     ):
         return rep
-    x, y = phi.variables
-    b_expr = OPI(f"{phi.name}.collapse", (x, y), b_poly)
+    b_map = _memoized_map(OPI(f"{phi.name}.collapse", phi.variables, b_poly))
 
-    def sides(u: Word, v: Word, w: Word) -> tuple[OPoly, OPoly]:  # B(B(u,v),w), B(u,B(v,w))
-        return (
-            instantiate(b_expr, {x: instantiate(b_expr, {x: u, y: v}), y: OPoly.from_word(w)}),
-            instantiate(b_expr, {x: OPoly.from_word(u), y: instantiate(b_expr, {x: v, y: w})}),
-        )
+    def sides(u: Word, v: Word, w: Word) -> tuple[OPoly, OPoly]:
+        return b_map(b_map(u, v), w), b_map(u, b_map(v, w))
 
     rules = RuleSet.raw([SchemaRule(phi.name, phi, lead)])
     _probe(rep, alphabet, rules, ("(c) termination at bounds", "(d) associativity closure"), sides)
@@ -548,15 +610,11 @@ def check_diff_type(
     lead, n_poly = shaped
     if not _map_is_clean(rep, "expansion", n_poly, _scan_wide_bracket, "no bracket factor has a product inside"):
         return rep
-    x, y = phi.variables
-    n_expr = OPI(f"{phi.name}.expand", (x, y), n_poly)
+    n_map = _memoized_map(OPI(f"{phi.name}.expand", phi.variables, n_poly))
 
-    def sides(u: Word, v: Word, w: Word) -> tuple[OPoly, OPoly]:  # N(uv,w), N(u,vw)
-        return (
-            instantiate(n_expr, {x: u * v, y: OPoly.from_word(w)}),
-            instantiate(n_expr, {x: OPoly.from_word(u), y: v * w}),
-        )
+    def sides(u: Word, v: Word, w: Word) -> tuple[OPoly, OPoly]:
+        return n_map(u * v, w), n_map(u, v * w)
 
-    rules = RuleSet.raw([SchemaRule(phi.name, phi, lead, nonempty=frozenset((x, y)))])
+    rules = RuleSet.raw([SchemaRule(phi.name, phi, lead, nonempty=frozenset(phi.variables))])
     _probe(rep, alphabet, rules, ("(c) termination at bounds", "(d) cocycle closure"), sides, nonunit=True)
     return rep

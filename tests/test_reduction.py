@@ -1,13 +1,17 @@
-"""``normal_form`` against the sorted-scan reduction it replaced.
+"""``normal_form`` and the redex search against the unmemoized code they replaced.
 
-A rule set remembers each word's first redex, and ``normal_form`` picks
-the greatest reducible monomial without sorting the polynomial.  The
-reference below is the sorted scan: every step sorts the polynomial in
-the rule set's order and searches each word from the top, with an
-uncached ``iter_redexes`` search, so no memo reaches it.  Both must agree
-on the result, every trace step and the ``exhausted`` flag, at every fuel
-up to the end of the reduction.
+A rule set remembers the matches of each factor slice and each word's
+first redex, and ``normal_form`` picks the greatest reducible monomial
+without sorting the polynomial and reduces in one term dict.  The
+references below are the code before that: every step sorts the
+polynomial in the rule set's order, searches each word from the top with
+the rule loop run afresh on every slice, and builds the next polynomial
+from immutable parts, so no memo reaches them.  Both must agree on the
+result, every trace step and the ``exhausted`` flag, at every fuel up to
+the end of the reduction, and the redex search must agree word by word.
 """
+
+import random
 
 import pytest
 from hypothesis import given, seed, settings
@@ -26,23 +30,74 @@ from opalg import (
     check_diff_type,
     check_rb_type,
     normal_form,
+    normal_form_random,
+    one_step,
     parse_catalog,
     parse_opoly,
     parse_word,
 )
-from opalg.rewrite import TraceStep, _apply_redex
+from opalg.rewrite import Redex, TraceStep
+from opalg.terms import Word, align_factors, iter_slices, render, slice_context, substitute
 
 FUEL = 500
 WORDS = all_words(Z12, 3, 2)
 
 
+def reference_redexes(rules, w):
+    """Every redex of ``w``, each rule tried afresh on every slice."""
+    for level, i, j, frames in iter_slices(w):
+        sl = level[i:j]
+        slice_word = None
+        for rule in rules.rules:
+            if isinstance(rule, ConcreteRule):
+                if sl == rule.lhs.factors:
+                    q = slice_context(level, i, j, frames)
+                    yield Redex(rule.rule_id, q, None, rule.lhs, rule.rhs)
+                continue
+            for sigma in align_factors(rule.lhs.factors, sl, rule.opi.variables, rule.nonempty):
+                if slice_word is None:
+                    slice_word = Word(sl)
+                rhs = rules._rhs_for_schema(rule, slice_word, sigma)
+                if rhs is None:
+                    continue
+                yield Redex(
+                    rule.rule_id,
+                    slice_context(level, i, j, frames),
+                    tuple((v, sigma[v]) for v in rule.opi.variables),
+                    slice_word,
+                    rhs,
+                )
+
+
+def reference_position_redexes(rules, w):
+    out, seen = [], set()
+    for rdx in reference_redexes(rules, w):
+        if rdx.context.word not in seen:
+            seen.add(rdx.context.word)
+            out.append(rdx)
+    return out
+
+
+def reference_apply(f, w, c, rdx, order):
+    replacement = substitute(rdx.context, rdx.rhs)
+    if order is not None and replacement:
+        hi = replacement.leading_monomial(order)
+        if order.compare(hi, w) >= 0:
+            raise RuntimeError(f"non-descending step: {render(hi)} !< {render(w)} via {rdx.rule_id}")
+    return f - OPoly.from_word(w, c) + replacement.scale(c)
+
+
 def reference_one_step(f, rules, index=0):
     for w, c in f.items(rules.order):
-        rdx = next(rules.iter_redexes(w), None)
+        rdx = next(reference_redexes(rules, w), None)
         if rdx is not None:
             step = TraceStep(index, rdx.rule_id, rdx.context, rdx.sigma, c, w)
-            return _apply_redex(f, w, c, rdx, rules.order), step
+            return reference_apply(f, w, c, rdx, rules.order), step
     return None
+
+
+def reference_reducible(f, rules):
+    return any(next(reference_redexes(rules, w), None) is not None for w, _ in f.items(rules.order))
 
 
 def reference_normal_form(f, rules, fuel):
@@ -54,8 +109,25 @@ def reference_normal_form(f, rules, fuel):
             return ReductionResult(cur, tuple(steps), False)
         cur, st = hit
         steps.append(st)
-    still = any(next(rules.iter_redexes(w), None) is not None for w, _ in cur.items(rules.order))
-    return ReductionResult(cur, tuple(steps), still)
+    return ReductionResult(cur, tuple(steps), reference_reducible(cur, rules))
+
+
+def reference_normal_form_random(f, rules, fuel, rng):
+    steps = []
+    cur = f
+    for k in range(fuel):
+        choices = []
+        for w, c in cur.items(rules.order):
+            pos = reference_position_redexes(rules, w)
+            if pos:
+                choices.append((w, c, pos))
+        if not choices:
+            return ReductionResult(cur, tuple(steps), False)
+        w, c, pos = choices[rng.randrange(len(choices))]
+        rdx = pos[rng.randrange(len(pos))]
+        cur = reference_apply(cur, w, c, rdx, rules.order)
+        steps.append(TraceStep(k, rdx.rule_id, rdx.context, rdx.sigma, c, w))
+    return ReductionResult(cur, tuple(steps), reference_reducible(cur, rules))
 
 
 def assert_agree(f, rules, fuel):
@@ -130,4 +202,51 @@ def test_descent_check_fires_when_the_memo_serves_the_redex():
     for f in ("z1", "z1", "z2 + 3*z1"):
         with pytest.raises(RuntimeError, match=r"non-descending step: z1\*z1 !< z1 via up"):
             normal_form(parse_opoly(f, Z12), rules, 5)
+    # one_step and normal_form_random take the same step, so the same check
+    with pytest.raises(RuntimeError, match="non-descending step"):
+        one_step(parse_opoly("z1", Z12), rules)
+    with pytest.raises(RuntimeError, match="non-descending step"):
+        normal_form_random(parse_opoly("z2 + z1", Z12), rules, 5, random.Random(0))
     assert rules.find_redex(parse_word("z1", Z12)).rule_id == "up"
+
+
+# fresh rule sets, so each test below fills the memos it then reads
+FRESH = {
+    "rb:6?lambda=1 + commutator": lambda: _ordered("rb:6?lambda=1", ["z2*z1 - z1*z2"]),
+    "rb:6?lambda=1": lambda: _ordered("rb:6?lambda=1", []),
+    "diff:1 + z1*z2 - 1": lambda: _ordered("diff:1", ["z1*z2 - 1"]),
+    "diff:1": lambda: _ordered("diff:1", []),
+    "averaging": lambda: _ordered("averaging", []),
+    "diffprime?c=2": lambda: _ordered("diffprime?c=2", []),
+    "raw rb:6?lambda=1": lambda: _raw(check_rb_type, "rb:6?lambda=1"),
+    "raw diff:1": lambda: _raw(check_diff_type, "diff:1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRESH))
+def test_memoized_redex_search_matches_the_rule_loop(name):
+    # the first pass fills the slice and redex memos, the second reads them
+    rules = FRESH[name]()
+    found = 0
+    for _ in range(2):
+        for w in WORDS:
+            want = list(reference_redexes(rules, w))
+            assert list(rules.iter_redexes(w)) == want, render(w)
+            assert rules.find_redex(w) == (want[0] if want else None), render(w)
+            assert rules.position_redexes(w) == reference_position_redexes(rules, w), render(w)
+            found += len(want)
+    assert found, f"{name}: no redex within (3,2)"
+    assert rules._slices
+
+
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_seeded_random_normal_forms_match_the_reference(name):
+    rules = RULE_SETS[name]
+    steps = 0
+    for k, w in enumerate(WORDS[::9]):
+        f = OPoly.from_word(w) + parse_opoly("2*z1*[z2] - [z1]*z2 + 3", Z12)
+        want = reference_normal_form_random(f, rules, FUEL, random.Random(k))
+        got = normal_form_random(f, rules, FUEL, random.Random(k), want_trace=True)
+        assert (got.poly, got.steps, got.exhausted) == (want.poly, want.steps, want.exhausted), render(w)
+        steps += len(want.steps)
+    assert steps
