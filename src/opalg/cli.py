@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .gsbasis import (
     BoundsExceeded,
@@ -158,7 +159,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="file of key=value defaults; explicit flags win")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and kept: parse_args never changes the
+    # parser, and each call gets a fresh namespace and fresh append lists
     top = argparse.ArgumentParser(
         prog="opalg",
         description="Bracketed-word rewriting: orders, identities, compositions, bounded checks.",

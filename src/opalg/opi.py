@@ -26,7 +26,7 @@ from math import prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from .orders import OrderSpec
-from .poly import OPoly, _wrap
+from .poly import OPoly, Scalar, _wrap
 from .terms import UNIT, Alphabet, Bracket, Word, count_words, iter_slices, render, var_counts, word_tuples
 
 __all__ = [
@@ -129,7 +129,7 @@ def instantiate(phi: OPI, sigma: Mapping[str, Union[Word, OPoly]]) -> OPoly:
         for val in (sigma[v] for v in vs)
     ]
     body = phi.body._terms.items()
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     for combo in product(*choices):
         words = {v: w for v, (w, _) in zip(vs, combo)}
         weight = prod(c for _, c in combo)

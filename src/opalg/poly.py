@@ -1,9 +1,16 @@
 """Operated polynomials: rational linear combinations of bracketed words.
 
-Coefficients are exact rationals (``fractions.Fraction``); there is no
-floating point anywhere in the arithmetic.  The zero polynomial has empty
-support.  Multiplication is the bilinear extension of word concatenation,
-and ``apply_bracket`` extends the bracket operator linearly.
+Coefficients are exact rationals: ``int`` when integral, ``Fraction``
+otherwise.  :func:`_coefficient` applies that rule wherever a coefficient
+enters (construction and scaling), so the integral identities of the
+catalog compute with plain ints and never pay for rational arithmetic.  A
+sum or product of non-integral coefficients may still come out as an
+integral ``Fraction`` such as ``1/2 + 1/2``; it is equal to its ``int``,
+hashes the same and prints the same, so it is left as it is.  There is no
+floating point anywhere in the arithmetic: floats and strings are refused.
+The zero polynomial has empty support.  Multiplication is the bilinear
+extension of word concatenation, and ``apply_bracket`` extends the bracket
+operator linearly.
 """
 
 from __future__ import annotations
@@ -30,7 +37,20 @@ __all__ = ["OPoly", "parse_opoly", "render_opoly"]
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+_ZERO = 0
+
+
+def _coefficient(c) -> Scalar:
+    """``c`` as a stored coefficient: an ``int`` when integral, else the
+    ``Fraction`` itself.  Only ints (``bool`` included) and Fractions are
+    exact scalars; anything else, a float or a string, is refused."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"coefficient must be an int or a Fraction, got {type(c).__name__}")
 
 
 class OPoly:
@@ -43,13 +63,13 @@ class OPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Union[Mapping[Word, Scalar], Iterable[Tuple[Word, Scalar]]] = ()):
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Scalar] = {}
         items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         for w, c in items:
             if not isinstance(w, Word):
                 raise TypeError(f"monomial must be a Word, got {type(w).__name__}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            if type(c) is not int:
+                c = _coefficient(c)
             if not c:
                 continue
             prev = acc.get(w)
@@ -93,13 +113,13 @@ class OPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coeff(self, w: Word) -> Fraction:
+    def coeff(self, w: Word) -> Scalar:
         return self._terms.get(w, _ZERO)
 
     def support(self) -> tuple[Word, ...]:
         return tuple(sorted(self._terms, key=structural_key))
 
-    def items(self, order=None, *, reverse: bool = True) -> list[tuple[Word, Fraction]]:
+    def items(self, order=None, *, reverse: bool = True) -> list[tuple[Word, Scalar]]:
         """Terms as pairs; descending under ``order`` when given, else
         descending structural order."""
         if order is None:
@@ -155,17 +175,23 @@ class OPoly:
         return _wrap({w: -c for w, c in self._terms.items()})
 
     def scale(self, c: Scalar) -> "OPoly":
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return _ZERO_POLY
-        return _wrap({w: c * k for w, k in self._terms.items()})
+        if c == 1:
+            return self
+        if type(c) is int:
+            return _wrap({w: c * k for w, k in self._terms.items()})
+        # a non-integral scalar (monic scaling by 1/lc) can cancel a
+        # denominator, so its products are stored by the same rule
+        return _wrap({w: _coefficient(c * k) for w, k in self._terms.items()})
 
     def __mul__(self, other: Union["OPoly", Scalar]) -> "OPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, OPoly):
             return NotImplemented
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Scalar] = {}
         for u, a in self._terms.items():
             for v, b in other._terms.items():
                 w = u * v
@@ -191,7 +217,7 @@ class OPoly:
 
     # -- leading data ----------------------------------------------------
 
-    def leading(self, order) -> tuple[Word, Fraction]:
+    def leading(self, order) -> tuple[Word, Scalar]:
         """Leading ``(monomial, coefficient)`` under ``order``.
 
         Zero has no terms; by convention it reports ``(1, 0)`` so that
@@ -222,8 +248,9 @@ class OPoly:
 
 
 def _wrap(acc: dict) -> OPoly:
-    # trusted constructor: acc maps words to nonzero Fractions and is
-    # taken over without a copy
+    # trusted constructor: acc maps words to nonzero coefficients, exact
+    # rationals (int when integral, Fraction otherwise), and is taken over
+    # without a copy
     p = OPoly.__new__(OPoly)
     p._terms = acc
     p._hash = None
@@ -234,7 +261,7 @@ _ZERO_POLY = OPoly(())
 _ONE_POLY = OPoly(((UNIT, 1),))
 
 
-def _format_term(w: Word, c: Fraction) -> str:
+def _format_term(w: Word, c: Scalar) -> str:
     # sign handled by the caller
     mag = abs(c)
     if w.is_unit():

@@ -38,7 +38,7 @@ from typing import Iterator, Sequence, Union
 
 from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, Generator, instantiate
 from .orders import OrderSpec
-from .poly import OPoly, _wrap
+from .poly import OPoly, Scalar, _wrap
 from .terms import (
     Alphabet,
     Bracket,
@@ -115,7 +115,7 @@ class TraceStep:
     rule_id: str
     context: Context
     sigma: tuple[tuple[str, Word], ...] | None
-    coeff: Fraction
+    coeff: Scalar
     monomial: Word
 
     def to_text(self) -> str:
@@ -276,7 +276,7 @@ class RuleSet:
         return out
 
 
-def _reduce_at(acc: dict[Word, Fraction], w: Word, rdx: Redex, order: OrderSpec | None) -> Fraction:
+def _reduce_at(acc: dict[Word, Scalar], w: Word, rdx: Redex, order: OrderSpec | None) -> Scalar:
     """One reduction step in place: the term ``c*w`` of ``acc`` becomes ``c``
     times the redex's replacement, terms that cancel are dropped, and ``c``
     is returned.  Under an order the replacement must lie strictly below
@@ -302,7 +302,7 @@ def _reduce_at(acc: dict[Word, Fraction], w: Word, rdx: Redex, order: OrderSpec 
     return c
 
 
-def _greatest_reducible(acc: dict[Word, Fraction], rules: RuleSet) -> tuple[Word, Redex] | None:
+def _greatest_reducible(acc: dict[Word, Scalar], rules: RuleSet) -> tuple[Word, Redex] | None:
     """The greatest monomial of ``acc`` that has a redex, with that redex:
     descending under the rule set's order, or structurally descending in
     raw mode.  Words the rule set already knows to be irreducible are
@@ -516,7 +516,7 @@ def _memoized_map(expr: OPI):
             return on_words(a, b)
         left = ((a, 1),) if isinstance(a, Word) else a._terms.items()
         right = ((b, 1),) if isinstance(b, Word) else b._terms.items()
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Scalar] = {}
         for u, cu in left:
             for v, cv in right:
                 weight = cu * cv
@@ -571,7 +571,7 @@ def check_rb_type(
     if shaped is None:
         return rep
     lead, rest = shaped
-    inner_terms: list[tuple[Word, Fraction]] = []
+    inner_terms: list[tuple[Word, Scalar]] = []
     for m, c in rest.items(reverse=False):
         if m.breadth != 1 or not isinstance(m.factors[0], Bracket):
             rep.add("shape", False, f"residual term {render(m)} is not a single bracket")

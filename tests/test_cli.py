@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from opalg import cli
 from opalg.cli import main
 from opalg.opi import MAX_EXPANSION_WORDS
 from opalg.terms import MAX_INPUT_CHARS
@@ -472,6 +473,38 @@ def test_missing_command_exits_two(capsys):
     code = main([])
     capsys.readouterr()
     assert code == 2
+
+
+def test_parser_is_built_once_and_reused_without_leaks(capsys, monkeypatch):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    fresh = cli._build_parser.__wrapped__()
+    seen = []
+    real = parser.parse_args
+
+    def recording(argv=None):
+        ns = real(argv)
+        seen.append((argv, ns))
+        return ns
+
+    monkeypatch.setattr(parser, "parse_args", recording)
+    twice = ["nf", "--catalog", "rb:1", "--catalog", "rb:2", "[z1]*[z2]"]
+    once = ["nf", "--catalog", "rb:1", "[z1]*[z2]"]
+    raw = ["check-gs", "--catalog", "averaging", "--route", "raw", "--bounds", "1,1"]
+    plain = ["check-gs", "--gens", "z1*z2 - z2*z1", "--bounds", "1,1"]
+    assert run(capsys, *twice) == (0, "normal form: [z1*[z2]]\n")
+    assert run(capsys, *once) == (0, "normal form: [z1*[z2]]\n")
+    code, out = run(capsys, "check-gs", "--help")  # SystemExit inside parse_args
+    assert code == 0 and out.startswith("usage: opalg check-gs")
+    assert run(capsys, *raw)[0] == 0
+    assert run(capsys, *plain)[0] == 0
+    assert [argv for argv, _ in seen] == [twice, once, raw, plain]
+    assert seen[0][1].catalog == ["rb:1", "rb:2"]
+    assert seen[1][1].catalog == ["rb:1"]
+    assert seen[2][1].route == "raw"
+    assert seen[3][1].catalog is None and seen[3][1].route == "auto"
+    for argv, ns in seen:
+        assert vars(ns) == vars(fresh.parse_args(argv))
 
 
 def test_installed_script_runs():
