@@ -27,10 +27,11 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .orders import OrderSpec
 from .poly import OPoly, Scalar, _wrap
-from .terms import UNIT, Alphabet, Bracket, Word, count_words, iter_slices, render, var_counts, word_tuples
+from .terms import UNIT, Alphabet, Bracket, Word, count_words, iter_slices, parse_rational, render, var_counts, word_tuples
 
 __all__ = [
     "MAX_EXPANSION_WORDS",
+    "MAX_REYNOLDS_N",
     "OPI",
     "CatalogEntry",
     "Generator",
@@ -619,6 +620,11 @@ def _averaging_opis() -> tuple[OPI, ...]:
     return (a, b, c)
 
 
+# Largest n a ``reynolds?n=`` selector may ask for.  reynolds:k has no
+# instance below operator bound k, and check-gs on reynolds?n=12 at (0,12)
+# already takes 13 s (CPython 3.11, 2 vCPU x86); n=300 took 17 s at (1,1).
+MAX_REYNOLDS_N = 32
+
 _PARAM_DEFAULTS = {
     "rb": {"lambda": Fraction(0), "c": Fraction(1)},
     "diff1": {"a": Fraction(1), "b": Fraction(0), "c": Fraction(0)},
@@ -659,9 +665,9 @@ def parse_catalog(selector: str) -> CatalogEntry:
             if not sep:
                 raise ValueError(f"bad parameter {chunk!r} in selector {selector!r} (want key=value)")
             try:
-                params[k.strip()] = Fraction(v.strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad parameter value {v.strip()!r} in selector {selector!r}: {exc}")
+                params[k.strip()] = parse_rational(v)
+            except ValueError as exc:
+                raise ValueError(f"bad parameter value {v.strip()!r} in selector {selector!r}: {exc}") from None
 
     fam, _, item_text = fam_text.partition(":")
     fam = fam.strip()
@@ -774,6 +780,8 @@ def parse_catalog(selector: str) -> CatalogEntry:
         n_frac = params.get("n", _PARAM_DEFAULTS["reynolds"]["n"])
         if n_frac.denominator != 1 or n_frac < 2:
             raise ValueError(f"reynolds needs integer n >= 2, got {n_frac}")
+        if n_frac > MAX_REYNOLDS_N:
+            raise ValueError(f"reynolds n={n_frac} is over the limit of {MAX_REYNOLDS_N}")
         n = int(n_frac)
         opis = tuple(_reynolds_opi(k) for k in range(2, n + 1))
         return CatalogEntry(

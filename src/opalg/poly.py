@@ -15,20 +15,19 @@ operator linearly.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Iterable, Iterator, Tuple, Union
+from typing import Callable, Iterable, Tuple, Union
 
 from .terms import (
     Alphabet,
-    ParseError,
     UNIT,
     Word,
+    _parse_ratio,
+    _parse_word_tokens,
+    _tokenize,
     bracket,
-    check_input_size,
-    parse_word,
     render,
     structural_key,
 )
@@ -289,83 +288,29 @@ def render_opoly(f: OPoly, order=None) -> str:
     return "".join(out)
 
 
-def _split_top_level(text: str) -> Iterator[tuple[str, str]]:
-    # yields (sign, term_text) for +/- separated chunks outside brackets
-    depth = 0
-    sign = "+"
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced ']'", i)
-        elif ch in "+-" and depth == 0:
-            chunk = text[start:i]
-            if chunk.strip():
-                yield sign, chunk
-            elif start != 0:
-                raise ParseError("empty term", i)
-            sign = ch
-            start = i + 1
-        i += 1
-    if depth != 0:
-        raise ParseError("unbalanced '['", len(text))
-    chunk = text[start:]
-    if chunk.strip():
-        yield sign, chunk
-    elif start == 0:
-        raise ParseError("empty polynomial text", 0)
-
-
-_NUM_RE = re.compile(r"\s*(\d+)\s*(?:/\s*(\d+)\s*)?")
-
-
-def _parse_term(sign: str, chunk: str, alphabet: Alphabet | None, extra: frozenset[str]) -> tuple[Word, Fraction]:
-    text = chunk.strip()
-    coeff = Fraction(1)
-    m = _NUM_RE.match(text)
-    if m and m.start() == 0:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
-        rest = text[m.end() :].lstrip()
-        if not rest:
-            # bare number: possibly the constant term -- but bare "1" is
-            # also the unit monomial; both mean the same polynomial term
-            coeff = Fraction(num, den)
-            word = UNIT
-            if sign == "-":
-                coeff = -coeff
-            return word, coeff
-        if rest.startswith("*"):
-            coeff = Fraction(num, den)
-            text = rest[1:]
-        # digits not followed by '*' fall through; parse_word rejects them
-    word = parse_word(text, alphabet, extra_letters=extra)
-    if sign == "-":
-        coeff = -coeff
-    return word, coeff
-
-
 def parse_opoly(
     text: str,
     alphabet: Alphabet | None = None,
     *,
     extra_letters: Iterable[str] = (),
 ) -> OPoly:
-    """Parse polynomial text: signed terms with rational coefficients.
+    """Parse polynomial text, ``[sign] term (sign term)*`` with ``term :=
+    NUM ["/" NUM] ["*" word] | word``, from the same tokens as words.
 
     Examples: ``"z1*[z2] - [z1]*z2"``, ``"-2/5*[1] + 3"``, ``"0"``.
     """
-    check_input_size(text)
-    stripped = text.strip()
-    if stripped == "0":
-        return OPoly.zero()
+    toks = _tokenize(text)
     extra = frozenset(extra_letters)
-    acc: list[tuple[Word, Fraction]] = []
-    for sign, chunk in _split_top_level(stripped):
-        acc.append(_parse_term(sign, chunk, alphabet, extra))
-    return OPoly(acc)
+    terms: list[tuple[Word, Scalar]] = []
+    sign = toks.take() if toks.peek() in ("+", "-") else "+"
+    while True:
+        if toks.at_number():
+            coeff = _parse_ratio(toks)
+            word = _parse_word_tokens(toks, alphabet, False, extra) if toks.accept("*") else UNIT
+        else:
+            coeff, word = 1, _parse_word_tokens(toks, alphabet, False, extra)
+        terms.append((word, -coeff if sign == "-" else coeff))
+        if toks.peek() not in ("+", "-"):
+            toks.end()
+            return OPoly(terms)
+        sign = toks.take()

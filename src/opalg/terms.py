@@ -23,9 +23,11 @@ come only from ``Word(...)``; pickling and copying go through it too.  The
 table holds its words weakly: an entry goes when its word is freed, so the
 table never keeps alive a word that nothing else references.
 
-Parsed text may be at most ``MAX_INPUT_CHARS`` long and nest brackets at
-most ``MAX_DEPTH`` deep; other input is refused with a ``ParseError``
-before any recursive step runs.
+Words, contexts, polynomials (:func:`opalg.poly.parse_opoly`) and
+rationals (:func:`parse_rational`) are read from one token stream.  Text
+may be at most ``MAX_INPUT_CHARS`` long and nest brackets at most
+``MAX_DEPTH`` deep; other input is refused with a ``ParseError``, whose
+position counts from the start of the text, before any recursive step.
 
 Contexts are words with exactly one hole ``@``; plugging a word into the
 hole splices its factor sequence in place (plugging the unit deletes the
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -59,6 +62,7 @@ __all__ = [
     "iter_occurrences",
     "iter_slices",
     "parse_context",
+    "parse_rational",
     "parse_word",
     "random_context",
     "random_word",
@@ -314,10 +318,23 @@ class _Tokens:
         self.i += 1
         return tok
 
-    def expect(self, tok: str) -> None:
+    def accept(self, tok: str) -> bool:
         if self.peek() != tok:
+            return False
+        self.i += 1
+        return True
+
+    def expect(self, tok: str) -> None:
+        if not self.accept(tok):
             raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.pos())
-        self.take()
+
+    def at_number(self) -> bool:
+        tok = self.peek()
+        return tok is not None and tok[0].isdigit()
+
+    def end(self) -> None:
+        if self.peek() is not None:
+            raise ParseError(f"trailing input {self.peek()!r}", self.pos())
 
 
 def check_input_size(text: str) -> None:
@@ -326,9 +343,49 @@ def check_input_size(text: str) -> None:
         raise ParseError(f"input of {len(text)} characters is over the limit of {MAX_INPUT_CHARS}", MAX_INPUT_CHARS)
 
 
-def _check_letter(name: str, alphabet: Alphabet | None, extra: frozenset[str], pos: int) -> None:
-    if alphabet is not None and name not in alphabet and name not in extra:
-        raise ParseError(f"unknown letter {name!r} (alphabet: {','.join(alphabet.letters)})", pos)
+def _tokenize(text: str) -> _Tokens:
+    # the checks every parse makes once, before any recursive step: the
+    # text's length, its tokens and its bracket nesting
+    check_input_size(text)
+    toks = _Tokens(text)
+    depth = 0
+    for tok, pos in toks.toks:
+        if tok == "[":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ParseError(f"brackets nested deeper than the limit of {MAX_DEPTH}", pos)
+        elif tok == "]":
+            depth -= 1
+    return toks
+
+
+def _parse_num(toks: _Tokens) -> int:
+    if not toks.at_number():
+        raise ParseError(f"expected a number, found {toks.peek()!r}", toks.pos())
+    return int(toks.take())
+
+
+def _parse_ratio(toks: _Tokens) -> Fraction:
+    # ratio := NUM ["/" NUM], refusing a zero denominator at its position
+    num = _parse_num(toks)
+    if not toks.accept("/"):
+        return Fraction(num)
+    pos = toks.pos()
+    den = _parse_num(toks)
+    if not den:
+        raise ParseError("zero denominator", pos)
+    return Fraction(num, den)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an exact rational: an optional ``-``, then ``NUM`` or
+    ``NUM/NUM`` with a nonzero denominator, e.g. ``1``, ``-3/2``.  The
+    number rule of polynomial text; decimals and exponents are refused."""
+    toks = _tokenize(text)
+    neg = toks.accept("-")
+    value = _parse_ratio(toks)
+    toks.end()
+    return -value if neg else value
 
 
 def _parse_word_tokens(
@@ -338,8 +395,7 @@ def _parse_word_tokens(
     extra_letters: frozenset[str],
 ) -> Word:
     # word := "1" | factor ("*" factor)*
-    if toks.peek() == "1":
-        toks.take()
+    if toks.accept("1"):
         return UNIT
     factors: list[Factor] = []
     while True:
@@ -358,15 +414,14 @@ def _parse_word_tokens(
             toks.take()
             factors.append(HOLE)
         elif _IDENT_RE.fullmatch(tok):
+            if alphabet is not None and tok not in alphabet and tok not in extra_letters:
+                raise ParseError(f"unknown letter {tok!r} (alphabet: {','.join(alphabet.letters)})", pos)
             toks.take()
-            _check_letter(tok, alphabet, extra_letters, pos)
             factors.append(tok)
         else:
             raise ParseError(f"unexpected token {tok!r}", pos)
-        if toks.peek() == "*":
-            toks.take()
-            continue
-        return Word(factors)
+        if not toks.accept("*"):
+            return Word(factors)
 
 
 def parse_word(
@@ -381,19 +436,9 @@ def parse_word(
     With an alphabet, unknown letters are rejected with their position.
     ``extra_letters`` admits schema variables on top of the alphabet.
     """
-    check_input_size(text)
-    toks = _Tokens(text)
-    depth = 0
-    for tok, pos in toks.toks:
-        if tok == "[":
-            depth += 1
-            if depth > MAX_DEPTH:
-                raise ParseError(f"brackets nested deeper than the limit of {MAX_DEPTH}", pos)
-        elif tok == "]":
-            depth -= 1
+    toks = _tokenize(text)
     w = _parse_word_tokens(toks, alphabet, allow_hole, frozenset(extra_letters))
-    if toks.peek() is not None:
-        raise ParseError(f"trailing input {toks.peek()!r}", toks.pos())
+    toks.end()
     return w
 
 
