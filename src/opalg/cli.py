@@ -35,7 +35,7 @@ from .opi import catalog_help, instantiate, parse_catalog
 from .orders import PRESETS, OrderSpec
 from .poly import parse_opoly, render_opoly
 from .rewrite import check_diff_type, check_rb_type, normal_form
-from .terms import Alphabet, ParseError, parse_word, render
+from .terms import Alphabet, ParseError, parse_integer, parse_word, render
 
 _DEFAULTS = {
     "alphabet": "z1,z2",
@@ -68,7 +68,7 @@ def _read_config(path: str) -> dict:
                 out[key] = [p.strip() for p in val.split(";") if p.strip()]
             elif key in ("fuel", "seed"):
                 try:
-                    out[key] = int(val)
+                    out[key] = parse_integer(val)
                 except ValueError:
                     raise ValueError(f"{path}:{ln}: {key} must be an integer, got {val!r}") from None
             else:
@@ -131,11 +131,12 @@ class Env:
                         texts.append(line)
         self.concrete = tuple(parse_opoly(t, self.alphabet) for t in texts)
 
-        d, _, p = _pick(ns, config, "bounds").partition(",")
+        bounds = _pick(ns, config, "bounds")
+        d, _, p = bounds.partition(",")
         try:
-            self.bounds = (int(d), int(p))
+            self.bounds = (parse_integer(d), parse_integer(p))
         except ValueError:
-            raise ValueError(f"bounds must be 'D,P' integers, got {_pick(ns, config, 'bounds')!r}")
+            raise ValueError(f"bounds must be 'D,P' integers, got {bounds!r}") from None
         if self.bounds[0] < 0 or self.bounds[1] < 0:
             raise ValueError("bounds must be nonnegative")
         self.fuel = _checked_fuel(int(_pick(ns, config, "fuel")))

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .orders import OrderSpec
 from .poly import OPoly, Scalar, _wrap
-from .terms import UNIT, Alphabet, Bracket, Word, count_words, iter_slices, parse_rational, render, var_counts, word_tuples
+from .terms import UNIT, Alphabet, Bracket, Word, count_words, iter_slices, parse_integer, parse_rational, render, var_counts, word_tuples
 
 __all__ = [
     "MAX_EXPANSION_WORDS",
@@ -49,9 +49,11 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class OPI:
-    """Named multilinear identity over ordered variables."""
+    """Named multilinear identity over ordered variables.  Its body is
+    compiled once, on first use, into one splice plan per monomial, and
+    every instantiation runs through those plans (:meth:`instance`)."""
 
-    __slots__ = ("name", "variables", "body", "_lm_cache")
+    __slots__ = ("name", "variables", "body", "_lm_cache", "_plan")
 
     def __init__(self, name: str, variables: Sequence[str], body: OPoly):
         vs = tuple(variables)
@@ -76,6 +78,36 @@ class OPI:
         self.variables = vs
         self.body = body
         self._lm_cache: dict[str, Word] = {}
+        self._plan: dict[Word, tuple] | None = None
+
+    def _compiled(self) -> dict[Word, tuple]:
+        """Body monomial -> ``(splice plan, coefficient)``, in body order,
+        compiled on first use (see :func:`_compile`)."""
+        plan = self._plan
+        if plan is None:
+            index = {v: k for k, v in enumerate(self.variables)}
+            plan = self._plan = {m: (_compile(m, index), c) for m, c in self.body._terms.items()}
+        return plan
+
+    def instance(self, values: Sequence[Word]) -> OPoly:
+        """The instance at word ``values``, given in variable order: every
+        body monomial spliced through its compiled plan, coefficients of
+        monomials that meet merged.  Nothing is validated; :func:`instantiate`
+        is the checked entry.  The result may be zero."""
+        acc: dict[Word, Scalar] = {}
+        plans = self._compiled().values()
+        for plan, c in plans:
+            w = _splice(plan, values)
+            prev = acc.get(w)
+            acc[w] = c if prev is None else prev + c
+        if len(acc) < len(plans):
+            acc = {w: c for w, c in acc.items() if c}
+        return _wrap(acc)
+
+    def instance_word(self, m: Word, values: Sequence[Word]) -> Word:
+        """The body monomial ``m`` at word ``values``, given in variable
+        order, through the same plan as :meth:`instance`."""
+        return _splice(self._compiled()[m][0], values)
 
     @property
     def arity(self) -> int:
@@ -105,17 +137,67 @@ class OPI:
         return f"OPI({self.name}: {self.body})"
 
 
+# Segment kinds of a splice plan: a run of literal factors, a variable's
+# factors spliced in, a lone variable in a bracket (``[x]``, the bracket of
+# the value itself), and a bracket around a nested plan.
+_LITERAL, _SLOT, _WRAP, _NEST = range(4)
+
+
+def _compile(schema: Word, index: Mapping[str, int]):
+    """The splice plan of a schema word whose variables have the positions
+    ``index``: the position itself for a bare variable, else a tuple of
+    ``(kind, argument)`` segments (a bracket without variables is literal)."""
+    fs = schema.factors
+    if len(fs) == 1 and isinstance(fs[0], str) and fs[0] in index:
+        return index[fs[0]]
+    segments: list[tuple] = []
+    run: list = []
+    for f in fs:
+        if isinstance(f, str) and f in index:
+            kind, arg = _SLOT, index[f]
+        elif isinstance(f, str) or not var_counts(f.inner, frozenset(index)):
+            run.append(f)
+            continue
+        else:
+            arg = _compile(f.inner, index)
+            kind = _WRAP if isinstance(arg, int) else _NEST
+        if run:
+            segments.append((_LITERAL, tuple(run)))
+            run = []
+        segments.append((kind, arg))
+    if run:
+        segments.append((_LITERAL, tuple(run)))
+    return tuple(segments)
+
+
+def _splice(plan, values: Sequence[Word]) -> Word:
+    """Run a plan from :func:`_compile` on word values in variable order."""
+    if plan.__class__ is int:
+        return values[plan]
+    out: list = []
+    for kind, arg in plan:
+        if kind == _LITERAL:
+            out += arg
+        elif kind == _SLOT:
+            out += values[arg].factors
+        elif kind == _WRAP:
+            out.append(Bracket(values[arg]))
+        else:
+            out.append(Bracket(_splice(arg, values)))
+    return Word(out)
+
+
 def instantiate(phi: OPI, sigma: Mapping[str, Union[Word, OPoly]]) -> OPoly:
     """Substitute words or polynomials for the variables of ``phi``.
 
-    Every variable must be assigned.  The body is multilinear, so a
-    polynomial value distributes: each choice of one term per value is a
-    word assignment weighted by the product of the chosen coefficients,
-    and a word value is a single assignment of weight 1.  Each assignment
-    is spliced into every body monomial with :func:`instantiate_word` and
-    the weighted coefficients are merged in one dict, so the cost is the
-    word splice; no polynomial is built per monomial.  The result may be
-    zero (instances can cancel).
+    Every variable must be assigned; the assignment is checked once.  The
+    body is multilinear, so a polynomial value distributes: each choice of
+    one term per value is a word assignment weighted by the product of the
+    chosen coefficients, and a word value is a single assignment of weight
+    1.  Each word assignment runs through the identity's compiled plan
+    (:meth:`OPI.instance`, the entry every caller inside the package uses)
+    and the weighted coefficients are merged in one dict.  The result may
+    be zero (instances can cancel).
     """
     missing = [v for v in phi.variables if v not in sigma]
     if missing:
@@ -123,37 +205,19 @@ def instantiate(phi: OPI, sigma: Mapping[str, Union[Word, OPoly]]) -> OPoly:
     extra = [k for k in sigma if k not in phi.variables]
     if extra:
         raise ValueError(f"OPI {phi.name}: unknown variable(s) {','.join(sorted(extra))}")
-    vs = phi.variables
-    vset = frozenset(vs)
-    choices = [
-        ((val, 1),) if isinstance(val, Word) else val._terms.items()
-        for val in (sigma[v] for v in vs)
-    ]
-    body = phi.body._terms.items()
+    values = [sigma[v] for v in phi.variables]
+    if all(isinstance(val, Word) for val in values):
+        return phi.instance(values)
+    choices = [((val, 1),) if isinstance(val, Word) else val._terms.items() for val in values]
     acc: dict[Word, Scalar] = {}
     for combo in product(*choices):
-        words = {v: w for v, (w, _) in zip(vs, combo)}
         weight = prod(c for _, c in combo)
-        for m, c in body:
-            w = instantiate_word(m, words, vset)
+        for w, c in phi.instance([w for w, _ in combo])._terms.items():
             if weight != 1:
                 c = weight * c
             prev = acc.get(w)
             acc[w] = c if prev is None else prev + c
     return _wrap({w: c for w, c in acc.items() if c})
-
-
-def instantiate_word(schema: Word, sigma: Mapping[str, Word], variables: frozenset[str]) -> Word:
-    """Plug word values into a schema word (no polynomials)."""
-    out: list = []
-    for f in schema.factors:
-        if isinstance(f, str) and f in variables:
-            out.extend(sigma[f].factors)
-        elif isinstance(f, str):
-            out.append(f)
-        else:
-            out.append(Bracket(instantiate_word(f.inner, sigma, variables)))
-    return Word(out)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +293,8 @@ def expand_instances(
     seen: set[OPoly] = set()
     for phi, z_budget, op_budget in budgets:
         schema_lm = phi.lm(order.preset)
-        vset = frozenset(phi.variables)
         for values in word_tuples(alphabet, z_budget, op_budget, phi.arity):
-            sigma = dict(zip(phi.variables, values))
-            inst = instantiate(phi, sigma)
+            inst = phi.instance(values)
             if inst.is_zero():
                 continue
             lm, lc = inst.leading(order)
@@ -243,7 +305,7 @@ def expand_instances(
                 continue
             seen.add(monic)
             bindings = ", ".join(f"{v}={render(w)}" for v, w in zip(phi.variables, values))
-            kind = "schema" if lm == instantiate_word(schema_lm, sigma, vset) else "degenerate"
+            kind = "schema" if lm == phi.instance_word(schema_lm, values) else "degenerate"
             out.append(Generator(f"{phi.name}[{bindings}]", monic, lm, kind))
     return tuple(out)
 
@@ -365,7 +427,7 @@ def _lead_certificates(
     under every assignment, each is certified with its reason.  Otherwise
     each variable is split into two cases, σ(x) = 1 or σ(x) ≠ 1 (only the
     case without units when ``include_units`` is false), and each case
-    substitutes its units with :func:`instantiate`, merging coefficients.
+    substitutes its units with :meth:`OPI.instance`, merging coefficients.
     A case whose body vanishes holds.  A case whose lead cancels, or where
     a monomial is proved above the lead, is a violation naming the lead or
     that monomial.  Otherwise the lead is compared with each remaining
@@ -383,11 +445,11 @@ def _lead_certificates(
     for k in range(phi.arity + 1 if include_units else 1):
         for units in combinations(phi.variables, k):
             case = ", ".join(f"{x}=1" for x in units) or "no unit"
-            sigma = {x: UNIT if x in units else Word((x,)) for x in phi.variables}
-            body = instantiate(phi, sigma)
+            values = [UNIT if x in units else Word((x,)) for x in phi.variables]
+            body = phi.instance(values)
             if body.is_zero():
                 continue
-            lead = instantiate_word(lm, sigma, vset)
+            lead = phi.instance_word(lm, values)
             nonunit = vset.difference(units)
             verdicts = [(m, _schema_cmp(lead, m, order, vset, nonunit)) for m in body.support() if m != lead]
             above = [m for m, got in verdicts if got and got[0] < 0]
@@ -804,9 +866,9 @@ def _require_item(selector: str, item_text: str, lo: int, hi: int) -> int:
     if not item_text:
         raise ValueError(f"selector {selector!r} needs an item number {lo}..{hi}")
     try:
-        item = int(item_text)
-    except ValueError:
-        raise ValueError(f"bad item {item_text!r} in selector {selector!r}")
+        item = parse_integer(item_text)
+    except ValueError as exc:
+        raise ValueError(f"bad item {item_text!r} in selector {selector!r}: {exc}") from None
     if not (lo <= item <= hi):
         raise ValueError(f"item {item} out of range {lo}..{hi} in selector {selector!r}")
     return item

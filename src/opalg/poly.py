@@ -21,6 +21,7 @@ from functools import cmp_to_key
 from typing import Callable, Iterable, Tuple, Union
 
 from .terms import (
+    MAX_DIGITS,
     Alphabet,
     UNIT,
     Word,
@@ -260,9 +261,15 @@ _ZERO_POLY = OPoly(())
 _ONE_POLY = OPoly(((UNIT, 1),))
 
 
+# the least numerator or denominator with more than MAX_DIGITS digits
+_DIGIT_CAP = 10**MAX_DIGITS
+
+
 def _format_term(w: Word, c: Scalar) -> str:
     # sign handled by the caller
     mag = abs(c)
+    if mag.numerator >= _DIGIT_CAP or mag.denominator >= _DIGIT_CAP:
+        raise ValueError(f"a coefficient has more digits than the limit of {MAX_DIGITS} and cannot be printed")
     if w.is_unit():
         return str(mag)
     if mag == 1:

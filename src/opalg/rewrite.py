@@ -19,10 +19,13 @@ position get reduced, never the rule priority at a position, so all
 strategies compute the same linear normal-form map wherever the system
 is confluent per word.
 
-A rule set never changes after construction, so it remembers, for as
-long as it lives, the rule matches of every factor slice it has scanned
-(a match depends on the slice alone, so each slice runs the rule loop
-once) and each word's first redex, or that the word is irreducible.
+A rule set never changes after construction.  It records which slice
+lengths its left sides can match, so redex search never slices a factor
+run of any other length, and it remembers, for as long as it lives, the
+rule matches of every factor slice it has scanned (a match depends on the
+slice alone, so each slice runs the rule loop once) and each word's first
+redex, or that the word is irreducible.  A schema match instantiates its
+identity through the identity's compiled plan (:meth:`opalg.opi.OPI.instance`).
 :func:`normal_form` picks each step's monomial without sorting the
 polynomial: it skips words already known to be irreducible and searches
 the rest greatest first.  Every strategy takes its steps in place on one
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, Generator, instantiate
+from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, Generator
 from .orders import OrderSpec
 from .poly import OPoly, Scalar, _wrap
 from .terms import (
@@ -142,12 +145,14 @@ _UNSEEN = object()
 class RuleSet:
     """Prioritized rules plus the optional order that guards them.
 
-    A rule set never changes after construction, so it remembers, for as
-    long as it lives, the matches of every factor slice it has scanned
-    (which rule, with which assignment, replacing the slice by what) and
-    the first redex of every word it has searched."""
+    A rule set never changes after construction.  It records the slice
+    lengths its rules can match (``_lengths`` exactly, and every length
+    from ``_open_from`` up when a left side has a top-level variable), and
+    it remembers, for as long as it lives, the matches of every factor
+    slice it has scanned (which rule, with which assignment, replacing the
+    slice by what) and the first redex of every word it has searched."""
 
-    __slots__ = ("rules", "order", "bounds", "_slices", "_redexes")
+    __slots__ = ("rules", "order", "bounds", "_lengths", "_open_from", "_slices", "_redexes")
 
     def __init__(
         self,
@@ -158,6 +163,20 @@ class RuleSet:
         self.rules = tuple(rules)
         self.order = order
         self.bounds = bounds
+        # the slice lengths some rule can match: a left side without a
+        # top-level variable matches its own breadth only, one with a
+        # top-level variable any breadth from its fixed factors plus its
+        # nonempty top-level variables up
+        self._lengths: set[int] = set()
+        open_from = []
+        for rule in self.rules:
+            fs = rule.lhs.factors
+            top = [f for f in fs if f in rule.opi.variables] if isinstance(rule, SchemaRule) else ()
+            if top:
+                open_from.append(len(fs) - len(top) + sum(f in rule.nonempty for f in top))
+            else:
+                self._lengths.add(len(fs))
+        self._open_from = min(open_from, default=None)
         # slice factors -> (rule_id, sigma, matched, rhs) per match, in priority order
         self._slices: dict[tuple, tuple[tuple, ...]] = {}
         # word -> first redex, or None when irreducible
@@ -203,8 +222,8 @@ class RuleSet:
 
     # -- redex search ----------------------------------------------------
 
-    def _rhs_for_schema(self, rule: SchemaRule, slice_word: Word, sigma: dict) -> OPoly | None:
-        inst = instantiate(rule.opi, sigma)
+    def _rhs_for_schema(self, rule: SchemaRule, slice_word: Word, values: Sequence[Word]) -> OPoly | None:
+        inst = rule.opi.instance(values)
         if inst.is_zero():
             return None
         if self.order is not None:
@@ -232,20 +251,27 @@ class RuleSet:
                 if sl == rule.lhs.factors:
                     out.append((rule.rule_id, None, rule.lhs, rule.rhs))
                 continue
-            for sigma in align_factors(rule.lhs.factors, sl, rule.opi.variables, rule.nonempty):
+            variables = rule.opi.variables
+            for sigma in align_factors(rule.lhs.factors, sl, variables, rule.nonempty):
                 if slice_word is None:
                     slice_word = Word(sl)
-                rhs = self._rhs_for_schema(rule, slice_word, sigma)
+                values = [sigma[v] for v in variables]
+                rhs = self._rhs_for_schema(rule, slice_word, values)
                 if rhs is not None:
-                    out.append((rule.rule_id, tuple((v, sigma[v]) for v in rule.opi.variables), slice_word, rhs))
+                    out.append((rule.rule_id, tuple(zip(variables, values)), slice_word, rhs))
         return tuple(out)
 
     def iter_redexes(self, w: Word) -> Iterator[Redex]:
         """Every redex in ``w``: slices in :func:`opalg.terms.iter_slices`
-        order, rules in declared priority at each slice.  Each slice's
+        order, rules in declared priority at each slice.  Slices of a
+        length no rule can match are skipped unsliced; each other slice's
         matches are computed once per rule set."""
         slices = self._slices
+        lengths = self._lengths
+        open_from = self._open_from
         for level, i, j, frames in iter_slices(w):
+            if j - i not in lengths and (open_from is None or j - i < open_from):
+                continue
             sl = level[i:j]
             matches = slices.get(sl)
             if matches is None:
@@ -499,16 +525,16 @@ def _probe(
 def _memoized_map(expr: OPI):
     """The two-variable map ``(a, b) -> expr[a, b]`` on words or
     polynomials, bilinear as :func:`opalg.opi.instantiate` is.  Each pair of
-    words is instantiated once, for as long as the returned function lives;
+    words is instantiated once, through the identity's compiled plan, for
+    as long as the returned function lives;
     a polynomial argument is expanded term by term and the weighted
     coefficients are merged in one dict."""
-    x, y = expr.variables
     memo: dict[tuple[Word, Word], OPoly] = {}
 
     def on_words(a: Word, b: Word) -> OPoly:
         got = memo.get((a, b))
         if got is None:
-            got = memo[a, b] = instantiate(expr, {x: a, y: b})
+            got = memo[a, b] = expr.instance((a, b))
         return got
 
     def apply(a: Union[Word, OPoly], b: Union[Word, OPoly]) -> OPoly:

@@ -23,10 +23,11 @@ come only from ``Word(...)``; pickling and copying go through it too.  The
 table holds its words weakly: an entry goes when its word is freed, so the
 table never keeps alive a word that nothing else references.
 
-Words, contexts, polynomials (:func:`opalg.poly.parse_opoly`) and
-rationals (:func:`parse_rational`) are read from one token stream.  Text
-may be at most ``MAX_INPUT_CHARS`` long and nest brackets at most
-``MAX_DEPTH`` deep; other input is refused with a ``ParseError``, whose
+Words, contexts, polynomials (:func:`opalg.poly.parse_opoly`), rationals
+(:func:`parse_rational`) and integers (:func:`parse_integer`) are read
+from one token stream.  Text may be at most ``MAX_INPUT_CHARS`` long, nest
+brackets at most ``MAX_DEPTH`` deep and hold numbers of at most
+``MAX_DIGITS`` digits; other input is refused with a ``ParseError``, whose
 position counts from the start of the text, before any recursive step.
 
 Contexts are words with exactly one hole ``@``; plugging a word into the
@@ -46,6 +47,7 @@ from typing import Iterable, Iterator, Sequence, Union
 __all__ = [
     "HOLE",
     "MAX_DEPTH",
+    "MAX_DIGITS",
     "MAX_INPUT_CHARS",
     "Alphabet",
     "Bracket",
@@ -62,6 +64,7 @@ __all__ = [
     "iter_occurrences",
     "iter_slices",
     "parse_context",
+    "parse_integer",
     "parse_rational",
     "parse_word",
     "random_context",
@@ -84,6 +87,12 @@ MAX_DEPTH = 100
 
 # Longest text the parsers accept, checked before tokenising.
 MAX_INPUT_CHARS = 100_000
+
+# Most digits a number in input text may have; a printed coefficient's
+# numerator and denominator are held to it too (:mod:`opalg.poly`).  It
+# stays under the 4,300 digits CPython converts between int and text by
+# default.
+MAX_DIGITS = 4000
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -290,7 +299,7 @@ class ParseError(ValueError):
 
 class _Tokens:
     # token kinds: IDENT, NUM, and single chars * [ ] @ + - /
-    _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+|[*\[\]@+/-])")
+    _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[0-9]+|[*\[\]@+/-])")
 
     def __init__(self, text: str):
         self.text = text
@@ -360,9 +369,13 @@ def _tokenize(text: str) -> _Tokens:
 
 
 def _parse_num(toks: _Tokens) -> int:
+    pos = toks.pos()
     if not toks.at_number():
-        raise ParseError(f"expected a number, found {toks.peek()!r}", toks.pos())
-    return int(toks.take())
+        raise ParseError(f"expected a number, found {toks.peek()!r}", pos)
+    tok = toks.take()
+    if len(tok) > MAX_DIGITS:
+        raise ParseError(f"number of {len(tok)} digits is over the limit of {MAX_DIGITS}", pos)
+    return int(tok)
 
 
 def _parse_ratio(toks: _Tokens) -> Fraction:
@@ -384,6 +397,17 @@ def parse_rational(text: str) -> Fraction:
     toks = _tokenize(text)
     neg = toks.accept("-")
     value = _parse_ratio(toks)
+    toks.end()
+    return -value if neg else value
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer: an optional ``-``, then ``NUM``, e.g. ``6``,
+    ``-1``.  The number rule of :func:`parse_rational` without a
+    denominator, so ``+6``, ``1_4`` and ``1.0`` are refused."""
+    toks = _tokenize(text)
+    neg = toks.accept("-")
+    value = _parse_num(toks)
     toks.end()
     return -value if neg else value
 
@@ -589,13 +613,22 @@ def _align(
 ) -> Iterator[dict[str, Word]]:
     # Match a schema factor sequence against a target factor sequence.
     # Variables bind contiguous blocks; each occurs at most once (checked
-    # upstream), so no consistency lookups are needed.
+    # upstream), so no consistency lookups are needed.  A variable that
+    # ends the sequence can only take the whole rest, and a variable that
+    # is a bracket's whole inner takes that bracket's inner word, so
+    # neither tries a split.
     if not sf:
         if not tf:
             yield binding
         return
     head = sf[0]
     if isinstance(head, str) and head in variables:
+        if len(sf) == 1:
+            if tf or head not in nonempty:
+                b2 = dict(binding)
+                b2[head] = Word(tf)
+                yield b2
+            return
         lo = 1 if head in nonempty else 0
         for k in range(lo, len(tf) + 1):
             b2 = dict(binding)
@@ -606,7 +639,15 @@ def _align(
             yield from _align(sf[1:], tf[1:], variables, nonempty, binding)
     else:
         if tf and isinstance(tf[0], Bracket):
-            for b2 in _align(head.inner.factors, tf[0].inner.factors, variables, nonempty, binding):
+            inner = head.inner.factors
+            if len(inner) == 1 and isinstance(inner[0], str) and inner[0] in variables:
+                value = tf[0].inner
+                if value.factors or inner[0] not in nonempty:
+                    b2 = dict(binding)
+                    b2[inner[0]] = value
+                    yield from _align(sf[1:], tf[1:], variables, nonempty, b2)
+                return
+            for b2 in _align(inner, tf[0].inner.factors, variables, nonempty, binding):
                 yield from _align(sf[1:], tf[1:], variables, nonempty, b2)
 
 

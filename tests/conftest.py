@@ -14,7 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from opalg import Alphabet, OPoly, OrderSpec
-from opalg.terms import random_word
+from opalg.terms import Bracket, Word, random_word
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -93,3 +93,18 @@ def opolys(alphabet=Z12, max_z=3, max_op=2, max_terms=4):
 
 def nonzero_opolys(alphabet=Z12, max_z=3, max_op=2, max_terms=4):
     return opolys(alphabet, max_z, max_op, max_terms).filter(lambda f: not f.is_zero())
+
+
+def instantiate_word(schema, sigma, variables):
+    """Plug word values into a schema word: the recursive splice that
+    instantiation used before identities compiled their plans, kept as the
+    reference for them."""
+    out = []
+    for f in schema.factors:
+        if isinstance(f, str) and f in variables:
+            out.extend(sigma[f].factors)
+        elif isinstance(f, str):
+            out.append(f)
+        else:
+            out.append(Bracket(instantiate_word(f.inner, sigma, variables)))
+    return Word(out)

@@ -15,7 +15,7 @@ commutator under ``db``, ``z1*z2 - 1`` under ``dt``), at three strata.
   the wide net, sized by the lowest monomial, and drops what leads out of
   bounds; both must yield the same generators in the same order, over the
   catalog under every preset and over seeded random bodies.  A counter
-  around ``instantiate`` pins how many instances each net builds.
+  around ``OPI.instance`` pins how many instances each net builds.
 """
 
 import hashlib
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CATALOG_SELECTORS, Z12
+from conftest import CATALOG_SELECTORS, Z12, instantiate_word
 from opalg import (
     OPI,
     GeneratorSet,
@@ -39,12 +39,7 @@ from opalg import (
     render,
     render_opoly,
 )
-from opalg.opi import (
-    MAX_EXPANSION_WORDS,
-    Generator,
-    _lead_certificates,
-    instantiate_word,
-)
+from opalg.opi import MAX_EXPANSION_WORDS, Generator, _lead_certificates
 from opalg.terms import Bracket, Word, count_words, word_tuples
 
 BOUNDS = [(2, 1), (2, 2), (3, 2)]
@@ -276,14 +271,15 @@ def test_tight_net_matches_the_wide_net_on_random_bodies(preset, monkeypatch):
 
 
 def count_instantiate_calls(monkeypatch):
+    # every instantiation, checked or not, runs through the positional entry
     calls = [0]
-    real = opi.instantiate
+    real = OPI.instance
 
-    def counted(phi, sigma):
+    def counted(phi, values):
         calls[0] += 1
-        return real(phi, sigma)
+        return real(phi, values)
 
-    monkeypatch.setattr(opi, "instantiate", counted)
+    monkeypatch.setattr(OPI, "instance", counted)
     return calls
 
 

@@ -18,7 +18,7 @@ import pytest
 from conftest import Z12
 from opalg import OPoly
 from opalg import terms
-from opalg.opi import instantiate_word
+from opalg.opi import _compile, _splice
 from opalg.terms import (
     Bracket,
     Word,
@@ -151,7 +151,7 @@ def test_words_reached_by_different_routes_are_the_same_object():
         if fs:
             # the first factor as the value of a variable, at the top level
             schema = Word(("x1",) + fs[1:])
-            assert instantiate_word(schema, {"x1": Word(fs[:1])}, frozenset({"x1"})) is w
+            assert _splice(_compile(schema, {"x1": 0}), [Word(fs[:1])]) is w
 
 
 def test_instantiate_reaches_inner_words_too():
@@ -162,7 +162,7 @@ def test_instantiate_reaches_inner_words_too():
         for _ in range(100):
             sigma = {x: random_word(rng, Z12, 2, 2) for x in xs}
             want = ref_substitute(ref_form(schema), {x: ref_form(w) for x, w in sigma.items()})
-            assert instantiate_word(schema, sigma, frozenset(xs)) is build(want)
+            assert _splice(_compile(schema, {x: k for k, x in enumerate(xs)}), [sigma[x] for x in xs]) is build(want)
 
 
 def test_pools_share_their_words():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Z1, Z12
+from conftest import Z1, Z12, instantiate_word
 from opalg import (
     OPI,
     OPoly,
@@ -18,7 +18,7 @@ from opalg import (
     parse_opoly,
     render_opoly,
 )
-from opalg.opi import MAX_EXPANSION_WORDS, catalog_help, instantiate_word
+from opalg.opi import MAX_EXPANSION_WORDS, catalog_help
 from opalg.terms import all_words, count_words, parse_word, random_word, render
 
 DB = OrderSpec.for_alphabet("db", Z12)

@@ -25,9 +25,11 @@ from opalg.opi import MAX_REYNOLDS_N
 from opalg.poly import OPoly, parse_opoly
 from opalg.terms import (
     MAX_DEPTH,
+    MAX_DIGITS,
     UNIT,
     ParseError,
     check_input_size,
+    parse_integer,
     parse_rational,
     parse_word,
 )
@@ -248,8 +250,7 @@ REFUSED = [
 ]
 
 
-@pytest.mark.parametrize("argv,message", REFUSED)
-def test_cli_refuses_malformed_input_fast_with_exit_two(capsys, argv, message):
+def assert_refused_fast(capsys, argv, message):
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start
@@ -260,3 +261,78 @@ def test_cli_refuses_malformed_input_fast_with_exit_two(capsys, argv, message):
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert elapsed < 1
+
+
+@pytest.mark.parametrize("argv,message", REFUSED)
+def test_cli_refuses_malformed_input_fast_with_exit_two(capsys, argv, message):
+    assert_refused_fast(capsys, argv, message)
+
+
+# -- integers and the digit limit -------------------------------------------------------
+
+
+@pytest.mark.parametrize("text,value", [("6", 6), (" 14 ", 14), ("0", 0), ("-1", -1), ("007", 7)])
+def test_integers_use_the_number_rule(text, value):
+    got = parse_integer(text)
+    assert got == value
+    assert type(got) is int
+
+
+@pytest.mark.parametrize("text", ["", "+6", "1_4", "1.0", "1e3", "--1", "6 6", "1/2", "x", "٣"])
+def test_malformed_integers_are_refused(text):
+    with pytest.raises(ParseError):
+        parse_integer(text)
+
+
+def test_a_number_over_the_digit_limit_is_refused_at_its_position():
+    longest = "9" * MAX_DIGITS
+    assert parse_opoly(f"z1 + {longest}*z2", Z12).coeff(parse_word("z2")) == int(longest)
+    assert parse_rational(f"1/{longest}") == Fraction(1, int(longest))
+    for text, pos in [(f"z1 + 9{longest}*z2", 5), (f"1/9{longest}", 2), (f"-9{longest}", 1)]:
+        with pytest.raises(ParseError, match=f"number of {MAX_DIGITS + 1} digits is over the limit of {MAX_DIGITS}") as exc:
+            parse_opoly(text, Z12)
+        assert exc.value.pos == pos
+
+
+def test_a_coefficient_over_the_digit_limit_is_not_printed():
+    cap = 10**MAX_DIGITS
+    for c in (cap - 1, -(cap - 1), Fraction(1, cap - 1)):
+        assert render_opoly(OPoly.constant(c))
+    for c in (cap, -cap, Fraction(1, cap), Fraction(cap, 3)):
+        with pytest.raises(ValueError, match=f"more digits than the limit of {MAX_DIGITS}"):
+            render_opoly(OPoly.from_word(parse_word("z1"), c))
+
+
+NUMBER_RULE_REFUSED = [
+    (["check-gs", "--catalog", "rb:1_4", "--bounds", "1,1"], "bad item '1_4' in selector 'rb:1_4': unexpected character '_' (at position 1)"),
+    (["check-gs", "--catalog", "rb:+6", "--bounds", "1,1"], "bad item '+6' in selector 'rb:+6': expected a number"),
+    (["check-gs", "--catalog", "diff:1.0", "--bounds", "1,1"], "bad item '1.0'"),
+    (["check-gs", "--catalog", "rb:6", "--bounds", "1_0,0"], "bounds must be 'D,P' integers, got '1_0,0'"),
+    (["check-gs", "--catalog", "rb:6", "--bounds", "2,+1"], "bounds must be 'D,P' integers, got '2,+1'"),
+    (["nf", "--catalog", "rb:1", f"z1 - 1{'0' * MAX_DIGITS}*z2"], f"over the limit of {MAX_DIGITS} (at position 5)"),
+    (["check-gs", "--catalog", f"rb:6?lambda=1{'0' * MAX_DIGITS}", "--bounds", "1,1"], f"over the limit of {MAX_DIGITS}"),
+]
+
+
+@pytest.mark.parametrize("argv,message", NUMBER_RULE_REFUSED)
+def test_cli_reads_items_bounds_and_long_numbers_by_the_number_rule(capsys, argv, message):
+    assert_refused_fast(capsys, argv, message)
+
+
+@pytest.mark.parametrize("line", ["fuel = 1_0", "fuel = +6", "seed = 1.0"])
+def test_config_integers_use_the_number_rule(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    key, _, value = line.partition(" = ")
+    assert_refused_fast(
+        capsys, ["check-gs", "--config", str(cfg), "--catalog", "rb:1"], f"{key} must be an integer, got '{value}'"
+    )
+
+
+def test_cli_refuses_to_print_a_coefficient_over_the_digit_limit(capsys):
+    # an accepted weight whose square has more digits than the limit
+    code = main(["nf", "--catalog", f"rb:6?lambda={'9' * 3000}", "[[z1]*[z2]]*[z1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: a coefficient has more digits than the limit of {MAX_DIGITS}" in captured.err
+    assert "Traceback" not in captured.err and "4300" not in captured.err

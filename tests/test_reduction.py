@@ -57,7 +57,7 @@ def reference_redexes(rules, w):
             for sigma in align_factors(rule.lhs.factors, sl, rule.opi.variables, rule.nonempty):
                 if slice_word is None:
                     slice_word = Word(sl)
-                rhs = rules._rhs_for_schema(rule, slice_word, sigma)
+                rhs = rules._rhs_for_schema(rule, slice_word, [sigma[v] for v in rule.opi.variables])
                 if rhs is None:
                     continue
                 yield Redex(

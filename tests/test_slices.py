@@ -55,7 +55,7 @@ def reference_redexes(rules, w):
                     ):
                         if slice_word is None:
                             slice_word = Word(sl)
-                        rhs = rules._rhs_for_schema(rule, slice_word, sigma)
+                        rhs = rules._rhs_for_schema(rule, slice_word, [sigma[v] for v in rule.opi.variables])
                         if rhs is None:
                             continue
                         yield Redex(

@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
-from conftest import CATALOG_SELECTORS, Z12
+from conftest import CATALOG_SELECTORS, Z12, instantiate_word
 from opalg import OPI, GeneratorSet, OPoly, OrderSpec, check_lm_stability, parse_catalog
 from opalg.gsbasis import _evaluate_hypotheses
-from opalg.opi import CatalogEntry, _schema_cmp, instantiate_word
+from opalg.opi import CatalogEntry, _schema_cmp
 from opalg.terms import UNIT, Bracket, Word, all_words, parse_word, render, word_tuples
 
 # diff:3 leading with a unit bracket beside the product, on either side

@@ -12,10 +12,9 @@ import time
 
 import pytest
 
-from conftest import Z12
+from conftest import Z12, instantiate_word
 from opalg import OrderSpec, check_lm_stability, instantiate, opi, parse_catalog
 from opalg.cli import main
-from opalg.opi import instantiate_word
 from opalg.terms import UNIT, all_words, random_word
 
 DT = OrderSpec.for_alphabet("dt", Z12)
