@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .orders import OrderSpec
 from .poly import OPoly, Scalar, _wrap
-from .terms import UNIT, Alphabet, Bracket, Word, count_words, iter_slices, parse_integer, parse_rational, render, var_counts, word_tuples
+from .terms import UNIT, Alphabet, Bracket, Word, _compile, _splice, count_text, count_words, iter_slices, parse_integer, parse_rational, render, var_counts, word_tuples
 
 __all__ = [
     "MAX_EXPANSION_WORDS",
@@ -50,8 +50,9 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 class OPI:
     """Named multilinear identity over ordered variables.  Its body is
-    compiled once, on first use, into one splice plan per monomial, and
-    every instantiation runs through those plans (:meth:`instance`)."""
+    compiled once, on first use, into one splice plan per monomial
+    (:func:`opalg.terms._compile`, the plans contexts plug through too),
+    and every instantiation runs through those plans (:meth:`instance`)."""
 
     __slots__ = ("name", "variables", "body", "_lm_cache", "_plan")
 
@@ -135,56 +136,6 @@ class OPI:
 
     def __repr__(self) -> str:
         return f"OPI({self.name}: {self.body})"
-
-
-# Segment kinds of a splice plan: a run of literal factors, a variable's
-# factors spliced in, a lone variable in a bracket (``[x]``, the bracket of
-# the value itself), and a bracket around a nested plan.
-_LITERAL, _SLOT, _WRAP, _NEST = range(4)
-
-
-def _compile(schema: Word, index: Mapping[str, int]):
-    """The splice plan of a schema word whose variables have the positions
-    ``index``: the position itself for a bare variable, else a tuple of
-    ``(kind, argument)`` segments (a bracket without variables is literal)."""
-    fs = schema.factors
-    if len(fs) == 1 and isinstance(fs[0], str) and fs[0] in index:
-        return index[fs[0]]
-    segments: list[tuple] = []
-    run: list = []
-    for f in fs:
-        if isinstance(f, str) and f in index:
-            kind, arg = _SLOT, index[f]
-        elif isinstance(f, str) or not var_counts(f.inner, frozenset(index)):
-            run.append(f)
-            continue
-        else:
-            arg = _compile(f.inner, index)
-            kind = _WRAP if isinstance(arg, int) else _NEST
-        if run:
-            segments.append((_LITERAL, tuple(run)))
-            run = []
-        segments.append((kind, arg))
-    if run:
-        segments.append((_LITERAL, tuple(run)))
-    return tuple(segments)
-
-
-def _splice(plan, values: Sequence[Word]) -> Word:
-    """Run a plan from :func:`_compile` on word values in variable order."""
-    if plan.__class__ is int:
-        return values[plan]
-    out: list = []
-    for kind, arg in plan:
-        if kind == _LITERAL:
-            out += arg
-        elif kind == _SLOT:
-            out += values[arg].factors
-        elif kind == _WRAP:
-            out.append(Bracket(values[arg]))
-        else:
-            out.append(Bracket(_splice(arg, values)))
-    return Word(out)
 
 
 def instantiate(phi: OPI, sigma: Mapping[str, Union[Word, OPoly]]) -> OPoly:
@@ -282,7 +233,7 @@ def expand_instances(
         if pool > MAX_EXPANSION_WORDS:
             raise ValueError(
                 f"expanding {phi.name} at bounds {bounds} would range each variable over "
-                f"{pool} words, over the limit of {MAX_EXPANSION_WORDS}"
+                f"{count_text(pool)} words, over the limit of {MAX_EXPANSION_WORDS}"
             )
         if not any(_lead_certificates(phi, order)[1:]):  # no violation, nothing open
             op_budget = max_op - lead.op_degree

@@ -49,6 +49,7 @@ from .terms import (
     Word,
     align_factors,
     all_words,
+    count_text,
     count_words,
     iter_slices,
     render,
@@ -460,7 +461,7 @@ def _open_audit(
     pool = count_words(len(alphabet.letters), *bounds)
     if pool > MAX_EXPANSION_WORDS:
         raise ValueError(
-            f"auditing {phi.name} at bounds {bounds} would probe {pool} words, "
+            f"auditing {phi.name} at bounds {bounds} would probe {count_text(pool)} words, "
             f"over the limit of {MAX_EXPANSION_WORDS}"
         )
     rep = TypeReport(opi=phi.name, family=family, bounds=bounds, fuel=fuel)
@@ -497,7 +498,7 @@ def _probe(
     triples = count_words(len(alphabet.letters), max_z, max_op, arity=3)
     if triples > MAX_EXPANSION_WORDS:
         raise ValueError(
-            f"auditing {rep.opi} at bounds {rep.bounds} would probe closure on {triples} "
+            f"auditing {rep.opi} at bounds {rep.bounds} would probe closure on {count_text(triples)} "
             f"jointly bounded triples, over the limit of {MAX_EXPANSION_WORDS}"
         )
     stuck = None

@@ -30,10 +30,12 @@ brackets at most ``MAX_DEPTH`` deep and hold numbers of at most
 ``MAX_DIGITS`` digits; other input is refused with a ``ParseError``, whose
 position counts from the start of the text, before any recursive step.
 
-Contexts are words with exactly one hole ``@``; plugging a word into the
-hole splices its factor sequence in place (plugging the unit deletes the
-hole).  Schema words may contain variable letters that match arbitrary
-factor blocks; see :func:`schema_occurrences`.
+Schema words may contain variable letters that match arbitrary factor
+blocks (:func:`schema_occurrences`); :func:`_compile` turns one into a
+splice plan and :func:`_splice` runs it on word values.  A context is a
+word with exactly one hole ``@``, a schema whose one variable is the hole:
+plugging a word runs the same splice, putting its factors in place of the
+hole (plugging the unit deletes the hole).
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ import re
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
+    "COUNT_CEILING",
     "HOLE",
     "MAX_DEPTH",
     "MAX_DIGITS",
@@ -60,6 +63,7 @@ __all__ = [
     "all_words",
     "bracket",
     "check_input_size",
+    "count_text",
     "count_words",
     "iter_occurrences",
     "iter_slices",
@@ -466,45 +470,72 @@ def parse_word(
     return w
 
 
-def _count_holes(u: Word) -> int:
-    n = 0
-    for f in u.factors:
-        if f == HOLE:
-            n += 1
-        elif isinstance(f, Bracket):
-            n += _count_holes(f.inner)
-    return n
+# Segment kinds of a splice plan: a run of literal factors, a variable's
+# factors spliced in, a lone variable in a bracket (``[x]``, the bracket of
+# the value itself), and a bracket around a nested plan.
+_LITERAL, _SLOT, _WRAP, _NEST = range(4)
 
 
-def _has_hole(u: Word) -> bool:
-    for f in u.factors:
-        if f == HOLE or (isinstance(f, Bracket) and _has_hole(f.inner)):
-            return True
-    return False
-
-
-def _splice(u: Word, s: Word) -> Word:
-    out: list[Factor] = []
-    for f in u.factors:
-        if f == HOLE:
-            out.extend(s.factors)
-        elif isinstance(f, Bracket) and _has_hole(f.inner):
-            out.append(Bracket(_splice(f.inner, s)))
+def _compile(schema: Word, index: Mapping[str, int]):
+    """The splice plan of a schema word whose variables have the positions
+    ``index``: the position itself for a bare variable, else a tuple of
+    ``(kind, argument)`` segments (a bracket without variables is literal)."""
+    fs = schema.factors
+    if len(fs) == 1 and isinstance(fs[0], str) and fs[0] in index:
+        return index[fs[0]]
+    segments: list[tuple] = []
+    run: list = []
+    for f in fs:
+        if isinstance(f, str) and f in index:
+            kind, arg = _SLOT, index[f]
+        elif isinstance(f, str) or not var_counts(f.inner, frozenset(index)):
+            run.append(f)
+            continue
         else:
-            out.append(f)
+            arg = _compile(f.inner, index)
+            kind = _WRAP if isinstance(arg, int) else _NEST
+        if run:
+            segments.append((_LITERAL, tuple(run)))
+            run = []
+        segments.append((kind, arg))
+    if run:
+        segments.append((_LITERAL, tuple(run)))
+    return tuple(segments)
+
+
+def _splice(plan, values: Sequence[Word]) -> Word:
+    """Run a plan from :func:`_compile` on word values in variable order."""
+    if plan.__class__ is int:
+        return values[plan]
+    out: list = []
+    for kind, arg in plan:
+        if kind == _LITERAL:
+            out += arg
+        elif kind == _SLOT:
+            out += values[arg].factors
+        elif kind == _WRAP:
+            out.append(Bracket(values[arg]))
+        else:
+            out.append(Bracket(_splice(arg, values)))
     return Word(out)
 
 
-class Context:
-    """A word with exactly one hole ``@`` at any depth."""
+_HOLE_INDEX = {HOLE: 0}
 
-    __slots__ = ("word",)
+
+class Context:
+    """A word with exactly one hole ``@`` at any depth: a schema whose one
+    variable is the hole, plugged through a splice plan like an identity.
+    :func:`slice_context` builds the plan; others compile it on first plug."""
+
+    __slots__ = ("word", "_plan")
 
     def __init__(self, word: Word):
-        n = _count_holes(word)
+        n = var_counts(word, frozenset(_HOLE_INDEX)).get(HOLE, 0)
         if n != 1:
             raise ValueError(f"a context needs exactly one hole, found {n} in {render(word)}")
         self.word = word
+        self._plan = None
 
     def is_trivial(self) -> bool:
         """True for the bare hole (plugging returns the argument itself)."""
@@ -512,7 +543,10 @@ class Context:
 
     def plug(self, s: Word) -> Word:
         """Replace the hole by the factors of ``s`` (unit deletes the hole)."""
-        return _splice(self.word, s)
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _compile(self.word, _HOLE_INDEX)
+        return _splice(plan, (s,))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Context) and self.word == other.word
@@ -571,13 +605,25 @@ def iter_slices(w: Word) -> Iterator[tuple[tuple[Factor, ...], int, int, tuple]]
                 stack.append((f.inner.factors, frames + ((level, k),)))
 
 
+def _framed(head: tuple, segment: tuple, tail: tuple) -> tuple:
+    # the plan of ``head + segment + tail``, with no empty literal run
+    return (((_LITERAL, head),) if head else ()) + (segment,) + (((_LITERAL, tail),) if tail else ())
+
+
 def slice_context(level: tuple[Factor, ...], i: int, j: int, frames: tuple) -> Context:
     """The context around a slice from :func:`iter_slices`: plugging
-    ``Word(level[i:j])`` into it gives back the scanned word."""
-    word = Word(level[:i] + (HOLE,) + level[j:])
+    ``Word(level[i:j])`` into it gives back the scanned word.  The plan is
+    built from the same runs as the hole word, which is not walked again."""
+    head, tail = level[:i], level[j:]
+    word = Word(head + (HOLE,) + tail)
+    plan = _framed(head, (_SLOT, 0), tail) if head or tail else 0
     for outer, k in reversed(frames):
-        word = Word(outer[:k] + (Bracket(word),) + outer[k + 1 :])
-    return Context(word)
+        head, tail = outer[:k], outer[k + 1 :]
+        word = Word(head + (Bracket(word),) + tail)
+        plan = _framed(head, (_WRAP, 0) if isinstance(plan, int) else (_NEST, plan), tail)
+    q = object.__new__(Context)
+    q.word, q._plan = word, plan
+    return q
 
 
 def iter_occurrences(w: Word, u: Word) -> Iterator[Context]:
@@ -740,31 +786,52 @@ def word_tuples(
             yield (w,) + rest
 
 
+# count_words stops once a count passes this, far above every limit it is
+# compared with, so that huge bounds are refused without a long count.
+COUNT_CEILING = 1_000_000
+
+
 def count_words(n_letters: int, max_z: int, max_op: int, arity: int = 1) -> int:
     """``len(all_words(...))`` over ``n_letters`` letters, without building
     a single word; with ``arity`` k, the number of k-tuples of such words
-    whose measures sum within the bounds (a jointly bounded tuple)."""
-    # exact[z][p]: words with exactly z letters and p brackets, counted by
-    # their first factor (a letter, or a bracket [u] spending u's measures
-    # plus one bracket)
-    exact = [[0] * (max_op + 1) for _ in range(max_z + 1)]
-    exact[0][0] = 1
-    for p in range(max_op + 1):
-        for z in range(max_z + 1):
-            if z or p:
-                exact[z][p] = (n_letters * exact[z - 1][p] if z else 0) + sum(
-                    exact[a][b] * exact[z - a][p - 1 - b] for a in range(z + 1) for b in range(p)
+    whose measures sum within the bounds (a jointly bounded tuple).  A count
+    over ``COUNT_CEILING`` is returned as ``COUNT_CEILING + 1`` once it is
+    known to be over (:func:`count_text` prints it as such)."""
+    width = max_op + 1
+    if (max_z + 1) * width > COUNT_CEILING:
+        # one word per measure pair at least: z letters, then p brackets [1]
+        return COUNT_CEILING + 1
+    # levels[k][z * width + p]: (k+1)-tuples with exactly z letters and p
+    # brackets in all.  A word is counted by its first factor (a letter, or
+    # a bracket [u] spending u's measures plus one bracket); cells go by
+    # z + p, so every cell a cell needs is filled before it, and the count
+    # so far is a lower bound that can stop the count early.
+    exact = [0] * ((max_z + 1) * width)
+    exact[0] = 1
+    levels = [exact] + [[0] * len(exact) for _ in range(arity - 1)]
+    total = 0
+    for s in range(max_z + max_op + 1):
+        for p in range(max(0, s - max_z), min(s, max_op) + 1):
+            z = s - p
+            at = z * width + p
+            if s:
+                exact[at] = (n_letters * exact[at - width] if z else 0) + sum(
+                    exact[a * width + b] * exact[(z - a) * width + p - 1 - b] for b in range(p) for a in range(z + 1)
                 )
-    joint = exact
-    for _ in range(arity - 1):
-        joint = [
-            [
-                sum(joint[a][b] * exact[z - a][p - b] for a in range(z + 1) for b in range(p + 1))
-                for p in range(max_op + 1)
-            ]
-            for z in range(max_z + 1)
-        ]
-    return sum(map(sum, joint))
+            for joint, nxt in zip(levels, levels[1:]):
+                nxt[at] = sum(
+                    joint[a * width + b] * exact[(z - a) * width + p - b] for a in range(z + 1) for b in range(p + 1)
+                )
+            total += levels[-1][at]
+            if total > COUNT_CEILING:
+                return COUNT_CEILING + 1
+    return total
+
+
+def count_text(n: int) -> str:
+    """A count from :func:`count_words` as text; one over the ceiling reads
+    ``more than COUNT_CEILING``."""
+    return f"more than {COUNT_CEILING}" if n > COUNT_CEILING else str(n)
 
 
 def random_word(rng, alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> Word:

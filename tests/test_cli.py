@@ -12,7 +12,7 @@ import pytest
 from opalg import cli
 from opalg.cli import main
 from opalg.opi import MAX_EXPANSION_WORDS
-from opalg.terms import MAX_INPUT_CHARS
+from opalg.terms import COUNT_CEILING, MAX_INPUT_CHARS
 
 
 def run(capsys, *argv):
@@ -413,6 +413,26 @@ def test_wide_expansion_scope_exits_two_naming_the_limit(capsys):
     assert code == 2
     assert f"over the limit of {MAX_EXPANSION_WORDS}" in out
     assert "normal form" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, subject",
+    [
+        (["check-gs", "--catalog", "rb:1"], "expanding rb:1"),
+        (["check-type", "--catalog", "rb:1"], "auditing rb:1"),
+        (["nf", "--catalog", "rb:1", "z1"], "expanding rb:1"),
+        (["basis", "--catalog", "rb:1"], "expanding rb:1"),
+    ],
+    ids=["check-gs", "check-type", "nf", "basis"],
+)
+def test_huge_bounds_exit_two_at_once_naming_the_limit(capsys, argv, subject):
+    # the word count stops as soon as it is far over the limit
+    start = time.perf_counter()
+    code, out = run(capsys, *argv, "--bounds", "400,400")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"error: {subject} at bounds (400, 400) would" in out
+    assert f"more than {COUNT_CEILING} words, over the limit of {MAX_EXPANSION_WORDS}" in out
 
 
 def test_removed_jobs_flag_and_config_key_exit_two(tmp_path, capsys):

@@ -18,7 +18,7 @@ import pytest
 from conftest import Z12
 from opalg import OPoly
 from opalg import terms
-from opalg.opi import _compile, _splice
+from opalg.terms import _compile, _splice
 from opalg.terms import (
     Bracket,
     Word,

@@ -311,6 +311,11 @@ NUMBER_RULE_REFUSED = [
     (["check-gs", "--catalog", "rb:6", "--bounds", "2,+1"], "bounds must be 'D,P' integers, got '2,+1'"),
     (["nf", "--catalog", "rb:1", f"z1 - 1{'0' * MAX_DIGITS}*z2"], f"over the limit of {MAX_DIGITS} (at position 5)"),
     (["check-gs", "--catalog", f"rb:6?lambda=1{'0' * MAX_DIGITS}", "--bounds", "1,1"], f"over the limit of {MAX_DIGITS}"),
+    (["nf", "--catalog", "rb:1", "--fuel", "1_0", "z1"], "--fuel must be an integer, got '1_0'"),
+    (["check-gs", "--catalog", "rb:1", "--fuel", "+6"], "--fuel must be an integer, got '+6'"),
+    (["nf", "--catalog", "rb:1", "--seed", "\u0663", "z1"], "--seed must be an integer, got '\u0663'"),
+    (["check-gs", "--catalog", "rb:1", "--seed", "1.0"], "--seed must be an integer, got '1.0'"),
+    (["demo", "rb-commutator", "--fuel", "1_0"], "--fuel must be an integer, got '1_0'"),
 ]
 
 

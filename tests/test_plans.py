@@ -16,6 +16,13 @@ each against the reference path it replaced.
 * A rule set scans only slices of a length some rule can match.  A rule
   whose left side has a top-level variable matches open-ended lengths; the
   scan must still find every redex the unfiltered reference finds.
+* A context is a one-hole schema: plugging runs its splice plan, which
+  ``slice_context`` builds from the slice's runs and any other context
+  compiles on first plug.  The reference is the hole-scanning splice it
+  replaced; every hole insertion and every slice context of every word of
+  ``all_words(Z12, 3, 2)`` must plug each word of ``all_words(Z12, 2, 1)``
+  to the same word, and a slice context must be the context of the hole
+  word built the old way.
 """
 
 from itertools import product
@@ -27,10 +34,23 @@ from hypothesis import strategies as st
 
 from conftest import CATALOG_SELECTORS, Z1, Z12, instantiate_word, opolys
 from opalg import OPI, OPoly, OrderSpec, RuleSet, instantiate, parse_catalog, parse_opoly, render_opoly
-from opalg.opi import _compile, _splice
+from opalg.terms import _compile, _splice
 from opalg.poly import _wrap
 from opalg.rewrite import ConcreteRule, SchemaRule
-from opalg.terms import Bracket, Word, _align, all_words, iter_slices, parse_word, word_tuples
+from opalg.terms import (
+    HOLE,
+    Bracket,
+    Context,
+    Word,
+    _align,
+    all_hole_insertions,
+    all_words,
+    iter_slices,
+    parse_context,
+    parse_word,
+    slice_context,
+    word_tuples,
+)
 from test_reduction import reference_redexes
 
 PRESETS = ("db", "dt", "deglex")
@@ -81,6 +101,36 @@ def reference_align(sf, tf, variables, nonempty, binding):
         if tf and isinstance(tf[0], Bracket):
             for b2 in reference_align(head.inner.factors, tf[0].inner.factors, variables, nonempty, binding):
                 yield from reference_align(sf[1:], tf[1:], variables, nonempty, b2)
+
+
+def reference_has_hole(u):
+    for f in u.factors:
+        if f == HOLE or (isinstance(f, Bracket) and reference_has_hole(f.inner)):
+            return True
+    return False
+
+
+def reference_plug(u, s):
+    """``Context.plug`` as it was before plans: rescan the hole word for its
+    hole at every bracket level."""
+    out = []
+    for f in u.factors:
+        if f == HOLE:
+            out.extend(s.factors)
+        elif isinstance(f, Bracket) and reference_has_hole(f.inner):
+            out.append(Bracket(reference_plug(f.inner, s)))
+        else:
+            out.append(f)
+    return Word(out)
+
+
+def reference_slice_context(level, i, j, frames):
+    """``slice_context`` as it was before plans: the hole word, checked by
+    ``Context``."""
+    word = Word(level[:i] + (HOLE,) + level[j:])
+    for outer, k in reversed(frames):
+        word = Word(outer[:k] + (Bracket(word),) + outer[k + 1 :])
+    return Context(word)
 
 
 # -- compiled plans --------------------------------------------------------------
@@ -242,3 +292,51 @@ def test_matchable_lengths():
     phi = parse_catalog("rb:6?lambda=1").opis[0]
     closed = RuleSet([SchemaRule(phi.name, phi, phi.lm("db"))], order)
     assert (closed._lengths, closed._open_from) == ({2}, None)
+
+
+# -- contexts as one-hole plans --------------------------------------------------
+
+PLUGGED = all_words(Z12, 2, 1)
+
+
+def test_contexts_plug_as_the_hole_scan_does():
+    contexts = 0
+    for w in WORDS:
+        for q in all_hole_insertions(w) + [slice_context(*sl) for sl in iter_slices(w)]:
+            for s in PLUGGED:
+                assert q.plug(s) is reference_plug(q.word, s), (q, s)
+            contexts += 1
+    assert contexts > 10 * len(WORDS)
+
+
+def test_slice_contexts_are_the_contexts_of_their_hole_words():
+    hole = {HOLE: 0}
+    trivial = 0
+    for w in WORDS:
+        for level, i, j, frames in iter_slices(w):
+            q = slice_context(level, i, j, frames)
+            want = reference_slice_context(level, i, j, frames)
+            assert q.word is want.word
+            assert q == want and want == q
+            assert hash(q) == hash(want)
+            assert str(q) == str(want) and repr(q) == repr(want)
+            assert q.is_trivial() == want.is_trivial()
+            # the plan built from the runs is the one compiling the word gives
+            assert q._plan == _compile(want.word, hole)
+            assert want._plan is None
+            trivial += q.is_trivial()
+    assert trivial == len(WORDS) - 1  # every word but the unit is one whole slice
+
+
+def test_other_contexts_compile_on_first_plug():
+    q = parse_context("z1*[z2*@]*[1]", Z12)
+    assert q._plan is None
+    u = parse_word("z1*[z2]", Z12)
+    assert q.plug(u) is parse_word("z1*[z2*z1*[z2]]*[1]", Z12)
+    plan = q._plan
+    assert plan == ((0, ("z1",)), (3, ((0, ("z2",)), (1, 0))), (0, (Bracket(Word(()),),)))
+    assert q.plug(Word(())) is parse_word("z1*[z2]*[1]", Z12)
+    assert q._plan is plan
+    assert parse_context("[@]", Z12).plug(u) is parse_word("[z1*[z2]]", Z12)
+    bare = parse_context("@", Z12)
+    assert bare.is_trivial() and bare.plug(u) is u

@@ -14,6 +14,7 @@ from opalg import OPI, GeneratorSet, OPoly, OrderSpec, RuleSet, parse_catalog, p
 from opalg.opi import check_lm_no_subword
 from opalg.rewrite import ConcreteRule, Redex, _scan_adjacent_nonunit_brackets
 from opalg.terms import (
+    COUNT_CEILING,
     HOLE,
     Bracket,
     Context,
@@ -21,6 +22,7 @@ from opalg.terms import (
     _align,
     align_factors,
     all_words,
+    count_text,
     count_words,
     iter_occurrences,
     iter_slices,
@@ -164,6 +166,53 @@ def test_count_words_matches_all_words(letters, bounds):
 @pytest.mark.parametrize("arity, bounds", [(2, (3, 2)), (3, (2, 1)), (3, (2, 2)), (3, (3, 1))])
 def test_count_words_matches_jointly_bounded_tuples(arity, bounds):
     assert count_words(len(Z12), *bounds, arity=arity) == sum(1 for _ in word_tuples(Z12, *bounds, arity))
+
+
+def reference_count_words(n_letters, max_z, max_op, arity=1):
+    """``count_words`` as it was before it could stop early: the whole
+    table, filled row by row."""
+    exact = [[0] * (max_op + 1) for _ in range(max_z + 1)]
+    exact[0][0] = 1
+    for p in range(max_op + 1):
+        for z in range(max_z + 1):
+            if z or p:
+                exact[z][p] = (n_letters * exact[z - 1][p] if z else 0) + sum(
+                    exact[a][b] * exact[z - a][p - 1 - b] for a in range(z + 1) for b in range(p)
+                )
+    joint = exact
+    for _ in range(arity - 1):
+        joint = [
+            [
+                sum(joint[a][b] * exact[z - a][p - b] for a in range(z + 1) for b in range(p + 1))
+                for p in range(max_op + 1)
+            ]
+            for z in range(max_z + 1)
+        ]
+    return sum(map(sum, joint))
+
+
+def test_count_words_is_exact_up_to_the_ceiling():
+    over = 0
+    for n_letters in (1, 2, 3):
+        for max_z in range(8):
+            for max_op in range(8):
+                for arity in (1, 2, 3):
+                    want = reference_count_words(n_letters, max_z, max_op, arity)
+                    got = count_words(n_letters, max_z, max_op, arity)
+                    if want <= COUNT_CEILING:
+                        assert got == want, (n_letters, max_z, max_op, arity)
+                        assert count_text(got) == str(want)
+                    else:
+                        assert got == COUNT_CEILING + 1, (n_letters, max_z, max_op, arity)
+                        assert count_text(got) == f"more than {COUNT_CEILING}"
+                        over += 1
+    assert over > 100
+
+
+@pytest.mark.parametrize("bounds", [(400, 400), (60, 60), (0, 10**6), (10**6, 0), (10**40, 10**40)])
+def test_count_words_stops_soon_over_the_ceiling(bounds):
+    for arity in (1, 3):
+        assert count_words(2, *bounds, arity=arity) == COUNT_CEILING + 1
 
 
 # -- exhaustive agreement ---------------------------------------------------------
