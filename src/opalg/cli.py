@@ -85,18 +85,15 @@ def _pick(ns: argparse.Namespace, config: dict, key: str):
     return _DEFAULTS.get(key)
 
 
-def _flag_integer(flag: str, value) -> int:
-    # flag text is read by the number rule; config values arrive parsed
-    if isinstance(value, int):
-        return value
+def _integer_flag(text: str) -> int:
+    # flag text is read by the same number rule as config values
     try:
-        return parse_integer(value)
+        return parse_integer(text)
     except ValueError:
-        raise ValueError(f"{flag} must be an integer, got {value!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
 
 
-def _checked_fuel(value) -> int:
-    fuel = _flag_integer("--fuel", value)
+def _checked_fuel(fuel: int) -> int:
     if fuel < 0:
         raise ValueError(f"--fuel must be at least 0, got {fuel}")
     return fuel
@@ -151,7 +148,6 @@ class Env:
         if self.bounds[0] < 0 or self.bounds[1] < 0:
             raise ValueError("bounds must be nonnegative")
         self.fuel = _checked_fuel(_pick(ns, config, "fuel"))
-        _flag_integer("--seed", _pick(ns, config, "seed"))  # checked, though no command uses it
 
     def generator_set(self) -> GeneratorSet:
         if not self.entries and not self.concrete:
@@ -167,8 +163,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gens", action="append", help="concrete generator polynomial, repeatable")
     p.add_argument("--gens-file", dest="gens_file", help="file with one generator polynomial per line")
     p.add_argument("--bounds", help="stratum bounds 'D,P': letter degree, operator degree (default 2,2)")
-    p.add_argument("--fuel", help="reduction step budget (default 2000)")
-    p.add_argument("--seed", help="accepted for compatibility; no command uses it")
+    p.add_argument("--fuel", type=_integer_flag, help="reduction step budget (default 2000)")
+    p.add_argument("--seed", type=_integer_flag, help="accepted for compatibility; no command uses it")
     p.add_argument("--config", help="file of key=value defaults; explicit flags win")
 
 
@@ -219,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="canned walkthroughs")
     p.add_argument("which", nargs="?", choices=tuple(_DEMOS))
     p.add_argument("--list", action="store_true", help="list available demos")
-    p.add_argument("--fuel", help="reduction step budget (default 2000)")
+    p.add_argument("--fuel", type=_integer_flag, help="reduction step budget (default 2000)")
 
     p = sub.add_parser("catalog", help="list catalog families and parameters")
     return top

@@ -526,7 +526,7 @@ _HOLE_INDEX = {HOLE: 0}
 class Context:
     """A word with exactly one hole ``@`` at any depth: a schema whose one
     variable is the hole, plugged through a splice plan like an identity.
-    :func:`slice_context` builds the plan; others compile it on first plug."""
+    The plan is compiled on first plug."""
 
     __slots__ = ("word", "_plan")
 
@@ -605,25 +605,13 @@ def iter_slices(w: Word) -> Iterator[tuple[tuple[Factor, ...], int, int, tuple]]
                 stack.append((f.inner.factors, frames + ((level, k),)))
 
 
-def _framed(head: tuple, segment: tuple, tail: tuple) -> tuple:
-    # the plan of ``head + segment + tail``, with no empty literal run
-    return (((_LITERAL, head),) if head else ()) + (segment,) + (((_LITERAL, tail),) if tail else ())
-
-
 def slice_context(level: tuple[Factor, ...], i: int, j: int, frames: tuple) -> Context:
     """The context around a slice from :func:`iter_slices`: plugging
-    ``Word(level[i:j])`` into it gives back the scanned word.  The plan is
-    built from the same runs as the hole word, which is not walked again."""
-    head, tail = level[:i], level[j:]
-    word = Word(head + (HOLE,) + tail)
-    plan = _framed(head, (_SLOT, 0), tail) if head or tail else 0
+    ``Word(level[i:j])`` into it gives back the scanned word."""
+    word = Word(level[:i] + (HOLE,) + level[j:])
     for outer, k in reversed(frames):
-        head, tail = outer[:k], outer[k + 1 :]
-        word = Word(head + (Bracket(word),) + tail)
-        plan = _framed(head, (_WRAP, 0) if isinstance(plan, int) else (_NEST, plan), tail)
-    q = object.__new__(Context)
-    q.word, q._plan = word, plan
-    return q
+        word = Word(outer[:k] + (Bracket(word),) + outer[k + 1 :])
+    return Context(word)
 
 
 def iter_occurrences(w: Word, u: Word) -> Iterator[Context]:

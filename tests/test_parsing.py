@@ -311,17 +311,32 @@ NUMBER_RULE_REFUSED = [
     (["check-gs", "--catalog", "rb:6", "--bounds", "2,+1"], "bounds must be 'D,P' integers, got '2,+1'"),
     (["nf", "--catalog", "rb:1", f"z1 - 1{'0' * MAX_DIGITS}*z2"], f"over the limit of {MAX_DIGITS} (at position 5)"),
     (["check-gs", "--catalog", f"rb:6?lambda=1{'0' * MAX_DIGITS}", "--bounds", "1,1"], f"over the limit of {MAX_DIGITS}"),
-    (["nf", "--catalog", "rb:1", "--fuel", "1_0", "z1"], "--fuel must be an integer, got '1_0'"),
-    (["check-gs", "--catalog", "rb:1", "--fuel", "+6"], "--fuel must be an integer, got '+6'"),
-    (["nf", "--catalog", "rb:1", "--seed", "\u0663", "z1"], "--seed must be an integer, got '\u0663'"),
-    (["check-gs", "--catalog", "rb:1", "--seed", "1.0"], "--seed must be an integer, got '1.0'"),
-    (["demo", "rb-commutator", "--fuel", "1_0"], "--fuel must be an integer, got '1_0'"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", NUMBER_RULE_REFUSED)
 def test_cli_reads_items_bounds_and_long_numbers_by_the_number_rule(capsys, argv, message):
     assert_refused_fast(capsys, argv, message)
+
+
+NUMBER_RULE_REFUSED_FLAGS = [
+    (["nf", "--catalog", "rb:1", "--fuel", "1_0", "z1"], "opalg nf: error: argument --fuel: must be an integer, got '1_0'"),
+    (["check-gs", "--catalog", "rb:1", "--fuel", "+6"], "opalg check-gs: error: argument --fuel: must be an integer, got '+6'"),
+    (["nf", "--catalog", "rb:1", "--seed", "\u0663", "z1"], "opalg nf: error: argument --seed: must be an integer, got '\u0663'"),
+    (["check-gs", "--catalog", "rb:1", "--seed", "1.0"], "opalg check-gs: error: argument --seed: must be an integer, got '1.0'"),
+    (["demo", "rb-commutator", "--fuel", "1_0"], "opalg demo: error: argument --fuel: must be an integer, got '1_0'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", NUMBER_RULE_REFUSED_FLAGS)
+def test_cli_reads_integer_flags_by_the_number_rule(capsys, argv, message):
+    # argparse refuses the flag text: usage, then the message, and exit 2
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith(message + "\n")
 
 
 @pytest.mark.parametrize("line", ["fuel = 1_0", "fuel = +6", "seed = 1.0"])
