@@ -30,7 +30,15 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Mapping, Sequence, Union
 
-from .opi import OPI, CatalogEntry, Generator, check_lm_no_subword, check_lm_stability, expand_instances
+from .opi import (
+    MAX_EXPANSION_WORDS,
+    OPI,
+    CatalogEntry,
+    Generator,
+    check_lm_no_subword,
+    check_lm_stability,
+    expand_instances,
+)
 from .orders import OrderSpec
 from .poly import OPoly, render_opoly
 from .rewrite import RuleSet, normal_form
@@ -39,6 +47,8 @@ from .terms import (
     Context,
     Word,
     all_words,
+    count_text,
+    count_words,
     iter_occurrences,
     iter_slices,
     render,
@@ -615,8 +625,15 @@ def enumerate_irr(generators: GeneratorSet, bounds: tuple[int, int]) -> tuple[Wo
     """All irreducible words within bounds, ascending in the active order,
     read from the stratum's own rule set: a rule compiled only at wider
     bounds has a left side outside them, which no slice of an in-bounds
-    word is."""
+    word is.  A pool of more than ``MAX_EXPANSION_WORDS`` words is refused
+    with a ``ValueError`` before any word is built."""
     rules = generators.ruleset(bounds)
+    pool = count_words(len(generators.alphabet.letters), *bounds)
+    if pool > MAX_EXPANSION_WORDS:
+        raise ValueError(
+            f"enumerating irreducible words at bounds {bounds} would build {count_text(pool)} words, "
+            f"over the limit of {MAX_EXPANSION_WORDS}"
+        )
     order = generators.order
     out = [w for w in all_words(generators.alphabet, *bounds) if rules.find_redex(w) is None]
     out.sort(key=cmp_to_key(order.compare))

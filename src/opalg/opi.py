@@ -9,10 +9,15 @@ family is the schema part of a generating set.
 The catalog ships the bracket-pair families (``rb:1`` .. ``rb:14``,
 ``nijenhuis``), the bracket-of-product families (``diff:1`` .. ``diff:6``,
 ``diffprime``), and the derived ``averaging`` and ``reynolds`` families.
-Each entry records the order preset its leading schema is meant for,
-whether its leading monomial survives unit assignments, and whether the
-family is asserted to be a self-complete rewriting basis (an input
-assumption that bounded checks cannot establish on their own).
+They are the rows of one table, ``_CATALOG``: each row gives a family's
+item range, the order preset its leading schemas are meant for, whether
+its leading monomials survive unit assignments, each item's parameters
+with their defaults, the builder of its identities and its help line.
+:func:`parse_catalog` resolves every selector through that table along
+one path, and :func:`catalog_help` and the unknown-family error read
+their family lists from it.  Every entry is asserted to be a
+self-complete rewriting basis (an input assumption that bounded checks
+cannot establish on their own).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .orders import OrderSpec
 from .poly import OPoly, Scalar, _wrap
@@ -443,6 +448,7 @@ class CatalogEntry:
 
 
 _X1, _X2 = "x1", "x2"
+_XY = (_X1, _X2)
 
 
 def _w(*fs) -> Word:
@@ -453,87 +459,86 @@ def _b(*fs) -> Bracket:
     return Bracket(Word(fs))
 
 
-def _rb_b_poly(item: int, lam: Fraction, c: Fraction) -> OPoly:
+def _rb_b_poly(item: int, params: Mapping[str, Fraction]) -> OPoly:
     x, y = _X1, _X2
-    t: dict[Word, Fraction] = {}
-
-    def add(word: Word, coeff) -> None:
-        t[word] = t.get(word, Fraction(0)) + Fraction(coeff)
-
+    lam, c = params.get("lambda"), params.get("c")  # items 6..14 take lambda, 13 and 14 c
     if item == 1:
-        add(_w(x, _b(y)), 1)
+        terms = {_w(x, _b(y)): 1}
     elif item == 2:
-        add(_w(_b(x), y), 1)
+        terms = {_w(_b(x), y): 1}
     elif item == 3:
-        add(_w(x, _b(y)), 1)
-        add(_w(y, _b(x)), 1)
+        terms = {_w(x, _b(y)): 1, _w(y, _b(x)): 1}
     elif item == 4:
-        add(_w(_b(x), y), 1)
-        add(_w(_b(y), x), 1)
+        terms = {_w(_b(x), y): 1, _w(_b(y), x): 1}
     elif item == 5:
-        add(_w(x, _b(y)), 1)
-        add(_w(_b(x), y), 1)
-        add(_w(_b(x, y)), -1)
+        terms = {
+            _w(x, _b(y)): 1,
+            _w(_b(x), y): 1,
+            _w(_b(x, y)): -1,
+        }
     elif item == 6:
-        add(_w(x, _b(y)), 1)
-        add(_w(_b(x), y), 1)
-        add(_w(x, y), lam)
+        terms = {
+            _w(x, _b(y)): 1,
+            _w(_b(x), y): 1,
+            _w(x, y): lam,
+        }
     elif item == 7:
-        add(_w(x, _b(y)), 1)
-        add(_w(x, _b(), y), -1)
-        add(_w(x, y), lam)
+        terms = {
+            _w(x, _b(y)): 1,
+            _w(x, _b(), y): -1,
+            _w(x, y): lam,
+        }
     elif item == 8:
-        add(_w(_b(x), y), 1)
-        add(_w(x, _b(), y), -1)
-        add(_w(x, y), lam)
+        terms = {
+            _w(_b(x), y): 1,
+            _w(x, _b(), y): -1,
+            _w(x, y): lam,
+        }
     elif item == 9:
-        add(_w(x, _b(y)), 1)
-        add(_w(_b(x), y), 1)
-        add(_w(x, _b(), y), -1)
-        add(_w(x, y), lam)
+        terms = {
+            _w(x, _b(y)): 1,
+            _w(_b(x), y): 1,
+            _w(x, _b(), y): -1,
+            _w(x, y): lam,
+        }
     elif item == 10:
-        add(_w(x, _b(y)), 1)
-        add(_w(_b(x), y), 1)
-        add(_w(x, y, _b()), -1)
-        add(_w(x, _b(), y), -1)
-        add(_w(x, y), lam)
+        terms = {
+            _w(x, _b(y)): 1,
+            _w(_b(x), y): 1,
+            _w(x, y, _b()): -1,
+            _w(x, _b(), y): -1,
+            _w(x, y): lam,
+        }
     elif item == 11:
-        add(_w(x, _b(y)), 1)
-        add(_w(_b(x), y), 1)
-        add(_w(x, _b(), y), -1)
-        add(_w(_b(x, y)), -1)
-        add(_w(x, y), lam)
+        terms = {
+            _w(x, _b(y)): 1,
+            _w(_b(x), y): 1,
+            _w(x, _b(), y): -1,
+            _w(_b(x, y)): -1,
+            _w(x, y): lam,
+        }
     elif item == 12:
-        add(_w(x, _b(y)), 1)
-        add(_w(_b(x), y), 1)
-        add(_w(x, _b(), y), -1)
-        add(_w(_b(), x, y), -1)
-        add(_w(x, y), lam)
+        terms = {
+            _w(x, _b(y)): 1,
+            _w(_b(x), y): 1,
+            _w(x, _b(), y): -1,
+            _w(_b(), x, y): -1,
+            _w(x, y): lam,
+        }
     elif item == 13:
-        add(_w(x, _b(), y), c)
-        add(_w(x, y), lam)
-    elif item == 14:
-        add(_w(y, _b(), x), c)
-        add(_w(y, x), lam)
-    else:
-        raise ValueError(f"rb item must be 1..14, got {item}")
-    return OPoly(t)
+        terms = {_w(x, _b(), y): c, _w(x, y): lam}
+    else:  # item 14
+        terms = {_w(y, _b(), x): c, _w(y, x): lam}
+    return OPoly(terms)
 
 
-def _rb_body(item: int, lam: Fraction, c: Fraction) -> OPoly:
+def _rb_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
     lead = OPoly.from_word(_w(_b(_X1), _b(_X2)))
-    return lead - _rb_b_poly(item, lam, c).apply_bracket()
+    return (OPI(name, _XY, lead - _rb_b_poly(item, params).apply_bracket()),)
 
 
-def _diff_n_poly(item: int, params: dict[str, Fraction]) -> OPoly:
+def _diff_n_poly(item: int, params: Mapping[str, Fraction]) -> OPoly:
     x, y = _X1, _X2
-    t: dict[Word, Fraction] = {}
-
-    def add(word: Word, coeff) -> None:
-        co = Fraction(coeff)
-        if co:
-            t[word] = t.get(word, Fraction(0)) + co
-
     if item == 1:
         a, b, c = params["a"], params["b"], params["c"]
         if a * a != a + b * c:
@@ -543,10 +548,12 @@ def _diff_n_poly(item: int, params: dict[str, Fraction]) -> OPoly:
                 "diff:1 with b != 0 is not supported by preset dt: "
                 "the bracket-pair term would outrank the bracket of the product"
             )
-        add(_w(x, _b(y)), a)
-        add(_w(_b(x), y), a)
-        add(_w(_b(x), _b(y)), b)
-        add(_w(x, y), c)
+        terms = {
+            _w(x, _b(y)): a,
+            _w(_b(x), y): a,
+            _w(_b(x), _b(y)): b,
+            _w(x, y): c,
+        }
     elif item == 2:
         a, b = params["a"], params["b"]
         if a != 0:
@@ -554,52 +561,77 @@ def _diff_n_poly(item: int, params: dict[str, Fraction]) -> OPoly:
                 "diff:2 with a != 0 is not supported by preset dt: "
                 "the bracket-pair term would outrank the bracket of the product"
             )
-        add(_w(y, x), a * b * b)
-        add(_w(x, y), b)
-        add(_w(_b(y), _b(x)), a)
-        add(_w(y, _b(x)), -a * b)
-        add(_w(_b(y), x), -a * b)
+        terms = {
+            _w(y, x): a * b * b,
+            _w(x, y): b,
+            _w(_b(y), _b(x)): a,
+            _w(y, _b(x)): -a * b,
+            _w(_b(y), x): -a * b,
+        }
     elif item == 3:
-        weights = {k: v for k, v in params.items() if k.startswith("l")}
-        if not weights:
-            raise ValueError("diff:3 needs at least one weight lIJ (e.g. l00=1)")
-        for k, v in weights.items():
-            m = re.fullmatch(r"l(\d)(\d)", k)
-            if not m:
-                raise ValueError(f"diff:3 weight {k!r} must look like l00, l01, l10, ...")
-            i, j = int(m.group(1)), int(m.group(2))
+        # each weight lIJ puts I unit brackets before x1*x2 and J after
+        terms = {}
+        for k, v in params.items():
+            i, j = int(k[1]), int(k[2])
             if v and i + j > 1:
                 raise ValueError(
                     f"diff:3 weight {k}={v} is not supported by preset dt: "
                     "two or more unit brackets outrank the bracket of the product"
                 )
-            add(_w(*(( _b(),) * i + (x, y) + (_b(),) * j)), v)
-        if not t:
+            terms[_w(*((_b(),) * i + (x, y) + (_b(),) * j))] = v
+        if not any(terms.values()):
             raise ValueError("diff:3: all weights vanish")
     elif item == 4:
         a, b = params["a"], params["b"]
-        add(_w(x, _b(y)), 1)
-        add(_w(_b(x), y), 1)
-        add(_w(x, _b(), y), a)
-        add(_w(x, y), b)
+        terms = {
+            _w(x, _b(y)): 1,
+            _w(_b(x), y): 1,
+            _w(x, _b(), y): a,
+            _w(x, y): b,
+        }
     elif item == 5:
         a = params["a"]
-        add(_w(_b(x), y), 1)
-        add(_w(x, _b(), y), a)
-        add(_w(x, y, _b()), -a)
-    elif item == 6:
+        terms = {
+            _w(_b(x), y): 1,
+            _w(x, _b(), y): a,
+            _w(x, y, _b()): -a,
+        }
+    else:  # item 6
         a = params["a"]
-        add(_w(x, _b(y)), 1)
-        add(_w(x, _b(), y), a)
-        add(_w(_b(), x, y), -a)
-    else:
-        raise ValueError(f"diff item must be 1..6, got {item}")
-    return OPoly(t)
+        terms = {
+            _w(x, _b(y)): 1,
+            _w(x, _b(), y): a,
+            _w(_b(), x, y): -a,
+        }
+    return OPoly(terms)
 
 
-def _diff_body(item: int, params: dict[str, Fraction]) -> OPoly:
+def _diff_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
     lead = OPoly.from_word(_w(_b(_X1, _X2)))
-    return lead - _diff_n_poly(item, params)
+    return (OPI(name, _XY, lead - _diff_n_poly(item, params)),)
+
+
+def _diffprime_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
+    return (OPI(name, (_X1,), OPoly({_w(_b(_X1)): 1, _w(_X1): -params["c"]})),)
+
+
+def _averaging_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
+    a = OPI(
+        "averaging:A",
+        _XY,
+        OPoly({_w(_b(_b(_X1), _X2)): 1, _w(_b(_X1), _b(_X2)): -1}),
+    )
+    b = OPI(
+        "averaging:B",
+        _XY,
+        OPoly({_w(_b(_X1, _b(_X2))): 1, _w(_b(_X1), _b(_X2)): -1}),
+    )
+    c = OPI(
+        "averaging:C",
+        _XY,
+        OPoly({_w(_b(_b(_X1)), _b(_X2)): 1, _w(_b(_X1), _b(_b(_X2))): -1}),
+    )
+    return (a, b, c)
 
 
 def _reynolds_opi(n: int) -> OPI:
@@ -614,231 +646,176 @@ def _reynolds_opi(n: int) -> OPI:
     return OPI(f"reynolds:{n}", vs, OPoly(t))
 
 
-def _averaging_opis() -> tuple[OPI, ...]:
-    a = OPI(
-        "averaging:A",
-        (_X1, _X2),
-        OPoly({_w(_b(_b(_X1), _X2)): 1, _w(_b(_X1), _b(_X2)): -1}),
-    )
-    b = OPI(
-        "averaging:B",
-        (_X1, _X2),
-        OPoly({_w(_b(_X1, _b(_X2))): 1, _w(_b(_X1), _b(_X2)): -1}),
-    )
-    c = OPI(
-        "averaging:C",
-        (_X1, _X2),
-        OPoly({_w(_b(_b(_X1)), _b(_X2)): 1, _w(_b(_X1), _b(_b(_X2))): -1}),
-    )
-    return (a, b, c)
-
-
 # Largest n a ``reynolds?n=`` selector may ask for.  reynolds:k has no
 # instance below operator bound k, and check-gs on reynolds?n=12 at (0,12)
 # already takes 13 s (CPython 3.11, 2 vCPU x86); n=300 took 17 s at (1,1).
 MAX_REYNOLDS_N = 32
 
-_PARAM_DEFAULTS = {
-    "rb": {"lambda": Fraction(0), "c": Fraction(1)},
-    "diff1": {"a": Fraction(1), "b": Fraction(0), "c": Fraction(0)},
-    "diff2": {"a": Fraction(0), "b": Fraction(1)},
-    "diff3": {},
-    "diff4": {"a": Fraction(0), "b": Fraction(0)},
-    "diff5": {"a": Fraction(1)},
-    "diff6": {"a": Fraction(1)},
-    "diffprime": {"c": Fraction(1)},
-    "reynolds": {"n": Fraction(4)},
+
+def _reynolds_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
+    n = params["n"]
+    if n.denominator != 1 or n < 2:
+        raise ValueError(f"reynolds needs integer n >= 2, got {n}")
+    if n > MAX_REYNOLDS_N:
+        raise ValueError(f"reynolds n={n} is over the limit of {MAX_REYNOLDS_N}")
+    return tuple(_reynolds_opi(k) for k in range(2, int(n) + 1))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One row of the catalog table.  ``defaults(item)`` gives an item's
+    parameters with their default values, or None for an item that takes
+    ``lIJ`` weights instead (``l00=1`` when none is given); ``build(name,
+    item, params)`` makes the identities from the merged parameters."""
+
+    items: int  # largest item number; 0 when the family takes no item
+    preset: str
+    units_stable: bool  # whether every leading monomial survives unit assignments
+    defaults: Callable[[int], dict[str, Fraction] | None]
+    build: Callable[[str, int, dict[str, Fraction]], tuple[OPI, ...]]
+    help: str
+
+
+_CATALOG = {
+    "rb": _Family(
+        items=14,
+        preset="db",
+        units_stable=True,
+        defaults=lambda item: (
+            {} if item <= 5 else {"lambda": Fraction(0)} if item <= 12 else {"lambda": Fraction(0), "c": Fraction(1)}
+        ),
+        build=_rb_opis,
+        help="bracket-pair collapse; optional lambda, c on 13/14",
+    ),
+    "nijenhuis": _Family(
+        items=0,
+        preset="db",
+        units_stable=True,
+        defaults=lambda _: {},
+        build=lambda name, _, params: _rb_opis(name, 5, params),
+        help="alias of rb:5",
+    ),
+    "diff": _Family(
+        items=6,
+        preset="dt",
+        # the leading monomial shifts at unit assignments; those instances
+        # join as degenerate rules
+        units_stable=False,
+        defaults={
+            1: {"a": Fraction(1), "b": Fraction(0), "c": Fraction(0)},
+            2: {"a": Fraction(0), "b": Fraction(1)},
+            3: None,
+            4: {"a": Fraction(0), "b": Fraction(0)},
+            5: {"a": Fraction(1)},
+            6: {"a": Fraction(1)},
+        }.__getitem__,
+        build=_diff_opis,
+        help="bracket-of-product expansion; item parameters apply",
+    ),
+    "diffprime": _Family(
+        items=0,
+        preset="dt",
+        units_stable=True,
+        defaults=lambda _: {"c": Fraction(1)},
+        build=_diffprime_opis,
+        help="single-variable bracket collapse; parameter c",
+    ),
+    "averaging": _Family(
+        items=0,
+        preset="dt",
+        units_stable=True,
+        defaults=lambda _: {},
+        build=_averaging_opis,
+        help="three derived identities",
+    ),
+    "reynolds": _Family(
+        items=0,
+        preset="dt",
+        units_stable=True,
+        defaults=lambda _: {"n": Fraction(4)},
+        build=_reynolds_opis,
+        help="nested family; parameter n >= 2",
+    ),
 }
 
-_RB_WITH_LAMBDA = {6, 7, 8, 9, 10, 11, 12, 13, 14}
-_RB_WITH_C = {13, 14}
 
-
-def _canonical_key(family: str, params: dict[str, Fraction]) -> str:
-    if not params:
-        return family
-    inner = ",".join(f"{k}={params[k]}" for k in sorted(params))
-    return f"{family}?{inner}"
+def _label(name: str) -> str:
+    items = _CATALOG[name].items
+    return f"{name}:1..{items}" if items else name
 
 
 def parse_catalog(selector: str) -> CatalogEntry:
     """Resolve a catalog selector like ``rb:6?lambda=1`` or ``reynolds?n=4``.
 
-    Parameters are exact rationals.  Selectors that ask for parameter
-    ranges the declared preset cannot order are refused with an
-    explanation rather than silently producing a broken rule.
+    Parameters are exact rationals, each given at most once; the ones not
+    given take the item's defaults, and the key and ``params`` name them
+    all.  Selectors that ask for parameter ranges the declared preset
+    cannot order are refused with an explanation rather than silently
+    producing a broken rule.
     """
     text = selector.strip()
     fam_text, _, param_text = text.partition("?")
-    fam_text = fam_text.strip()
     params: dict[str, Fraction] = {}
     if param_text:
         for chunk in param_text.split(","):
             k, sep, v = chunk.partition("=")
+            k = k.strip()
             if not sep:
                 raise ValueError(f"bad parameter {chunk!r} in selector {selector!r} (want key=value)")
+            if k in params:
+                raise ValueError(f"selector {selector!r}: parameter {k} is given twice")
             try:
-                params[k.strip()] = parse_rational(v)
+                params[k] = parse_rational(v)
             except ValueError as exc:
                 raise ValueError(f"bad parameter value {v.strip()!r} in selector {selector!r}: {exc}") from None
 
-    fam, _, item_text = fam_text.partition(":")
+    fam, _, item_text = fam_text.strip().partition(":")
     fam = fam.strip()
+    family = _CATALOG.get(fam)
+    if family is None:
+        names = ", ".join(map(_label, _CATALOG))
+        raise ValueError(f"unknown catalog family {fam!r} in selector {selector!r}; families: {names}")
+    item = 0
+    if not family.items:
+        if item_text:
+            raise ValueError(f"selector {selector!r} does not take an item number")
+    elif not item_text:
+        raise ValueError(f"selector {selector!r} needs an item number 1..{family.items}")
+    else:
+        try:
+            item = parse_integer(item_text)
+        except ValueError as exc:
+            raise ValueError(f"bad item {item_text!r} in selector {selector!r}: {exc}") from None
+        if not 1 <= item <= family.items:
+            raise ValueError(f"item {item} out of range 1..{family.items} in selector {selector!r}")
+    name = f"{fam}:{item}" if item else fam
 
-    def reject_unknown(allowed: Iterable[str]) -> None:
-        allowed = set(allowed)
-        bad = [k for k in params if k not in allowed]
+    defaults = family.defaults(item)
+    if defaults is None:
+        bad = [k for k in params if not re.fullmatch(r"l\d\d", k)]
+        if bad:
+            raise ValueError(f"selector {selector!r}: {name} takes weights lIJ only, got {','.join(sorted(bad))}")
+        merged = params or {"l00": Fraction(1)}
+    else:
+        bad = [k for k in params if k not in defaults]
         if bad:
             raise ValueError(
                 f"selector {selector!r}: unknown parameter(s) {','.join(sorted(bad))}"
-                f" (allowed: {','.join(sorted(allowed)) or 'none'})"
+                f" (allowed: {','.join(sorted(defaults)) or 'none'})"
             )
-
-    if fam == "rb":
-        item = _require_item(selector, item_text, 1, 14)
-        allowed = set()
-        if item in _RB_WITH_LAMBDA:
-            allowed.add("lambda")
-        if item in _RB_WITH_C:
-            allowed.add("c")
-        reject_unknown(allowed)
-        lam = params.get("lambda", _PARAM_DEFAULTS["rb"]["lambda"])
-        c = params.get("c", _PARAM_DEFAULTS["rb"]["c"])
-        shown = {k: v for k, v in (("lambda", lam), ("c", c)) if k in allowed}
-        body = _rb_body(item, lam, c)
-        phi = OPI(f"rb:{item}", (_X1, _X2), body)
-        return CatalogEntry(
-            key=_canonical_key(f"rb:{item}", shown),
-            family="rb",
-            opis=(phi,),
-            preset="db",
-            params=tuple(sorted(shown.items())),
-            asserted_gs=True,
-            units_stable=True,
-        )
-
-    if fam == "nijenhuis":
-        _no_item(selector, item_text)
-        reject_unknown(())
-        phi = OPI("nijenhuis", (_X1, _X2), _rb_body(5, Fraction(0), Fraction(1)))
-        return CatalogEntry(
-            key="nijenhuis",
-            family="nijenhuis",
-            opis=(phi,),
-            preset="db",
-            params=(),
-            asserted_gs=True,
-            units_stable=True,
-        )
-
-    if fam == "diff":
-        item = _require_item(selector, item_text, 1, 6)
-        if item == 3:
-            bad = [k for k in params if not re.fullmatch(r"l\d\d", k)]
-            if bad:
-                raise ValueError(
-                    f"selector {selector!r}: diff:3 takes weights lIJ only, got {','.join(sorted(bad))}"
-                )
-            merged = dict(params) if params else {"l00": Fraction(1)}
-        else:
-            defaults = dict(_PARAM_DEFAULTS.get(f"diff{item}", {}))
-            reject_unknown(defaults)
-            merged = {**defaults, **params}
-        body = _diff_body(item, merged)
-        phi = OPI(f"diff:{item}", (_X1, _X2), body)
-        return CatalogEntry(
-            key=_canonical_key(f"diff:{item}", merged),
-            family="diff",
-            opis=(phi,),
-            preset="dt",
-            params=tuple(sorted(merged.items())),
-            asserted_gs=True,
-            # the leading monomial shifts at unit assignments; those
-            # instances join as degenerate rules
-            units_stable=False,
-        )
-
-    if fam == "diffprime":
-        _no_item(selector, item_text)
-        reject_unknown(("c",))
-        c = params.get("c", _PARAM_DEFAULTS["diffprime"]["c"])
-        body = OPoly({_w(_b(_X1)): Fraction(1), _w(_X1): -c})
-        phi = OPI("diffprime", (_X1,), body)
-        return CatalogEntry(
-            key=_canonical_key("diffprime", {"c": c}),
-            family="diffprime",
-            opis=(phi,),
-            preset="dt",
-            params=(("c", c),),
-            asserted_gs=True,
-            units_stable=True,
-        )
-
-    if fam == "averaging":
-        _no_item(selector, item_text)
-        reject_unknown(())
-        return CatalogEntry(
-            key="averaging",
-            family="averaging",
-            opis=_averaging_opis(),
-            preset="dt",
-            params=(),
-            asserted_gs=True,
-            units_stable=True,
-        )
-
-    if fam == "reynolds":
-        _no_item(selector, item_text)
-        reject_unknown(("n",))
-        n_frac = params.get("n", _PARAM_DEFAULTS["reynolds"]["n"])
-        if n_frac.denominator != 1 or n_frac < 2:
-            raise ValueError(f"reynolds needs integer n >= 2, got {n_frac}")
-        if n_frac > MAX_REYNOLDS_N:
-            raise ValueError(f"reynolds n={n_frac} is over the limit of {MAX_REYNOLDS_N}")
-        n = int(n_frac)
-        opis = tuple(_reynolds_opi(k) for k in range(2, n + 1))
-        return CatalogEntry(
-            key=f"reynolds?n={n}",
-            family="reynolds",
-            opis=opis,
-            preset="dt",
-            params=(("n", Fraction(n)),),
-            asserted_gs=True,
-            units_stable=True,
-        )
-
-    raise ValueError(
-        f"unknown catalog family {fam!r} in selector {selector!r}; "
-        f"families: rb:1..14, nijenhuis, diff:1..6, diffprime, averaging, reynolds"
+        merged = {**defaults, **params}
+    pairs = tuple(sorted(merged.items()))
+    shown = ",".join(f"{k}={v}" for k, v in pairs)
+    return CatalogEntry(
+        key=f"{name}?{shown}" if shown else name,
+        family=fam,
+        opis=family.build(name, item, merged),
+        preset=family.preset,
+        params=pairs,
+        asserted_gs=True,
+        units_stable=family.units_stable,
     )
 
 
-def _require_item(selector: str, item_text: str, lo: int, hi: int) -> int:
-    if not item_text:
-        raise ValueError(f"selector {selector!r} needs an item number {lo}..{hi}")
-    try:
-        item = parse_integer(item_text)
-    except ValueError as exc:
-        raise ValueError(f"bad item {item_text!r} in selector {selector!r}: {exc}") from None
-    if not (lo <= item <= hi):
-        raise ValueError(f"item {item} out of range {lo}..{hi} in selector {selector!r}")
-    return item
-
-
-def _no_item(selector: str, item_text: str) -> None:
-    if item_text:
-        raise ValueError(f"selector {selector!r} does not take an item number")
-
-
-_FAMILIES = (
-    "rb:1..14 (bracket-pair collapse; optional lambda, c on 13/14)",
-    "nijenhuis (alias of rb:5)",
-    "diff:1..6 (bracket-of-product expansion; item parameters apply)",
-    "diffprime (single-variable bracket collapse; parameter c)",
-    "averaging (three derived identities)",
-    "reynolds (nested family; parameter n >= 2)",
-)
-
-
 def catalog_help() -> str:
-    return "catalog families:\n" + "\n".join(f"  {line}" for line in _FAMILIES)
+    return "catalog families:\n" + "\n".join(f"  {_label(name)} ({f.help})" for name, f in _CATALOG.items())

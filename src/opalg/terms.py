@@ -44,6 +44,7 @@ import re
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -785,6 +786,10 @@ def count_words(n_letters: int, max_z: int, max_op: int, arity: int = 1) -> int:
     whose measures sum within the bounds (a jointly bounded tuple).  A count
     over ``COUNT_CEILING`` is returned as ``COUNT_CEILING + 1`` once it is
     known to be over (:func:`count_text` prints it as such)."""
+    if n_letters == 1 and not max_op:
+        # one word per letter degree: the tuples are the ways to share at
+        # most max_z letters among arity words
+        return min(comb(max_z + arity, arity), COUNT_CEILING + 1)
     width = max_op + 1
     if (max_z + 1) * width > COUNT_CEILING:
         # one word per measure pair at least: z letters, then p brackets [1]

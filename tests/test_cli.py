@@ -422,8 +422,9 @@ def test_wide_expansion_scope_exits_two_naming_the_limit(capsys):
         (["check-type", "--catalog", "rb:1"], "auditing rb:1"),
         (["nf", "--catalog", "rb:1", "z1"], "expanding rb:1"),
         (["basis", "--catalog", "rb:1"], "expanding rb:1"),
+        (["basis", "--gens", "z1"], "enumerating irreducible words"),
     ],
-    ids=["check-gs", "check-type", "nf", "basis"],
+    ids=["check-gs", "check-type", "nf", "basis", "basis-gens"],
 )
 def test_huge_bounds_exit_two_at_once_naming_the_limit(capsys, argv, subject):
     # the word count stops as soon as it is far over the limit
@@ -433,6 +434,33 @@ def test_huge_bounds_exit_two_at_once_naming_the_limit(capsys, argv, subject):
     assert code == 2
     assert f"error: {subject} at bounds (400, 400) would" in out
     assert f"more than {COUNT_CEILING} words, over the limit of {MAX_EXPANSION_WORDS}" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["check-gs", "--alphabet", "z1", "--catalog", "diffprime", "--bounds", "999998,0"],
+            "expanding diffprime at bounds (999998, 0) would range each variable over 999999 words",
+        ),
+        (
+            ["check-type", "--alphabet", "z1", "--catalog", "rb:1", "--bounds", "999999,0"],
+            "auditing rb:1 at bounds (999999, 0) would probe 1000000 words",
+        ),
+        (
+            ["basis", "--gens", "z1", "--bounds", "16,0"],
+            "enumerating irreducible words at bounds (16, 0) would build 131071 words",
+        ),
+    ],
+    ids=["check-gs", "check-type", "basis"],
+)
+def test_word_counts_under_the_ceiling_exit_two_at_once_with_the_exact_count(capsys, argv, message):
+    # one letter without brackets is counted in closed form, not cell by cell
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"error: {message}, over the limit of {MAX_EXPANSION_WORDS}" in out
 
 
 def test_removed_jobs_flag_and_config_key_exit_two(tmp_path, capsys):
@@ -449,6 +477,13 @@ def test_unknown_catalog_selector_exits_two(capsys):
     code, out = run(capsys, "nf", "--catalog", "rb:99", "z1")
     assert code == 2
     assert "error:" in out
+
+
+@pytest.mark.parametrize("selector, key", [("rb:6?lambda=1,lambda=2", "lambda"), ("reynolds?n=4,n=5", "n")])
+def test_repeated_selector_parameter_exits_two_naming_it(capsys, selector, key):
+    code, out = run(capsys, "check-gs", "--catalog", selector)
+    assert code == 2
+    assert f"error: selector {selector!r}: parameter {key} is given twice" in out
 
 
 def test_order_preset_conflict_with_catalog(capsys):

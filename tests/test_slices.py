@@ -9,7 +9,7 @@ every word of ``all_words(Z12, 3, 2)``.
 
 import pytest
 
-from conftest import Z12
+from conftest import Z1, Z12
 from opalg import OPI, GeneratorSet, OPoly, OrderSpec, RuleSet, parse_catalog, parse_opoly
 from opalg.opi import check_lm_no_subword
 from opalg.rewrite import ConcreteRule, Redex, _scan_adjacent_nonunit_brackets
@@ -163,9 +163,19 @@ def test_count_words_matches_all_words(letters, bounds):
     assert count_words(len(letters), *bounds) == len(all_words(letters, *bounds))
 
 
-@pytest.mark.parametrize("arity, bounds", [(2, (3, 2)), (3, (2, 1)), (3, (2, 2)), (3, (3, 1))])
-def test_count_words_matches_jointly_bounded_tuples(arity, bounds):
-    assert count_words(len(Z12), *bounds, arity=arity) == sum(1 for _ in word_tuples(Z12, *bounds, arity))
+JOINT_CASES = [(Z12, 2, (3, 2)), (Z12, 3, (2, 1)), (Z12, 3, (2, 2)), (Z12, 3, (3, 1))]
+# one letter without brackets: the closed form
+JOINT_CASES += [(Z1, arity, (max_z, 0)) for arity in (1, 2, 3) for max_z in (0, 1, 6)]
+
+
+@pytest.mark.parametrize(
+    "alphabet, arity, bounds",
+    JOINT_CASES,
+    ids=[f"{'' if a is Z12 else 'z-'}{k}-bounds{i}" for i, (a, k, _) in enumerate(JOINT_CASES)],
+)
+def test_count_words_matches_jointly_bounded_tuples(alphabet, arity, bounds):
+    want = sum(1 for _ in word_tuples(alphabet, *bounds, arity))
+    assert count_words(len(alphabet), *bounds, arity=arity) == want
 
 
 def reference_count_words(n_letters, max_z, max_op, arity=1):
