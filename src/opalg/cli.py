@@ -158,7 +158,7 @@ class Env:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alphabet", help="comma-separated letters (default z1,z2)")
     p.add_argument("--base-order", dest="base_order", help="letter ranking, a permutation of the alphabet")
-    p.add_argument("--order", help="order preset: db, dt, or deglex (default: from catalog, else db)")
+    p.add_argument("--order", help="order preset: db or dt (default: from catalog, else db)")
     p.add_argument("--catalog", action="append", help="catalog selector, repeatable (see 'demo --list' examples)")
     p.add_argument("--gens", action="append", help="concrete generator polynomial, repeatable")
     p.add_argument("--gens-file", dest="gens_file", help="file with one generator polynomial per line")

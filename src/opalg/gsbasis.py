@@ -31,10 +31,10 @@ from functools import cmp_to_key
 from typing import Mapping, Sequence, Union
 
 from .opi import (
-    MAX_EXPANSION_WORDS,
     OPI,
     CatalogEntry,
     Generator,
+    _refuse_wide_pool,
     check_lm_no_subword,
     check_lm_stability,
     expand_instances,
@@ -47,8 +47,6 @@ from .terms import (
     Context,
     Word,
     all_words,
-    count_text,
-    count_words,
     iter_occurrences,
     iter_slices,
     render,
@@ -105,11 +103,6 @@ class GeneratorSet:
         for i, g in enumerate(concrete):
             if g.is_zero():
                 raise ValueError(f"concrete generator #{i} is zero")
-            if order.preset == "deglex" and any(m.op_degree for m in g.support()):
-                raise ValueError(
-                    f"order deglex is not context-compatible on brackets; concrete generator "
-                    f"#{i} {render_opoly(g, order)} has a bracket (use db or dt)"
-                )
         self.entries = tuple(entries)
         self.concrete = tuple(concrete)
         self.order = order
@@ -628,12 +621,8 @@ def enumerate_irr(generators: GeneratorSet, bounds: tuple[int, int]) -> tuple[Wo
     word is.  A pool of more than ``MAX_EXPANSION_WORDS`` words is refused
     with a ``ValueError`` before any word is built."""
     rules = generators.ruleset(bounds)
-    pool = count_words(len(generators.alphabet.letters), *bounds)
-    if pool > MAX_EXPANSION_WORDS:
-        raise ValueError(
-            f"enumerating irreducible words at bounds {bounds} would build {count_text(pool)} words, "
-            f"over the limit of {MAX_EXPANSION_WORDS}"
-        )
+    what = f"enumerating irreducible words at bounds {bounds} would build"
+    _refuse_wide_pool(what, len(generators.alphabet.letters), *bounds)
     order = generators.order
     out = [w for w in all_words(generators.alphabet, *bounds) if rules.find_redex(w) is None]
     out.sort(key=cmp_to_key(order.compare))

@@ -200,6 +200,17 @@ class Generator:
 MAX_EXPANSION_WORDS = 50_000
 
 
+def _refuse_wide_pool(
+    what: str, n_letters: int, max_z: int, max_op: int, arity: int = 1, unit: str = "words"
+) -> None:
+    """Count a pool with :func:`count_words`, before any word is built, and
+    refuse one over ``MAX_EXPANSION_WORDS`` with a ``ValueError`` reading
+    ``{what} {count} {unit}, over the limit of 50000``."""
+    n = count_words(n_letters, max_z, max_op, arity)
+    if n > MAX_EXPANSION_WORDS:
+        raise ValueError(f"{what} {count_text(n)} {unit}, over the limit of {MAX_EXPANSION_WORDS}")
+
+
 def expand_instances(
     opis: Sequence[OPI],
     alphabet: Alphabet,
@@ -234,12 +245,8 @@ def expand_instances(
         op_budget = max_op - min(m.op_degree for m in phi.body.support())
         if z_budget < 0 or op_budget < 0:
             continue
-        pool = count_words(len(alphabet), z_budget, op_budget)
-        if pool > MAX_EXPANSION_WORDS:
-            raise ValueError(
-                f"expanding {phi.name} at bounds {bounds} would range each variable over "
-                f"{count_text(pool)} words, over the limit of {MAX_EXPANSION_WORDS}"
-            )
+        what = f"expanding {phi.name} at bounds {bounds} would range each variable over"
+        _refuse_wide_pool(what, len(alphabet), z_budget, op_budget)
         if not any(_lead_certificates(phi, order)[1:]):  # no violation, nothing open
             op_budget = max_op - lead.op_degree
             if op_budget < 0:
@@ -323,36 +330,34 @@ def _schema_cmp(
 
     Decided only where both sides carry the same multiset of variables
     (always so for two monomials of a multilinear body): then their
-    z_degree and op_degree gaps do not depend on σ.  deglex goes from
-    z_degree straight to the factor walk.  The breadth gap is a constant
-    plus, per variable, its top-level count on ``u`` minus that on ``v``
-    times breadth(σ(x)), which is at least 1 for a variable in ``nonunit``
-    and at least 0 otherwise; its sign is decided when that range excludes
-    0.  With a gap of 0 under every σ the factors are walked in order:
-    identical schema factors stay identical under σ, a letter against a
-    bracket is settled by the order, two brackets decide exactly when their
-    inner words do, and a variable at the first difference leaves the pair
-    open.  When one side is a prefix of the other, the longer side is
-    greater.
+    z_degree and op_degree gaps do not depend on σ.  The breadth gap is a
+    constant plus, per variable, its top-level count on ``u`` minus that on
+    ``v`` times breadth(σ(x)), which is at least 1 for a variable in
+    ``nonunit`` and at least 0 otherwise; its sign is decided when that
+    range excludes 0.  With a gap of 0 under every σ the factors are walked
+    in order: identical schema factors stay identical under σ, a letter
+    against a bracket is settled by the order, two brackets decide exactly
+    when their inner words do, and a variable at the first difference
+    leaves the pair open.
     """
     if var_counts(u, vset) != var_counts(v, vset):
         return None
     if u.z_degree != v.z_degree:
         return (1 if u.z_degree > v.z_degree else -1), f"z_degree gap {abs(u.z_degree - v.z_degree)}"
-    if order.preset != "deglex":
-        if u.op_degree != v.op_degree:
-            return (1 if u.op_degree > v.op_degree else -1), f"op_degree gap {abs(u.op_degree - v.op_degree)}"
-        top = Counter(f for f in u.factors if f in vset)
-        top.subtract(f for f in v.factors if f in vset)
-        signs = {d > 0 for d in top.values() if d}
-        # the breadth gap when every top-level variable takes its least breadth
-        least = u.breadth - v.breadth - sum(d for x, d in top.items() if x not in nonunit)
-        if least and signs <= {least > 0}:
-            wider = 1 if least > 0 else -1
-            reason = f"breadth gap at least {abs(least)}" if signs else f"constant breadth {u.breadth} vs {v.breadth}"
-            return (wider if order.preset == "db" else -wider), reason
-        if signs:
-            return None
+    if u.op_degree != v.op_degree:
+        return (1 if u.op_degree > v.op_degree else -1), f"op_degree gap {abs(u.op_degree - v.op_degree)}"
+    top = Counter(f for f in u.factors if f in vset)
+    top.subtract(f for f in v.factors if f in vset)
+    signs = {d > 0 for d in top.values() if d}
+    # the breadth gap when every top-level variable takes its least breadth
+    least = u.breadth - v.breadth - sum(d for x, d in top.items() if x not in nonunit)
+    if least and signs <= {least > 0}:
+        wider = 1 if least > 0 else -1
+        reason = f"breadth gap at least {abs(least)}" if signs else f"constant breadth {u.breadth} vs {v.breadth}"
+        return (wider if order.preset == "db" else -wider), reason
+    if signs:
+        return None
+    # equal breadth and equal top-level variables: neither side is a prefix
     for i, (f, g) in enumerate(zip(u.factors, v.factors), 1):
         if f == g:
             continue
@@ -364,12 +369,6 @@ def _schema_cmp(
         if got is None:
             return None
         return got[0], f"{got[1]} inside factor {i}"
-    # one side is a prefix of the other; the sides hold the same variables,
-    # so the longer side's tail holds none and stays nonempty under every σ
-    n = min(u.breadth, v.breadth)
-    tail = u.factors[n:] or v.factors[n:]
-    if tail:
-        return (1 if u.breadth > n else -1), f"longer by {render(Word(tail))}"
     return None
 
 
@@ -762,6 +761,8 @@ def parse_catalog(selector: str) -> CatalogEntry:
             k = k.strip()
             if not sep:
                 raise ValueError(f"bad parameter {chunk!r} in selector {selector!r} (want key=value)")
+            if not k:
+                raise ValueError(f"bad parameter {chunk!r} in selector {selector!r} (empty parameter name)")
             if k in params:
                 raise ValueError(f"selector {selector!r}: parameter {k} is given twice")
             try:
@@ -769,7 +770,7 @@ def parse_catalog(selector: str) -> CatalogEntry:
             except ValueError as exc:
                 raise ValueError(f"bad parameter value {v.strip()!r} in selector {selector!r}: {exc}") from None
 
-    fam, _, item_text = fam_text.strip().partition(":")
+    fam, colon, item_text = fam_text.strip().partition(":")
     fam = fam.strip()
     family = _CATALOG.get(fam)
     if family is None:
@@ -777,7 +778,7 @@ def parse_catalog(selector: str) -> CatalogEntry:
         raise ValueError(f"unknown catalog family {fam!r} in selector {selector!r}; families: {names}")
     item = 0
     if not family.items:
-        if item_text:
+        if colon:
             raise ValueError(f"selector {selector!r} does not take an item number")
     elif not item_text:
         raise ValueError(f"selector {selector!r} needs an item number 1..{family.items}")

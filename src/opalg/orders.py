@@ -1,15 +1,14 @@
 """Monomial orders on bracketed words, and a randomized axiom checker.
 
-Three presets:
+Two presets:
 
 * ``db``: z_degree, then op_degree, then breadth ascending, then a
   factor-by-factor comparison (letters below brackets, letters by base
   rank, brackets by full recursive comparison of their inners).
 * ``dt``: same keys with breadth descending.
-* ``deglex``: z_degree then the factor comparison alone, shorter prefix
-  first.  Total on all words, but context-compatible only on bracket-free
-  words; it exists so the bracket-free restriction of db/dt has a named
-  classical counterpart.
+
+Both are context-compatible.  On bracket-free words they coincide with
+the classical degree-lexicographic order.
 
 ``db``/``dt`` are well-ordered on words over a finite alphabet: breadth
 never exceeds z_degree + op_degree, so each (z, op) stratum is finite and
@@ -33,7 +32,7 @@ __all__ = ["LT", "EQ", "GT", "PRESETS", "OrderSpec", "OrderAxiomReport", "check_
 
 LT, EQ, GT = -1, 0, 1
 
-PRESETS = ("deglex", "db", "dt")
+PRESETS = ("db", "dt")
 
 
 @dataclass(frozen=True)
@@ -81,24 +80,11 @@ class OrderSpec:
             return GT
         return self.compare(f.inner, g.inner)
 
-    def _lex(self, fs: tuple, gs: tuple) -> int:
-        for f, g in zip(fs, gs):
-            c = self._factor_cmp(f, g)
-            if c:
-                return c
-        if len(fs) == len(gs):
-            return EQ
-        return LT if len(fs) < len(gs) else GT
-
     def compare(self, u: Word, v: Word) -> int:
         """-1, 0, or 1; zero exactly on structural equality (interned
         words are equal exactly when identical)."""
         if u is v:
             return EQ
-        if self.preset == "deglex":
-            if u.z_degree != v.z_degree:
-                return LT if u.z_degree < v.z_degree else GT
-            return self._lex(u.factors, v.factors)
         if u.z_degree != v.z_degree:
             return LT if u.z_degree < v.z_degree else GT
         if u.op_degree != v.op_degree:
@@ -108,7 +94,12 @@ class OrderSpec:
             if self.preset == "db":
                 return LT if bu < bv else GT
             return GT if bu < bv else LT  # dt: smaller breadth is greater
-        return self._lex(u.factors, v.factors)
+        # equal breadth: the factor walk ends on a difference or on equality
+        for f, g in zip(u.factors, v.factors):
+            c = self._factor_cmp(f, g)
+            if c:
+                return c
+        return EQ
 
     def max(self, words: Iterable[Word]) -> Word:
         best = None

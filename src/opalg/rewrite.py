@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .opi import MAX_EXPANSION_WORDS, OPI, CatalogEntry, Generator
+from .opi import OPI, CatalogEntry, Generator, _refuse_wide_pool
 from .orders import OrderSpec
 from .poly import OPoly, Scalar, _wrap
 from .terms import (
@@ -49,8 +49,6 @@ from .terms import (
     Word,
     align_factors,
     all_words,
-    count_text,
-    count_words,
     iter_slices,
     render,
     slice_context,
@@ -458,12 +456,7 @@ def _open_audit(
         if len(candidate.opis) != 1:
             raise ValueError(f"{candidate.key}: family checks need a single identity")
         phi = candidate.opis[0]
-    pool = count_words(len(alphabet.letters), *bounds)
-    if pool > MAX_EXPANSION_WORDS:
-        raise ValueError(
-            f"auditing {phi.name} at bounds {bounds} would probe {count_text(pool)} words, "
-            f"over the limit of {MAX_EXPANSION_WORDS}"
-        )
+    _refuse_wide_pool(f"auditing {phi.name} at bounds {bounds} would probe", len(alphabet.letters), *bounds)
     rep = TypeReport(opi=phi.name, family=family, bounds=bounds, fuel=fuel)
     if phi.arity != 2:
         rep.add("shape", False, f"needs exactly 2 variables, got {phi.arity}")
@@ -495,12 +488,8 @@ def _probe(
     More triples than ``MAX_EXPANSION_WORDS`` are refused with a
     ``ValueError`` before either probe runs."""
     max_z, max_op = rep.bounds
-    triples = count_words(len(alphabet.letters), max_z, max_op, arity=3)
-    if triples > MAX_EXPANSION_WORDS:
-        raise ValueError(
-            f"auditing {rep.opi} at bounds {rep.bounds} would probe closure on {count_text(triples)} "
-            f"jointly bounded triples, over the limit of {MAX_EXPANSION_WORDS}"
-        )
+    what = f"auditing {rep.opi} at bounds {rep.bounds} would probe closure on"
+    _refuse_wide_pool(what, len(alphabet.letters), max_z, max_op, arity=3, unit="jointly bounded triples")
     stuck = None
     for w in all_words(alphabet, max_z, max_op):
         if normal_form(OPoly.from_word(w), rules, rep.fuel, want_trace=False).exhausted:

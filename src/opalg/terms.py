@@ -736,29 +736,26 @@ def all_words(alphabet: Alphabet | tuple[str, ...], max_z: int, max_op: int) -> 
     grows fast, so callers check :func:`count_words` before asking.
     """
     letters = tuple(alphabet)
-    cache: dict[tuple[int, int], tuple[Word, ...]] = {}
-
-    def gen(d: int, p: int) -> tuple[Word, ...]:
-        key = (d, p)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        acc: list[Word] = [UNIT]
-        if d >= 1:
-            for name in letters:
-                for tail in gen(d - 1, p):
-                    acc.append(Word((name,) + tail.factors))
-        if p >= 1:
-            for inner in gen(d, p - 1):
-                dz, dp = inner.z_degree, inner.op_degree + 1
-                # first factor [inner] consumes (dz, dp) of the budget
-                for tail in gen(d - dz, p - dp):
-                    acc.append(Word((Bracket(inner),) + tail.factors))
-        out = tuple(acc)
-        cache[key] = out
-        return out
-
-    return tuple(sorted(gen(max_z, max_op), key=structural_key))
+    # exact[z, p]: the words with exactly z letters and p brackets, each
+    # built once.  A word is the unit, a letter before a word, or a bracket
+    # [inner] before a word; every cell a cell reads has fewer brackets, or
+    # as many and fewer letters, so filling the cells bracket count first
+    # and letter count second has each one ready before it is read.
+    exact: dict[tuple[int, int], list[Word]] = {}
+    for p in range(max_op + 1):
+        for z in range(max_z + 1):
+            acc = [] if z or p else [UNIT]
+            if z:
+                acc += [Word((name,) + tail.factors) for name in letters for tail in exact[z - 1, p]]
+            for b in range(p):
+                for a in range(z + 1):
+                    # first factor [inner] spends a letters and b + 1 brackets
+                    tails = exact[z - a, p - 1 - b]
+                    for inner in exact[a, b]:
+                        head = (Bracket(inner),)
+                        acc += [Word(head + tail.factors) for tail in tails]
+            exact[z, p] = acc
+    return tuple(sorted((w for cell in exact.values() for w in cell), key=structural_key))
 
 
 def word_tuples(

@@ -50,11 +50,6 @@ def dt12():
 
 
 @pytest.fixture(scope="session")
-def deglex12():
-    return OrderSpec.for_alphabet("deglex", Z12)
-
-
-@pytest.fixture(scope="session")
 def db1():
     return OrderSpec.for_alphabet("db", Z1)
 
@@ -62,6 +57,70 @@ def db1():
 @pytest.fixture(scope="session")
 def dt1():
     return OrderSpec.for_alphabet("dt", Z1)
+
+
+class ReferenceOrder:
+    """``OrderSpec.compare`` as it was while a third preset, ``deglex``,
+    existed: the reference for the db/dt comparator and the classical
+    degree-lexicographic order for bracket-free checks.  ``deglex`` grades
+    by z_degree, then walks the factors (letters below brackets, letters by
+    base rank, brackets by their inner words), then puts the shorter prefix
+    first; it is context-compatible only on bracket-free words.  db and dt
+    grade by z_degree, op_degree and breadth (ascending, descending) before
+    the same walk."""
+
+    def __init__(self, preset, alphabet):
+        self.preset = preset
+        self._rank = {name: i for i, name in enumerate(alphabet.letters)}
+
+    def _letter_cmp(self, a, b):
+        if a == b:
+            return 0
+        ra, rb = self._rank.get(a), self._rank.get(b)
+        if ra is None and rb is None:
+            return -1 if a < b else 1
+        if ra is None:
+            return 1
+        if rb is None:
+            return -1
+        return -1 if ra < rb else 1
+
+    def _factor_cmp(self, f, g):
+        fl, gl = isinstance(f, str), isinstance(g, str)
+        if fl and gl:
+            return self._letter_cmp(f, g)
+        if fl:
+            return -1
+        if gl:
+            return 1
+        return self.compare(f.inner, g.inner)
+
+    def _lex(self, fs, gs):
+        for f, g in zip(fs, gs):
+            c = self._factor_cmp(f, g)
+            if c:
+                return c
+        if len(fs) == len(gs):
+            return 0
+        return -1 if len(fs) < len(gs) else 1
+
+    def compare(self, u, v):
+        if u is v:
+            return 0
+        if self.preset == "deglex":
+            if u.z_degree != v.z_degree:
+                return -1 if u.z_degree < v.z_degree else 1
+            return self._lex(u.factors, v.factors)
+        if u.z_degree != v.z_degree:
+            return -1 if u.z_degree < v.z_degree else 1
+        if u.op_degree != v.op_degree:
+            return -1 if u.op_degree < v.op_degree else 1
+        bu, bv = u.breadth, v.breadth
+        if bu != bv:
+            if self.preset == "db":
+                return -1 if bu < bv else 1
+            return 1 if bu < bv else -1
+        return self._lex(u.factors, v.factors)
 
 
 def owords(alphabet=Z12, max_z=3, max_op=2):

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import Z1, Z12
+from conftest import Z1, Z12, ReferenceOrder
 from opalg import (
     Bracket,
     GeneratorSet,
@@ -233,7 +233,7 @@ def test_order_audits_and_leading_term_stability():
         report = check_order_axioms(order, Z12, (3, 2), trials=10_000, seed=29)
         assert report.passed, report.to_text()
 
-    deglex = OrderSpec.for_alphabet("deglex", Z12)
+    deglex = ReferenceOrder("deglex", Z12)
     flat = [w for w in all_words(Z12, 4, 0)]
     for u in flat:
         for v in flat:

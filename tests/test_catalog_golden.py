@@ -22,7 +22,7 @@ ACCEPTED = (
     + [f"rb:{i}{p}" for i in range(6, 15) for p in ("", "?lambda=0", "?lambda=1", "?lambda=-1/2")]
     + ["rb:13?c=2", "rb:13?lambda=1,c=3", "rb:13?c=0,lambda=1", "rb:14?c=-1/2", "rb:14?c=2,lambda=-1/2"]
     + [" rb:6 ? lambda = 1 ", "rb:6?lambda=2/4", "rb:6?lambda=-0"]
-    + ["nijenhuis", "nijenhuis:"]
+    + ["nijenhuis"]
     + [f"diff:{i}" for i in range(1, 7)]
     + ["diff:1?a=1,b=0,c=5", "diff:1?a=0", "diff:1?c=-1/2", "diff:2?b=2", "diff:2?a=0,b=-1", "diff:2?b=0"]
     + ["diff:4?a=1,b=2", "diff:4?b=-1/2", "diff:5?a=2", "diff:5?a=0", "diff:6?a=-1/2", "diff:6?a=0"]
@@ -46,7 +46,7 @@ REFUSED = (
     # malformed selectors: items, families, parameters
     + ["", " ", "?", ":", "?lambda=1", ":6", "rb", "rb:", "rb:0", "rb:15", "rb:99", "rb:-1"]
     + ["rb:x", "rb:1.0", "rb:+6", "rb:1_4", "rb:6:1", "rb:٣", "RB:6", "frobenius", "diff", "diff:7"]
-    + ["diff:0", "nijenhuis:1", "averaging:1", "diffprime:1", "averaging?x=1", "nijenhuis?lambda=0"]
+    + ["diff:0", "nijenhuis:", "nijenhuis:1", "averaging:1", "diffprime:1", "averaging?x=1", "nijenhuis?lambda=0"]
     + ["rb:1?lambda=1", "rb:5?lambda=1", "rb:6?mu=1", "rb:12?c=1", "rb:6?c=1,lambda=1,mu=2"]
     + ["rb:6?lambda", "rb:6?lambda=", "rb:6?lambda=x", "rb:6?lambda=1.5", "rb:6?lambda=1/0"]
     + ["rb:6?lambda=+1", "rb:6?lambda=1e3", "rb:6?=1", "rb:6??lambda=1", "rb:6?lambda=1,"]

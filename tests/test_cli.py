@@ -463,6 +463,12 @@ def test_word_counts_under_the_ceiling_exit_two_at_once_with_the_exact_count(cap
     assert f"error: {message}, over the limit of {MAX_EXPANSION_WORDS}" in out
 
 
+def test_basis_on_one_letter_far_past_the_recursion_limit(capsys):
+    code, out = run(capsys, "basis", "--alphabet", "z1", "--gens", "z1", "--bounds", "2000,0")
+    assert code == 0
+    assert "1 irreducible word(s) at bounds (2000, 0)" in out
+
+
 def test_removed_jobs_flag_and_config_key_exit_two(tmp_path, capsys):
     code, out = run(capsys, "check-gs", "--catalog", "rb:1", "--jobs", "2")
     assert code == 2
@@ -493,29 +499,15 @@ def test_order_preset_conflict_with_catalog(capsys):
     assert "error:" in out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("check-gs", "--gens", "z1*[1] - z1", "--gens", "z2*z1 - z1*z2", "--bounds", "3,2"),
-        ("nf", "--gens", "z1*[1] - z1", "z1*[1]*[z2]"),
-    ],
-)
-def test_deglex_refuses_a_bracketed_concrete_generator(capsys, argv):
-    code, out = run(capsys, *argv, "--order", "deglex")
-    assert code == 2
-    assert "error: order deglex is not context-compatible on brackets" in out
-    assert "generator #0 z1*[1] - z1 has a bracket" in out
-    assert "result:" not in out and "normal form" not in out
-
-
-def test_deglex_runs_on_bracket_free_generators(capsys):
-    gens = ("--gens", "z2*z1 - z1*z2", "--gens", "z2*z2 - z1*z1")
-    code, out = run(capsys, "check-gs", "--order", "deglex", *gens, "--bounds", "3,2")
-    assert code == 0
-    assert "total=2, trivial=2" in out and "result: PASS" in out
-    code, out = run(capsys, "nf", "--order", "deglex", *gens[:2], "[z2*z1]*z2*z1")
-    assert code == 0
-    assert "normal form: [z1*z2]*z1*z2" in out
+def test_removed_deglex_order_exits_two_naming_the_presets(tmp_path, capsys):
+    cfg = tmp_path / "deglex.cfg"
+    cfg.write_text("order = deglex\n")
+    gens = ("--gens", "z2*z1 - z1*z2")
+    for argv in (("--order", "deglex"), ("--config", str(cfg))):
+        for command in (("check-gs", *gens), ("nf", *gens, "z2*z1")):
+            code, out = run(capsys, *command, *argv)
+            assert code == 2
+            assert "error: unknown order preset 'deglex'; choose from db, dt" in out
 
 
 def test_unknown_flag_exits_two(capsys):

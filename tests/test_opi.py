@@ -235,16 +235,6 @@ def test_splitting_identities_unstable_exactly_at_units():
     assert without.passed, without.violations
 
 
-def test_stability_negative_control_under_deglex():
-    # the factor walk finds the real violation: at x2=1 the lead [x1*x2]
-    # becomes [x1], and [x1]*[1] extends it, so it sits above
-    phi = OPI("collapse", XVARS, schema_poly("[x1*x2] - [x1]*[x2]"))
-    order = OrderSpec.for_alphabet("deglex", Z12)
-    rep = check_lm_stability(phi, order, include_units=True)
-    assert not rep.passed
-    assert ("x2=1", "[x1]*[1]") in rep.violations
-
-
 # -- the catalog --------------------------------------------------------------
 
 

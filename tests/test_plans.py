@@ -53,7 +53,7 @@ from opalg.terms import (
 )
 from test_reduction import reference_redexes
 
-PRESETS = ("db", "dt", "deglex")
+PRESETS = ("db", "dt")
 CASES = [(f"{sel}/{phi.name}", phi) for sel in CATALOG_SELECTORS for phi in parse_catalog(sel).opis]
 XS = ("x1", "x2")
 WORDS = all_words(Z12, 3, 2)

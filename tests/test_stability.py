@@ -242,15 +242,15 @@ def _stability_line(phi, order):
 
 
 def test_random_multilinear_pairs_match_exhaustive_reference():
-    """Seeded random two-monomial bodies under every preset: a decided
+    """Seeded random two-monomial bodies under both presets: a decided
     verdict equals the reference's, a pass implies the reference passes,
     and an open verdict certifies nothing unsound and reads
     ``FAIL (not decided: <monomial>)``.  The open share is printed."""
     rng = random.Random(20260607)
-    opened = {"db": 0, "dt": 0, "deglex": 0}
+    opened = {"db": 0, "dt": 0}
     total = dict.fromkeys(opened, 0)
     for trial in range(240):
-        preset = ("db", "dt", "deglex")[trial % 3]
+        preset = ("db", "dt")[trial % 2]
         u = _random_schema(rng, XVARS, 3)
         v = _random_schema(rng, XVARS, 3)
         if u == v:
@@ -267,11 +267,8 @@ def test_random_multilinear_pairs_match_exhaustive_reference():
             assert not ok, (rep, detail)
             assert detail in {f"not decided: {text}" for _, text in rep.undecided}, (rep, detail)
     print("open share:", ", ".join(f"{p} {opened[p]} of {total[p]}" for p in total))
-    # under every preset a pair stays open only where the order of the
-    # instances depends on the values themselves, as for x2*x1 against
-    # x1*x2; deglex, which has no op_degree or breadth key, leaves more
-    # such pairs (50 of 74 here) than db and dt
-    assert opened["deglex"] * 10 <= total["deglex"] * 7, (opened, total)
+    # under both presets a pair stays open only where the order of the
+    # instances depends on the values themselves, as for x2*x1 against x1*x2
     assert all(opened[p] * 5 <= total[p] for p in ("db", "dt")), (opened, total)
 
 
@@ -279,7 +276,7 @@ _VALUES = all_words(Z12, 2, 1)
 
 
 @seed(20260608)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["db", "dt", "deglex"]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["db", "dt"]))
 def test_schema_cmp_sign_holds_on_every_assignment(s, preset):
     # repeated, missing and concrete letters included; one pair in four
     # holds different variables, so the same-multiset condition is
@@ -311,9 +308,9 @@ def test_schema_cmp_on_hand_picked_pairs():
     dt = OrderSpec.for_alphabet("dt", Z12)
     vset = frozenset(XVARS)
 
-    def cmp(a, b, order=dt, nonunit=frozenset()):
+    def cmp(a, b, nonunit=frozenset()):
         u, v = (parse_word(t, Z12, extra_letters=XVARS) for t in (a, b))
-        return _schema_cmp(u, v, order, vset, frozenset(nonunit))
+        return _schema_cmp(u, v, dt, vset, frozenset(nonunit))
 
     # inner words with different variables: the op gap inside does not hold
     assert cmp("[x1*[1]]*[x2]", "[x2]*[[x1]]") is None
@@ -333,10 +330,3 @@ def test_schema_cmp_on_hand_picked_pairs():
     assert cmp("[[x1]]*[x2]", "[x1]*[[x2]]") == (1, "op_degree gap 1 inside factor 1")
     assert cmp("[x1]*[[x2]]", "[[x1]]*[x2]") == (-1, "op_degree gap 1 inside factor 1")
     assert cmp("z1*[[x1]]", "[z1]*[x1]") == (-1, "z1 vs [z1] at factor 1")
-    deglex = OrderSpec.for_alphabet("deglex", Z12)
-    assert cmp("[[x1]]*[x2]", "[x1]*[[x2]]", deglex) is None
-    # deglex walks the factors after an equal z_degree; a strict prefix is
-    # below the longer side
-    assert cmp("[x1]*[1]", "[x1]", deglex) == (1, "longer by [1]")
-    assert cmp("x1*z1*[1]", "x1*[1]*z1", deglex) == (-1, "z1 vs [1] at factor 2")
-    assert cmp("[x1]*[x2]", "[x1*x2]", deglex) is None

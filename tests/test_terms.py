@@ -343,6 +343,45 @@ def test_all_words_two_letters_one_bracket_exact():
     assert got == expected
 
 
+def reference_all_words(letters, max_z, max_op):
+    """``all_words`` as it was before its cells were filled bottom-up: one
+    recursive call per letter of degree and per bracket, each cell the whole
+    pool within its bounds."""
+    cache = {}
+
+    def gen(d, p):
+        if (d, p) in cache:
+            return cache[d, p]
+        acc = [UNIT]
+        if d >= 1:
+            for name in letters:
+                for tail in gen(d - 1, p):
+                    acc.append(Word((name,) + tail.factors))
+        if p >= 1:
+            for inner in gen(d, p - 1):
+                for tail in gen(d - inner.z_degree, p - inner.op_degree - 1):
+                    acc.append(Word((Bracket(inner),) + tail.factors))
+        cache[d, p] = tuple(acc)
+        return cache[d, p]
+
+    return tuple(sorted(gen(max_z, max_op), key=structural_key))
+
+
+@pytest.mark.parametrize("letters", [("z1",), ("z1", "z2"), ("a", "b", "c")])
+def test_all_words_matches_the_recursive_reference(letters):
+    # unwrapped, so the 112,962-word pool of three letters is not kept
+    build = all_words.__wrapped__
+    for max_z in range(5):
+        for max_op in range(4):
+            assert build(letters, max_z, max_op) == reference_all_words(letters, max_z, max_op)
+
+
+def test_all_words_one_letter_far_past_the_recursion_limit():
+    ws = all_words(("z1",), 2000, 0)
+    assert len(ws) == 2001
+    assert [w.z_degree for w in ws] == list(range(2001))
+
+
 def test_all_words_sorted_and_unique():
     ws = all_words(Z12, 2, 1)
     keys = [structural_key(w) for w in ws]
