@@ -58,7 +58,6 @@ from .rewrite import (
     check_rb_type,
     normal_form,
     normal_form_random,
-    one_step,
 )
 from .terms import (
     UNIT,
@@ -117,7 +116,6 @@ __all__ = [
     "is_trivial",
     "normal_form",
     "normal_form_random",
-    "one_step",
     "parse_catalog",
     "parse_context",
     "parse_opoly",

@@ -39,11 +39,9 @@ from .terms import Alphabet, ParseError, parse_integer, parse_word, render
 
 _DEFAULTS = {
     "alphabet": "z1,z2",
-    "base_order": None,
     "order": None,
     "bounds": "2,2",
     "fuel": 2000,
-    "seed": 0,
 }
 
 _LIST_KEYS = ("catalog", "gens")
@@ -66,7 +64,7 @@ def _read_config(path: str) -> dict:
             val = val.strip()
             if key in _LIST_KEYS:
                 out[key] = [p.strip() for p in val.split(";") if p.strip()]
-            elif key in ("fuel", "seed"):
+            elif key == "fuel":
                 try:
                     out[key] = parse_integer(val)
                 except ValueError:
@@ -107,11 +105,7 @@ class Env:
         letters = tuple(p.strip() for p in _pick(ns, config, "alphabet").split(",") if p.strip())
         if not letters:
             raise ValueError("alphabet must list at least one letter")
-        alphabet = Alphabet(letters)
-        base = _pick(ns, config, "base_order")
-        if base:
-            alphabet = alphabet.reordered(tuple(p.strip() for p in base.split(",")))
-        self.alphabet = alphabet
+        self.alphabet = Alphabet(letters)
 
         selectors = list(getattr(ns, "catalog", None) or config.get("catalog", []) or [])
         self.entries = tuple(parse_catalog(s) for s in selectors)
@@ -121,8 +115,8 @@ class Env:
             presets = {e.preset for e in self.entries}
             if len(presets) > 1:
                 raise ValueError(
-                    "catalog entries disagree on the order preset "
-                    f"({', '.join(sorted(presets))}); pass --order explicitly"
+                    f"catalog entries of different presets ({', '.join(sorted(presets))}) "
+                    "cannot share one generator set"
                 )
             preset = presets.pop() if presets else "db"
         if preset not in PRESETS:
@@ -156,15 +150,13 @@ class Env:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alphabet", help="comma-separated letters (default z1,z2)")
-    p.add_argument("--base-order", dest="base_order", help="letter ranking, a permutation of the alphabet")
+    p.add_argument("--alphabet", help="comma-separated letters, lowest first (default z1,z2)")
     p.add_argument("--order", help="order preset: db or dt (default: from catalog, else db)")
     p.add_argument("--catalog", action="append", help="catalog selector, repeatable (see 'demo --list' examples)")
     p.add_argument("--gens", action="append", help="concrete generator polynomial, repeatable")
     p.add_argument("--gens-file", dest="gens_file", help="file with one generator polynomial per line")
     p.add_argument("--bounds", help="stratum bounds 'D,P': letter degree, operator degree (default 2,2)")
     p.add_argument("--fuel", type=_integer_flag, help="reduction step budget (default 2000)")
-    p.add_argument("--seed", type=_integer_flag, help="accepted for compatibility; no command uses it")
     p.add_argument("--config", help="file of key=value defaults; explicit flags win")
 
 
@@ -279,7 +271,10 @@ def _cmd_instantiate(ns) -> int:
         var, eq, text = item.partition("=")
         if not eq:
             raise ValueError(f"assignment {item!r} is not var=word")
-        sigma[var.strip()] = parse_opoly(text, env.alphabet)
+        var = var.strip()
+        if var in sigma:
+            raise ValueError(f"variable {var} is assigned twice")
+        sigma[var] = parse_opoly(text, env.alphabet)
     inst = instantiate(phi, sigma)
     print(f"identity: {phi.name} with variables {', '.join(phi.variables)}")
     print(f"instance: {render_opoly(inst, env.order)}")

@@ -27,6 +27,7 @@ while everything touching a concrete generator is still reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
 from typing import Mapping, Sequence, Union
 
@@ -81,13 +82,11 @@ class GeneratorSet:
 
     def __init__(
         self,
-        entries: Sequence[CatalogEntry] = (),
-        concrete: Sequence[OPoly] = (),
-        order: OrderSpec | None = None,
-        alphabet: Alphabet | None = None,
+        entries: Sequence[CatalogEntry],
+        concrete: Sequence[OPoly],
+        order: OrderSpec,
+        alphabet: Alphabet,
     ):
-        if order is None or alphabet is None:
-            raise ValueError("GeneratorSet needs an order and an alphabet")
         for e in entries:
             if e.preset != order.preset:
                 raise ValueError(
@@ -126,11 +125,10 @@ class GeneratorSet:
         gens: list[Generator] = []
         seen: set[OPoly] = set()
         for i, g in enumerate(self.concrete):
-            monic = g.monicize(self.order)
-            if monic in seen:
-                continue
-            seen.add(monic)
-            gens.append(Generator(f"g{i}", monic, monic.leading_monomial(self.order), "concrete"))
+            gen = _concrete(f"g{i}", g, self.order)
+            if gen.poly not in seen:
+                seen.add(gen.poly)
+                gens.append(gen)
         instances = expand_instances(self.opis, self.alphabet, bounds, self.order)
         gens += (g for g in instances if g.poly not in seen)
         out = tuple(gens)
@@ -148,6 +146,14 @@ class GeneratorSet:
             )
             self._ruleset_cache[bounds] = got
         return got
+
+
+def _concrete(gen_id: str, g: OPoly, order: OrderSpec) -> Generator:
+    """``g`` scaled monic as a concrete generator, its leading term read once."""
+    lm, lc = g.leading(order)
+    if not lc:
+        raise ValueError("cannot monicize the zero polynomial")
+    return Generator(gen_id, g.scale(Fraction(1) / lc), lm, "concrete")
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +344,7 @@ def _as_generators(
         gs = GeneratorSet(entries=(obj,), concrete=(), order=order, alphabet=alphabet)
         return list(gs.expanded(bounds))
     if isinstance(obj, OPoly):
-        monic = obj.monicize(order)
-        return [Generator(tag, monic, monic.leading_monomial(order), "concrete")]
+        return [_concrete(tag, obj, order)]
     raise TypeError(f"cannot treat {type(obj).__name__} as a generator source")
 
 
@@ -416,9 +421,7 @@ def is_trivial(
     if res.exhausted:
         return TrivialityResult("unresolved", res.poly, res.steps, note=f"fuel {fuel} exhausted")
     vb = rules.bounds
-    if vb is not None and all(
-        m.z_degree <= vb[0] and m.op_degree <= vb[1] for m in res.poly.support()
-    ):
+    if vb is not None and all(_fits(m, vb) for m in res.poly.support()):
         return TrivialityResult(
             "not_trivial", res.poly, res.steps, note=f"residue within verified bounds {vb}"
         )
@@ -589,11 +592,7 @@ def check_gs(
         "not_trivial": sum(1 for r in records if r.verdict and r.verdict.status == "not_trivial"),
         "unresolved": sum(1 for r in records if r.verdict and r.verdict.status == "unresolved"),
     }
-    passed = (
-        counts["not_trivial"] == 0
-        and counts["unresolved"] == 0
-        and (not use_hypothesis or hyp_ok)
-    )
+    passed = counts["not_trivial"] == 0 and counts["unresolved"] == 0
     kinds = {"concrete": 0, "schema": 0, "degenerate": 0}
     for a in expanded:
         kinds[a.kind] += 1
@@ -637,16 +636,8 @@ class QuotientAlgebra:
     escape raises instead of truncating.
     """
 
-    def __init__(
-        self,
-        generators: GeneratorSet,
-        bounds: tuple[int, int],
-        fuel: int,
-        *,
-        report: GSReport | None = None,
-    ):
-        if report is None:
-            report = check_gs(generators, bounds, fuel)
+    def __init__(self, generators: GeneratorSet, bounds: tuple[int, int], fuel: int):
+        report = check_gs(generators, bounds, fuel)
         if not report.passed:
             raise ValueError(
                 f"generator set is not verified at bounds {bounds}; "
@@ -664,7 +655,7 @@ class QuotientAlgebra:
 
     def _validate(self, f: OPoly, label: str) -> None:
         for m in f.support():
-            if m.z_degree > self.bounds[0] or m.op_degree > self.bounds[1]:
+            if not _fits(m, self.bounds):
                 raise BoundsExceeded(
                     f"{label} contains {render(m)} outside verified bounds {self.bounds}"
                 )

@@ -793,7 +793,7 @@ def parse_catalog(selector: str) -> CatalogEntry:
 
     defaults = family.defaults(item)
     if defaults is None:
-        bad = [k for k in params if not re.fullmatch(r"l\d\d", k)]
+        bad = [k for k in params if not re.fullmatch(r"l[0-9]{2}", k)]
         if bad:
             raise ValueError(f"selector {selector!r}: {name} takes weights lIJ only, got {','.join(sorted(bad))}")
         merged = params or {"l00": Fraction(1)}

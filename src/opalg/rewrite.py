@@ -68,7 +68,6 @@ __all__ = [
     "check_rb_type",
     "normal_form",
     "normal_form_random",
-    "one_step",
 ]
 
 
@@ -107,7 +106,6 @@ class Redex:
     rule_id: str
     context: Context
     sigma: tuple[tuple[str, Word], ...] | None
-    matched: Word  # the slice the rule consumed
     rhs: OPoly  # replacement for the slice
 
 
@@ -176,7 +174,7 @@ class RuleSet:
             else:
                 self._lengths.add(len(fs))
         self._open_from = min(open_from, default=None)
-        # slice factors -> (rule_id, sigma, matched, rhs) per match, in priority order
+        # slice factors -> (rule_id, sigma, rhs) per match, in priority order
         self._slices: dict[tuple, tuple[tuple, ...]] = {}
         # word -> first redex, or None when irreducible
         self._redexes: dict[Word, Redex | None] = {}
@@ -241,14 +239,14 @@ class RuleSet:
 
     def _match_slice(self, sl: tuple) -> tuple[tuple, ...]:
         """Every rule match on the slice ``sl``, in declared priority, as
-        ``(rule_id, sigma, matched, rhs)``; a match depends on the slice
+        ``(rule_id, sigma, rhs)``; a match depends on the slice
         alone, never on the word around it."""
         out = []
         slice_word = None
         for rule in self.rules:
             if isinstance(rule, ConcreteRule):
                 if sl == rule.lhs.factors:
-                    out.append((rule.rule_id, None, rule.lhs, rule.rhs))
+                    out.append((rule.rule_id, None, rule.rhs))
                 continue
             variables = rule.opi.variables
             for sigma in align_factors(rule.lhs.factors, sl, variables, rule.nonempty):
@@ -257,7 +255,7 @@ class RuleSet:
                 values = [sigma[v] for v in variables]
                 rhs = self._rhs_for_schema(rule, slice_word, values)
                 if rhs is not None:
-                    out.append((rule.rule_id, tuple(zip(variables, values)), slice_word, rhs))
+                    out.append((rule.rule_id, tuple(zip(variables, values)), rhs))
         return tuple(out)
 
     def iter_redexes(self, w: Word) -> Iterator[Redex]:
@@ -277,8 +275,8 @@ class RuleSet:
                 matches = slices[sl] = self._match_slice(sl)
             if matches:
                 q = slice_context(level, i, j, frames)
-                for rule_id, sigma, matched, rhs in matches:
-                    yield Redex(rule_id, q, sigma, matched, rhs)
+                for rule_id, sigma, rhs in matches:
+                    yield Redex(rule_id, q, sigma, rhs)
 
     def find_redex(self, w: Word) -> Redex | None:
         """The first redex of :meth:`iter_redexes`, searched once per word."""
@@ -343,17 +341,6 @@ def _greatest_reducible(acc: dict[Word, Scalar], rules: RuleSet) -> tuple[Word, 
             return w, rdx
         cands.remove(w)
     return None
-
-
-def one_step(f: OPoly, rules: RuleSet, index: int = 0) -> tuple[OPoly, TraceStep] | None:
-    """Reduce the greatest reducible monomial at its first position."""
-    acc = dict(f._terms)
-    hit = _greatest_reducible(acc, rules)
-    if hit is None:
-        return None
-    w, rdx = hit
-    c = _reduce_at(acc, w, rdx, rules.order)
-    return _wrap(acc), TraceStep(index, rdx.rule_id, rdx.context, rdx.sigma, c, w)
 
 
 def normal_form(f: OPoly, rules: RuleSet, fuel: int, *, want_trace: bool = True) -> ReductionResult:

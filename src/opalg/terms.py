@@ -285,14 +285,6 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({','.join(self.letters)})"
 
-    def reordered(self, base: Sequence[str]) -> "Alphabet":
-        """Same letters, ranked in the given order (must be a permutation)."""
-        if sorted(base) != sorted(self.letters):
-            raise ValueError(
-                f"base order {','.join(base)} is not a permutation of alphabet {','.join(self.letters)}"
-            )
-        return Alphabet(base)
-
 
 class ParseError(ValueError):
     """Input text rejected; carries the character position."""

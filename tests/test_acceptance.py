@@ -281,7 +281,7 @@ def test_certified_families_match_pattern_exclusion_bases():
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
-    """Every command, run twice with the same seed and inputs, produces
+    """Every command, run twice with the same inputs, produces
     byte-identical stdout, stderr, exit code, and report files."""
     base = [sys.executable, "-m", "opalg.cli"]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -290,8 +290,7 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         ["compare", "[z1*z2]", "z1*[z2]"],
         ["instantiate", "--catalog", "rb:6?lambda=1", "x1=z1", "x2=1"],
         ["compositions", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1"],
-        ["check-gs", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1",
-         "--seed", "7"],
+        ["check-gs", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1"],
         ["check-type", "--catalog", "rb:1", "--bounds", "2,1"],
         ["basis", "--catalog", "diffprime?c=1", "--alphabet", "z", "--bounds", "2,1"],
         ["quotient-eval", "--catalog", "rb:6?lambda=0", "--alphabet", "z", "[z]*[z]"],

@@ -39,6 +39,8 @@ REFUSED = (
     + ["diff:2?a=1,b=1", "diff:2?a=1", "diff:2?c=1"]
     + ["diff:3?l11=1", "diff:3?l02=1", "diff:3?l20=-1", "diff:3?l02=0", "diff:3?l00=0"]
     + ["diff:3?l07=1,bogus=2", "diff:3?a=1", "diff:3?l0=1", "diff:3?l000=1", "diff:3?L00=1"]
+    # weight names take ASCII digits only, as numbers do
+    + ["diff:3?l00=1,l\u0660\u0660=2", "diff:3?l\u06601=1"]
     + ["diff:4?c=1", "diff:5?b=1", "diff:6?lambda=1"]
     # the reynolds limits
     + ["reynolds?n=1", "reynolds?n=0", "reynolds?n=-2", "reynolds?n=5/2", "reynolds?n=33"]

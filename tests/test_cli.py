@@ -95,6 +95,13 @@ def test_instantiate_rejects_malformed_assignment(capsys):
     assert "error:" in out
 
 
+def test_instantiate_refuses_a_variable_assigned_twice(capsys):
+    code, out = run(capsys, "instantiate", "--catalog", "rb:6", "x1=z1", "x2=z2", "x1=[z2]")
+    assert (code, out) == (2, "error: variable x1 is assigned twice\n")
+    code, out = run(capsys, "instantiate", "--catalog", "rb:6", "x1=z1", " x1 =z1", "x2=z2")
+    assert (code, out) == (2, "error: variable x1 is assigned twice\n")
+
+
 # -- compositions / check-gs --------------------------------------------------
 
 
@@ -352,15 +359,26 @@ def test_config_file_rejects_out_of_range_values(tmp_path, capsys, line, flag):
     assert f"error: {flag} must be at least" in out
 
 
-def test_seed_help_says_no_command_uses_it(capsys):
+def test_help_lists_no_seed_or_base_order(capsys):
     code, out = run(capsys, "check-gs", "--help")
     assert code == 0
-    out = " ".join(out.split())
-    assert "--seed SEED accepted for compatibility; no command uses it" in out
-    assert "randomized" not in out
+    assert "--seed" not in out and "--base-order" not in out
+    for flag, value in (("--seed", "7"), ("--base-order", "z2,z1")):
+        code, out = run(capsys, "check-gs", "--catalog", "rb:1", flag, value)
+        assert code == 2
+        assert f"unrecognized arguments: {flag} {value}" in out
 
 
-@pytest.mark.parametrize("key", ["fuel", "seed"])
+@pytest.mark.parametrize("key", ["seed", "base_order"])
+def test_config_file_refuses_removed_keys(tmp_path, capsys, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 7\n")
+    code, out = run(capsys, "check-gs", "--config", str(cfg), "--catalog", "rb:1")
+    assert code == 2
+    assert f"error: {cfg}:1: unknown config key {key!r}" in out
+
+
+@pytest.mark.parametrize("key", ["fuel"])
 def test_config_file_names_a_non_integer_value(tmp_path, capsys, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# budgets\n{key} = abc\n")
@@ -497,6 +515,23 @@ def test_order_preset_conflict_with_catalog(capsys):
     code, out = run(capsys, "check-gs", "--catalog", "rb:1", "--order", "dt")
     assert code == 2
     assert "error:" in out
+
+
+def test_catalog_entries_of_two_presets_cannot_share_a_generator_set(capsys):
+    mixed = ("check-gs", "--catalog", "rb:6", "--catalog", "diff:1")
+    code, out = run(capsys, *mixed)
+    assert (code, out) == (2, "error: catalog entries of different presets (db, dt) cannot share one generator set\n")
+    # neither order helps: each refuses the entry of the other preset
+    code, out = run(capsys, *mixed, "--order", "db")
+    assert (code, out) == (
+        2,
+        "error: catalog entry diff:1?a=1,b=0,c=0 declares preset dt; the active order is db (pick the matching --order)\n",
+    )
+    code, out = run(capsys, *mixed, "--order", "dt")
+    assert (code, out) == (
+        2,
+        "error: catalog entry rb:6?lambda=0 declares preset db; the active order is dt (pick the matching --order)\n",
+    )
 
 
 def test_removed_deglex_order_exits_two_naming_the_presets(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_generator_set_rejects_zero_concrete():
 
 
 def test_generator_set_needs_order_and_alphabet():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         GeneratorSet((parse_catalog("averaging"),))
 
 

@@ -22,7 +22,6 @@ from opalg import (
     check_rb_type,
     normal_form,
     normal_form_random,
-    one_step,
     parse_catalog,
     parse_opoly,
     render_opoly,
@@ -95,9 +94,9 @@ def test_concrete_generator_with_constant_lead_refused():
 def test_one_step_insertion_sample():
     rules, order = rules_for("rb:1")
     f = P("[z1]*[z2]")
-    stepped, step = one_step(f, rules)
-    assert stepped == P("[z1*[z2]]")
-    assert step.rule_id == "rb:1"
+    res = normal_form(f, rules, 1)
+    assert res.poly == P("[z1*[z2]]")
+    assert [step.rule_id for step in res.steps] == ["rb:1"]
 
 
 def test_redexes_scan_positions_left_to_right():

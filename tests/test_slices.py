@@ -49,7 +49,7 @@ def reference_redexes(rules, w):
             for rule in rules.rules:
                 if isinstance(rule, ConcreteRule):
                     if sl == rule.lhs.factors:
-                        yield Redex(rule.rule_id, Context(Word(wrap)), None, rule.lhs, rule.rhs)
+                        yield Redex(rule.rule_id, Context(Word(wrap)), None, rule.rhs)
                 else:
                     slice_word = None
                     for sigma in align_factors(
@@ -64,14 +64,13 @@ def reference_redexes(rules, w):
                             rule.rule_id,
                             Context(Word(wrap)),
                             tuple((v, sigma[v]) for v in rule.opi.variables),
-                            slice_word,
                             rhs,
                         )
     for idx, f in enumerate(fs):
         if isinstance(f, Bracket):
             for rdx in reference_redexes(rules, f.inner):
                 outer = Word(fs[:idx] + (Bracket(rdx.context.word),) + fs[idx + 1 :])
-                yield Redex(rdx.rule_id, Context(outer), rdx.sigma, rdx.matched, rdx.rhs)
+                yield Redex(rdx.rule_id, Context(outer), rdx.sigma, rdx.rhs)
 
 
 def reference_occurrences(w, u):

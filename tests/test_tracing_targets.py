@@ -1,9 +1,14 @@
 """The per-layer tracer in ``perfbench/tracing.py`` patches functions by
 name; every name it lists must still exist, or ``perfbench/run.py --trace 1``
-breaks.  The module is loaded by path and its tracer is never installed."""
+breaks.  Its counters also read attributes of what the traced calls return
+(``GSReport.counts`` and ``generator_counts``, ``TrivialityResult.steps``,
+``StabilityReport.enumerated``, ``RuleSet.rules``), so one installed run
+reads them all.  The module is loaded by path."""
 
 import importlib.util
 from pathlib import Path
+
+from opalg import cli, gsbasis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,3 +34,28 @@ def test_every_trace_target_resolves():
         if not found:
             missing.append(f"{layer}.{qual}")
     assert not missing, f"tracer targets not found: {missing}"
+
+
+def test_installed_tracer_reads_what_the_traced_calls_return(capsys):
+    tracing = _load_tracing()
+    check_gs = gsbasis.check_gs
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert gsbasis.check_gs is not check_gs
+        assert cli.main(["check-gs", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1"]) == 1
+        assert cli.main(["check-type", "--catalog", "rb:1", "--bounds", "2,1"]) == 0
+        metrics = {name: value for name, (value, _unit) in tracer.metrics().items()}
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert gsbasis.check_gs is check_gs
+    assert metrics["cli.main.calls"] == 2
+    assert metrics["gsbasis.check_gs.calls"] == 1
+    assert metrics["rewrite.check_rb_type.calls"] == 1
+    assert metrics["gsbasis.generators"] > 0
+    assert 0 < metrics["gsbasis.records_reduced"] <= metrics["gsbasis.records"]
+    assert metrics["gsbasis.reduction_steps"] > 0
+    assert metrics["rewrite.rules_compiled"] > 0
+    assert metrics["opi.check_lm_stability.calls"] > 0
+    assert "opi.stability_assignments" in metrics
