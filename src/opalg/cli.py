@@ -37,111 +37,59 @@ from .poly import parse_opoly, render_opoly
 from .rewrite import check_diff_type, check_rb_type, normal_form
 from .terms import Alphabet, ParseError, parse_integer, parse_word, render
 
-_DEFAULTS = {
-    "alphabet": "z1,z2",
-    "order": None,
-    "bounds": "2,2",
-    "fuel": 2000,
-}
-
-_LIST_KEYS = ("catalog", "gens")
-
-
-def _read_config(path: str) -> dict:
-    known = set(_DEFAULTS) | set(_LIST_KEYS) | {"gens_file"}
-    out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in known:
-                raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-            val = val.strip()
-            if key in _LIST_KEYS:
-                out[key] = [p.strip() for p in val.split(";") if p.strip()]
-            elif key == "fuel":
-                try:
-                    out[key] = parse_integer(val)
-                except ValueError:
-                    raise ValueError(f"{path}:{ln}: {key} must be an integer, got {val!r}") from None
-            else:
-                out[key] = val
-    return out
-
-
-def _pick(ns: argparse.Namespace, config: dict, key: str):
-    got = getattr(ns, key, None)
-    if got is not None:
-        return got
-    if key in config:
-        return config[key]
-    return _DEFAULTS.get(key)
-
-
 def _integer_flag(text: str) -> int:
-    # flag text is read by the same number rule as config values
+    # flag text is read by the same number rule as every other number
     try:
         return parse_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
 
 
-def _checked_fuel(fuel: int) -> int:
-    if fuel < 0:
-        raise ValueError(f"--fuel must be at least 0, got {fuel}")
-    return fuel
+def _read_gens(path: str, alphabet: Alphabet):
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                try:
+                    poly = parse_opoly(line, alphabet)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{ln}: {exc}") from None
+                yield poly
 
 
 class Env:
-    """Resolved configuration shared by most commands."""
+    """The run that a command's flags describe."""
 
     def __init__(self, ns: argparse.Namespace):
-        config = _read_config(ns.config) if getattr(ns, "config", None) else {}
-        letters = tuple(p.strip() for p in _pick(ns, config, "alphabet").split(",") if p.strip())
+        letters = tuple(p.strip() for p in ns.alphabet.split(",") if p.strip())
         if not letters:
             raise ValueError("alphabet must list at least one letter")
         self.alphabet = Alphabet(letters)
 
-        selectors = list(getattr(ns, "catalog", None) or config.get("catalog", []) or [])
-        self.entries = tuple(parse_catalog(s) for s in selectors)
+        self.entries = tuple(parse_catalog(s) for s in ns.catalog or ())
 
-        preset = _pick(ns, config, "order")
+        preset = ns.order
         if preset is None:
             presets = {e.preset for e in self.entries}
-            if len(presets) > 1:
-                raise ValueError(
-                    f"catalog entries of different presets ({', '.join(sorted(presets))}) "
-                    "cannot share one generator set"
-                )
-            preset = presets.pop() if presets else "db"
+            preset = presets.pop() if len(presets) == 1 else "db"
         if preset not in PRESETS:
             raise ValueError(f"unknown order preset {preset!r}; choose from {', '.join(PRESETS)}")
         self.order = OrderSpec.for_alphabet(preset, self.alphabet)
 
-        texts = list(getattr(ns, "gens", None) or config.get("gens", []) or [])
-        gens_file = getattr(ns, "gens_file", None) or config.get("gens_file")
-        if gens_file:
-            with open(gens_file, "r", encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if line and not line.startswith("#"):
-                        texts.append(line)
-        self.concrete = tuple(parse_opoly(t, self.alphabet) for t in texts)
+        self.concrete = tuple(parse_opoly(t, self.alphabet) for t in ns.gens or ())
+        if ns.gens_file:
+            self.concrete += tuple(_read_gens(ns.gens_file, self.alphabet))
 
-        bounds = _pick(ns, config, "bounds")
-        d, _, p = bounds.partition(",")
+        d, _, p = ns.bounds.partition(",")
         try:
             self.bounds = (parse_integer(d), parse_integer(p))
         except ValueError:
-            raise ValueError(f"bounds must be 'D,P' integers, got {bounds!r}") from None
+            raise ValueError(f"bounds must be 'D,P' integers, got {ns.bounds!r}") from None
         if self.bounds[0] < 0 or self.bounds[1] < 0:
             raise ValueError("bounds must be nonnegative")
-        self.fuel = _checked_fuel(_pick(ns, config, "fuel"))
+        if ns.fuel < 0:
+            raise ValueError(f"--fuel must be at least 0, got {ns.fuel}")
+        self.fuel = ns.fuel
 
     def generator_set(self) -> GeneratorSet:
         if not self.entries and not self.concrete:
@@ -149,15 +97,20 @@ class Env:
         return GeneratorSet(self.entries, self.concrete, self.order, self.alphabet)
 
 
+def _add_fuel(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fuel", type=_integer_flag, default=2000, help="reduction step budget (default %(default)s)")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alphabet", help="comma-separated letters, lowest first (default z1,z2)")
+    p.add_argument("--alphabet", default="z1,z2", help="comma-separated letters, lowest first (default %(default)s)")
     p.add_argument("--order", help="order preset: db or dt (default: from catalog, else db)")
     p.add_argument("--catalog", action="append", help="catalog selector, repeatable (see 'demo --list' examples)")
     p.add_argument("--gens", action="append", help="concrete generator polynomial, repeatable")
     p.add_argument("--gens-file", dest="gens_file", help="file with one generator polynomial per line")
-    p.add_argument("--bounds", help="stratum bounds 'D,P': letter degree, operator degree (default 2,2)")
-    p.add_argument("--fuel", type=_integer_flag, help="reduction step budget (default 2000)")
-    p.add_argument("--config", help="file of key=value defaults; explicit flags win")
+    p.add_argument(
+        "--bounds", default="2,2", help="stratum bounds 'D,P': letter degree, operator degree (default %(default)s)"
+    )
+    _add_fuel(p)
 
 
 @cache
@@ -207,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="canned walkthroughs")
     p.add_argument("which", nargs="?", choices=tuple(_DEMOS))
     p.add_argument("--list", action="store_true", help="list available demos")
-    p.add_argument("--fuel", type=_integer_flag, help="reduction step budget (default 2000)")
+    _add_fuel(p)
 
     p = sub.add_parser("catalog", help="list catalog families and parameters")
     return top
@@ -368,38 +321,37 @@ def _cmd_quotient_eval(ns) -> int:
     return 0
 
 
-# name -> (blurb, (order preset, catalog selector, concrete generators,
-# bounds) of a check_gs walkthrough); splitting-unit has its own function
+# name -> (blurb, the check-gs flags of its run); splitting-unit prints its
+# own walkthrough, the others print the check
 _DEMOS = {
-    "splitting-unit": ("a splitting identity against z1*z2 - 1: one honest non-trivial record", None),
+    "splitting-unit": (
+        "a splitting identity against z1*z2 - 1: one honest non-trivial record",
+        ("--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1"),
+    ),
     "rb-commutator": (
         "weighted insertion family plus a commutator: bounded check passes",
-        ("db", "rb:6?lambda=1", ("z2*z1 - z1*z2",), (3, 2)),
+        ("--catalog", "rb:6?lambda=1", "--gens", "z2*z1 - z1*z2", "--bounds", "3,2"),
     ),
     "averaging": (
         "averaging family: certified route with visibly skipped schema records",
-        ("dt", "averaging", (), (2, 2)),
+        ("--catalog", "averaging", "--bounds", "2,2"),
     ),
     "reynolds": (
         "telescoping family: bounded check is vacuous at small operator degree",
-        ("dt", "reynolds?n=4", (), (2, 2)),
+        ("--catalog", "reynolds?n=4", "--bounds", "2,2"),
     ),
 }
 
 
-def _demo_splitting_unit(fuel: int) -> int:
-    alphabet = Alphabet(("z1", "z2"))
-    order = OrderSpec.for_alphabet("dt", alphabet)
-    entry = parse_catalog("diff:1")
-    g = parse_opoly("z1*z2 - 1", alphabet)
-    gens = GeneratorSet((entry,), (g,), order, alphabet)
-    bounds = (2, 1)
-    print(f"sources: {entry.key} and g = {render_opoly(g, order)}; bounds {bounds}; order dt")
-    recs = compositions(entry, g, order, bounds, alphabet)
+def _demo_splitting_unit(env: Env) -> int:
+    entry, g = env.entries[0], env.concrete[0]
+    gens, order, bounds = env.generator_set(), env.order, env.bounds
+    print(f"sources: {entry.key} and g = {render_opoly(g, order)}; bounds {bounds}; order {order.preset}")
+    recs = compositions(entry, g, order, bounds, env.alphabet)
     rules = gens.ruleset(bounds)
     bad = 0
     for r in recs:
-        verdict = is_trivial(r.value, gens, r.w, fuel, rules=rules)
+        verdict = is_trivial(r.value, gens, r.w, env.fuel, rules=rules)
         if verdict.status == "trivial":
             continue
         bad += 1
@@ -418,15 +370,10 @@ def _cmd_demo(ns) -> int:
         for name, (blurb, _) in _DEMOS.items():
             print(f"{name:14} {blurb}")
         return 0
-    fuel = _checked_fuel(ns.fuel if ns.fuel is not None else _DEFAULTS["fuel"])
-    setup = _DEMOS[ns.which][1]
-    if setup is None:
-        return _demo_splitting_unit(fuel)
-    preset, selector, concrete, bounds = setup
-    alphabet = Alphabet(("z1", "z2"))
-    order = OrderSpec.for_alphabet(preset, alphabet)
-    gens = GeneratorSet((parse_catalog(selector),), tuple(parse_opoly(t, alphabet) for t in concrete), order, alphabet)
-    return _emit(check_gs(gens, bounds, fuel), None)
+    run = _build_parser().parse_args(["check-gs", *_DEMOS[ns.which][1], f"--fuel={ns.fuel}"])
+    if ns.which == "splitting-unit":
+        return _demo_splitting_unit(Env(run))
+    return _cmd_check_gs(run)
 
 
 def _cmd_catalog(ns) -> int:

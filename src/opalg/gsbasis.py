@@ -87,6 +87,11 @@ class GeneratorSet:
         order: OrderSpec,
         alphabet: Alphabet,
     ):
+        presets = sorted({e.preset for e in entries})
+        if len(presets) > 1:
+            raise ValueError(
+                f"catalog entries of different presets ({', '.join(presets)}) cannot share one generator set"
+            )
         for e in entries:
             if e.preset != order.preset:
                 raise ValueError(
@@ -360,7 +365,7 @@ def compositions(f, g, order: OrderSpec, bounds: tuple[int, int], alphabet: Alph
     if alphabet is None:
         alphabet = Alphabet(order.base)
     left = _as_generators(f, "f", order, bounds, alphabet)
-    right = _as_generators(g, "g", order, bounds, alphabet)
+    right = left if g is f else _as_generators(g, "g", order, bounds, alphabet)
     same = [x.poly for x in left] == [y.poly for y in right]
     return indexed_records(left, None if same else right, bounds)
 

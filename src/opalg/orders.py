@@ -49,9 +49,8 @@ class OrderSpec:
         object.__setattr__(self, "_rank", {name: i for i, name in enumerate(self.base)})
 
     @classmethod
-    def for_alphabet(cls, preset: str, alphabet: Alphabet | Sequence[str]) -> "OrderSpec":
-        base = alphabet.letters if isinstance(alphabet, Alphabet) else tuple(alphabet)
-        return cls(preset, base)
+    def for_alphabet(cls, preset: str, alphabet: Iterable[str]) -> "OrderSpec":
+        return cls(preset, tuple(alphabet))
 
     # -- comparisons -----------------------------------------------------
 
@@ -160,7 +159,7 @@ def check_order_axioms(
     nontrivial context (the well-order probe that catches orders where
     plugging can descend).
     """
-    letters = tuple(alphabet.letters if isinstance(alphabet, Alphabet) else alphabet)
+    letters = tuple(alphabet)
     max_z, max_op = bounds
     rng = random.Random(seed)
     preset = getattr(order, "preset", type(order).__name__)

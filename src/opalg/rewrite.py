@@ -443,7 +443,7 @@ def _open_audit(
         if len(candidate.opis) != 1:
             raise ValueError(f"{candidate.key}: family checks need a single identity")
         phi = candidate.opis[0]
-    _refuse_wide_pool(f"auditing {phi.name} at bounds {bounds} would probe", len(alphabet.letters), *bounds)
+    _refuse_wide_pool(f"auditing {phi.name} at bounds {bounds} would probe", len(alphabet), *bounds)
     rep = TypeReport(opi=phi.name, family=family, bounds=bounds, fuel=fuel)
     if phi.arity != 2:
         rep.add("shape", False, f"needs exactly 2 variables, got {phi.arity}")
@@ -476,7 +476,7 @@ def _probe(
     ``ValueError`` before either probe runs."""
     max_z, max_op = rep.bounds
     what = f"auditing {rep.opi} at bounds {rep.bounds} would probe closure on"
-    _refuse_wide_pool(what, len(alphabet.letters), max_z, max_op, arity=3, unit="jointly bounded triples")
+    _refuse_wide_pool(what, len(alphabet), max_z, max_op, arity=3, unit="jointly bounded triples")
     stuck = None
     for w in all_words(alphabet, max_z, max_op):
         if normal_form(OPoly.from_word(w), rules, rep.fuel, want_trace=False).exhausted:

@@ -818,7 +818,7 @@ def count_text(n: int) -> str:
 
 def random_word(rng, alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> Word:
     """Sample a word within the measure budget; may return the unit."""
-    letters = tuple(alphabet.letters if isinstance(alphabet, Alphabet) else alphabet)
+    letters = tuple(alphabet)
     factors: list[Factor] = []
     z_left, op_left = max_z, max_op
     while (z_left > 0 or op_left > 0) and rng.random() < 0.6:

@@ -14,6 +14,8 @@ from opalg.cli import main
 from opalg.opi import MAX_EXPANSION_WORDS
 from opalg.terms import COUNT_CEILING, MAX_INPUT_CHARS
 
+COMMUTATOR = "z2*z1 - z1*z2"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -318,26 +320,6 @@ def test_catalog_listing(capsys):
     assert "rb" in out and "averaging" in out and "reynolds" in out
 
 
-def test_config_file_defaults_and_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "session.cfg"
-    cfg.write_text("order = dt\nalphabet = z1,z2\nbounds = 2,1\n")
-    code, out = run(capsys, "compare", "--config", str(cfg), "[z1*z2]", "z1*[z2]")
-    assert code == 0
-    assert ">" in out  # dt flips the breadth direction
-    code, out = run(
-        capsys, "compare", "--config", str(cfg), "--order", "db", "[z1*z2]", "z1*[z2]"
-    )
-    assert "<" in out
-
-
-def test_config_file_rejects_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("fuel = 10\nshiny = yes\n")
-    code, out = run(capsys, "compare", "--config", str(cfg), "z1", "z2")
-    assert code == 2
-    assert "shiny" in out
-
-
 @pytest.mark.parametrize("flag, value", [("--fuel", "-5")])
 def test_check_gs_rejects_out_of_range_flags(capsys, flag, value):
     code, out = run(
@@ -346,17 +328,6 @@ def test_check_gs_rejects_out_of_range_flags(capsys, flag, value):
     assert code == 2
     assert f"error: {flag} must be at least" in out
     assert "result:" not in out
-
-
-@pytest.mark.parametrize("line, flag", [("fuel = -1", "--fuel")])
-def test_config_file_rejects_out_of_range_values(tmp_path, capsys, line, flag):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    code, out = run(
-        capsys, "check-gs", "--config", str(cfg), "--catalog", "rb:6?lambda=1", "--bounds", "3,2"
-    )
-    assert code == 2
-    assert f"error: {flag} must be at least" in out
 
 
 def test_help_lists_no_seed_or_base_order(capsys):
@@ -369,29 +340,41 @@ def test_help_lists_no_seed_or_base_order(capsys):
         assert f"unrecognized arguments: {flag} {value}" in out
 
 
-@pytest.mark.parametrize("key", ["seed", "base_order"])
-def test_config_file_refuses_removed_keys(tmp_path, capsys, key):
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text(f"{key} = 7\n")
-    code, out = run(capsys, "check-gs", "--config", str(cfg), "--catalog", "rb:1")
-    assert code == 2
-    assert f"error: {cfg}:1: unknown config key {key!r}" in out
-
-
-@pytest.mark.parametrize("key", ["fuel"])
-def test_config_file_names_a_non_integer_value(tmp_path, capsys, key):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"# budgets\n{key} = abc\n")
-    code, out = run(capsys, "check-gs", "--config", str(cfg), "--catalog", "rb:1")
-    assert code == 2
-    assert f"error: {cfg}:2: {key} must be an integer, got 'abc'" in out
-    assert "invalid literal" not in out
-
-
 def test_demo_rejects_negative_fuel(capsys):
     code, out = run(capsys, "demo", "rb-commutator", "--fuel", "-1")
     assert code == 2
     assert "error: --fuel must be at least 0" in out
+
+
+def test_help_prints_each_default(capsys):
+    code, out = run(capsys, "check-gs", "--help")
+    assert code == 0
+    for default in ("(default z1,z2)", "(default 2,2)", "(default 2000)"):
+        assert default in " ".join(out.split())
+    assert "--config" not in out
+
+
+def test_gens_file_skips_comments_and_blank_lines_and_reads_crlf(tmp_path, capsys):
+    path = tmp_path / "gens.txt"
+    path.write_bytes(b"# idempotent z1\r\n\r\n   \r\nz1*z1 - z1\r\n")
+    # --gens texts come first: the commutator is g0, the file's line g1
+    from_file = run(capsys, "nf", "--trace", "--gens", COMMUTATOR, "--gens-file", str(path), "z2*z1*z2*z1")
+    from_flags = run(capsys, "nf", "--trace", "--gens", COMMUTATOR, "--gens", "z1*z1 - z1", "z2*z1*z2*z1")
+    assert from_file == from_flags
+    assert "step 3: rule g1, context @*z2*z2" in from_file[1]
+
+
+def test_gens_file_that_is_missing_exits_two(tmp_path, capsys):
+    path = tmp_path / "absent.txt"
+    code, out = run(capsys, "basis", "--gens-file", str(path))
+    assert code == 2
+    assert out.startswith("error: ") and str(path) in out
+
+
+def test_gens_file_names_the_path_and_line_of_a_bad_polynomial(tmp_path, capsys):
+    path = tmp_path / "gens.txt"
+    path.write_text(f"{COMMUTATOR}\n\nz1*\n")
+    assert run(capsys, "basis", "--gens-file", str(path)) == (2, f"error: {path}:3: expected a factor (at position 3)\n")
 
 
 def test_parse_error_exits_two(capsys):
@@ -490,11 +473,12 @@ def test_basis_on_one_letter_far_past_the_recursion_limit(capsys):
 def test_removed_jobs_flag_and_config_key_exit_two(tmp_path, capsys):
     code, out = run(capsys, "check-gs", "--catalog", "rb:1", "--jobs", "2")
     assert code == 2
+    # settings come from flags alone: the config file itself is refused
     cfg = tmp_path / "old.cfg"
     cfg.write_text("jobs = 2\n")
     code, out = run(capsys, "check-gs", "--config", str(cfg), "--catalog", "rb:1")
     assert code == 2
-    assert "unknown config key 'jobs'" in out
+    assert f"unrecognized arguments: --config {cfg}" in out
 
 
 def test_unknown_catalog_selector_exits_two(capsys):
@@ -519,30 +503,26 @@ def test_order_preset_conflict_with_catalog(capsys):
 
 def test_catalog_entries_of_two_presets_cannot_share_a_generator_set(capsys):
     mixed = ("check-gs", "--catalog", "rb:6", "--catalog", "diff:1")
-    code, out = run(capsys, *mixed)
-    assert (code, out) == (2, "error: catalog entries of different presets (db, dt) cannot share one generator set\n")
-    # neither order helps: each refuses the entry of the other preset
-    code, out = run(capsys, *mixed, "--order", "db")
-    assert (code, out) == (
-        2,
-        "error: catalog entry diff:1?a=1,b=0,c=0 declares preset dt; the active order is db (pick the matching --order)\n",
-    )
-    code, out = run(capsys, *mixed, "--order", "dt")
-    assert (code, out) == (
-        2,
-        "error: catalog entry rb:6?lambda=0 declares preset db; the active order is dt (pick the matching --order)\n",
-    )
+    message = "error: catalog entries of different presets (db, dt) cannot share one generator set\n"
+    for order in ((), ("--order", "db"), ("--order", "dt")):
+        assert run(capsys, *mixed, *order) == (2, message)
 
 
-def test_removed_deglex_order_exits_two_naming_the_presets(tmp_path, capsys):
-    cfg = tmp_path / "deglex.cfg"
-    cfg.write_text("order = deglex\n")
+def test_compare_with_catalog_entries_of_two_presets_uses_db(capsys):
+    # compare builds no generator set; a mixed catalog leaves the order at db
+    mixed = ("compare", "--catalog", "rb:6", "--catalog", "diff:1", "[z1*z2]", "z1*[z2]")
+    expected = "[z1*z2] < z1*[z2]   under db(base z1<z2)\n"
+    assert run(capsys, *mixed) == (0, expected)
+    assert run(capsys, *mixed, "--order", "db") == (0, expected)
+
+
+def test_removed_deglex_order_exits_two_naming_the_presets(capsys):
     gens = ("--gens", "z2*z1 - z1*z2")
-    for argv in (("--order", "deglex"), ("--config", str(cfg))):
+    for preset in ("deglex", ""):
         for command in (("check-gs", *gens), ("nf", *gens, "z2*z1")):
-            code, out = run(capsys, *command, *argv)
+            code, out = run(capsys, *command, "--order", preset)
             assert code == 2
-            assert "error: unknown order preset 'deglex'; choose from db, dt" in out
+            assert f"error: unknown order preset {preset!r}; choose from db, dt" in out
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -22,6 +22,7 @@ from opalg import (
     parse_opoly,
     parse_word,
 )
+from opalg import gsbasis
 
 DB12 = OrderSpec.for_alphabet("db", Z12)
 DT12 = OrderSpec.for_alphabet("dt", Z12)
@@ -58,6 +59,13 @@ def rb_commutator_set():
 def test_generator_set_requires_matching_preset():
     with pytest.raises(ValueError):
         GeneratorSet((parse_catalog("rb:1"),), (), DT12, Z12)
+
+
+@pytest.mark.parametrize("order", [DB12, DT12], ids=["db", "dt"])
+def test_generator_set_refuses_entries_of_two_presets_under_either_order(order):
+    entries = (parse_catalog("rb:6"), parse_catalog("diff:1"))
+    with pytest.raises(ValueError, match=r"^catalog entries of different presets \(db, dt\) cannot share"):
+        GeneratorSet(entries, (), order, Z12)
 
 
 def test_generator_set_rejects_variable_letter_clash():
@@ -339,3 +347,18 @@ def test_morphism_requires_every_letter():
     qa = QuotientAlgebra(gens, (2, 1), 2000)
     with pytest.raises(ValueError, match="no image"):
         evaluate_morphism(P("z", Z1), {}, qa)
+
+
+def test_compositions_of_one_source_expands_it_once(monkeypatch):
+    calls = []
+    real = gsbasis.expand_instances
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gsbasis, "expand_instances", counted)
+    entry = parse_catalog("rb:6?lambda=1")
+    recs = compositions(entry, entry, DB12, (2, 1), Z12)
+    assert len(calls) == 1
+    assert recs == compositions(entry, parse_catalog("rb:6?lambda=1"), DB12, (2, 1), Z12)

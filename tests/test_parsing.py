@@ -339,16 +339,6 @@ def test_cli_reads_integer_flags_by_the_number_rule(capsys, argv, message):
     assert captured.err.endswith(message + "\n")
 
 
-@pytest.mark.parametrize("line", ["fuel = 1_0", "fuel = +6", "fuel = 1.0"])
-def test_config_integers_use_the_number_rule(tmp_path, capsys, line):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    key, _, value = line.partition(" = ")
-    assert_refused_fast(
-        capsys, ["check-gs", "--config", str(cfg), "--catalog", "rb:1"], f"{key} must be an integer, got '{value}'"
-    )
-
-
 def test_cli_refuses_to_print_a_coefficient_over_the_digit_limit(capsys):
     # an accepted weight whose square has more digits than the limit
     code = main(["nf", "--catalog", f"rb:6?lambda={'9' * 3000}", "[[z1]*[z2]]*[z1]"])
