@@ -27,7 +27,6 @@ from .gsbasis import (
     GeneratorSet,
     QuotientAlgebra,
     check_gs,
-    compositions,
     enumerate_irr,
     is_trivial,
 )
@@ -250,8 +249,10 @@ def _cmd_compositions(ns) -> int:
         left, right = sources
     else:
         raise ValueError("compositions takes one or two sources (catalog entries or polynomials)")
+    # one generator set expands each catalog entry once, for the records
+    # and for the rule set that reduces them
     gens = env.generator_set()
-    recs = compositions(left, right, env.order, env.bounds, env.alphabet)
+    recs = gens.compositions(left, right, env.bounds)
     print(f"{len(recs)} record(s) at bounds {env.bounds} under {env.order.describe()}")
     worst = 0
     for r in recs:
@@ -278,8 +279,9 @@ def _emit(report, path: str | None) -> int:
 
 def _cmd_check_gs(ns) -> int:
     env = Env(ns)
-    gens = env.generator_set()
-    return _emit(check_gs(gens, env.bounds, env.fuel, route=ns.route), ns.report)
+    # no name holds the generator set, so its expansion and rule-set memos
+    # are freed before the report is printed and written
+    return _emit(check_gs(env.generator_set(), env.bounds, env.fuel, route=ns.route), ns.report)
 
 
 def _cmd_check_type(ns) -> int:
@@ -347,7 +349,7 @@ def _demo_splitting_unit(env: Env) -> int:
     entry, g = env.entries[0], env.concrete[0]
     gens, order, bounds = env.generator_set(), env.order, env.bounds
     print(f"sources: {entry.key} and g = {render_opoly(g, order)}; bounds {bounds}; order {order.preset}")
-    recs = compositions(entry, g, order, bounds, env.alphabet)
+    recs = gens.compositions(entry, g, bounds)
     rules = gens.ruleset(bounds)
     bad = 0
     for r in recs:

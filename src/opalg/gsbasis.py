@@ -111,6 +111,7 @@ class GeneratorSet:
         self.concrete = tuple(concrete)
         self.order = order
         self.alphabet = alphabet
+        self._instances_cache: dict[tuple[CatalogEntry, tuple[int, int]], tuple[Generator, ...]] = {}
         self._expanded_cache: dict[tuple[int, int], tuple[Generator, ...]] = {}
         self._ruleset_cache: dict[tuple[int, int], RuleSet] = {}
 
@@ -123,7 +124,17 @@ class GeneratorSet:
         gaps = [phi.op_gap(preset) for phi in self.opis]
         return max(gaps, default=0)
 
+    def instances(self, entry: CatalogEntry, bounds: tuple[int, int]) -> tuple[Generator, ...]:
+        """The bounded instances of ``entry``, expanded once per bounds for
+        as long as the set lives."""
+        got = self._instances_cache.get((entry, bounds))
+        if got is None:
+            got = self._instances_cache[entry, bounds] = expand_instances(entry.opis, self.alphabet, bounds, self.order)
+        return got
+
     def expanded(self, bounds: tuple[int, int]) -> tuple[Generator, ...]:
+        """The concrete generators, then each entry's instances, without
+        repeating a polynomial."""
         got = self._expanded_cache.get(bounds)
         if got is not None:
             return got
@@ -134,8 +145,11 @@ class GeneratorSet:
             if gen.poly not in seen:
                 seen.add(gen.poly)
                 gens.append(gen)
-        instances = expand_instances(self.opis, self.alphabet, bounds, self.order)
-        gens += (g for g in instances if g.poly not in seen)
+        for e in self.entries:
+            for g in self.instances(e, bounds):
+                if g.poly not in seen:
+                    seen.add(g.poly)
+                    gens.append(g)
         out = tuple(gens)
         self._expanded_cache[bounds] = out
         return out
@@ -152,6 +166,21 @@ class GeneratorSet:
             self._ruleset_cache[bounds] = got
         return got
 
+    def compositions(self, f, g, bounds: tuple[int, int]) -> list[CompositionRecord]:
+        """:func:`compositions` of two sources, each a polynomial or a
+        catalog entry, which this set expands through its own cache."""
+        left = self._as_generators(f, "f", bounds)
+        right = left if g is f else self._as_generators(g, "g", bounds)
+        same = [x.poly for x in left] == [y.poly for y in right]
+        return indexed_records(left, None if same else right, bounds)
+
+    def _as_generators(self, obj, tag: str, bounds: tuple[int, int]) -> list[Generator]:
+        if isinstance(obj, CatalogEntry):
+            return list(self.instances(obj, bounds))
+        if isinstance(obj, OPoly):
+            return [_concrete(tag, obj, self.order)]
+        raise TypeError(f"cannot treat {type(obj).__name__} as a generator source")
+
 
 def _concrete(gen_id: str, g: OPoly, order: OrderSpec) -> Generator:
     """``g`` scaled monic as a concrete generator, its leading term read once."""
@@ -165,7 +194,7 @@ def _concrete(gen_id: str, g: OPoly, order: OrderSpec) -> Generator:
 # composition enumeration
 
 
-@dataclass
+@dataclass(slots=True)
 class CompositionRecord:
     kind: str  # "intersection" | "inclusion"
     left_id: str
@@ -281,28 +310,31 @@ def _scan(outer: Sequence[Generator], inner: Sequence[Generator], bounds: tuple[
     # the per-pair scan refuses here too, inside iter_occurrences
     if any(b.lm.is_unit() for b in inner) and any(_fits(a.lm, bounds) for a in outer):
         raise ValueError("occurrences of the unit are everywhere; refusing")
+    # proper prefixes index their generators by leading-word degrees, so
+    # only the groups that fit the room left by an overlap are visited
     by_word: dict[tuple, list[int]] = {}
-    by_prefix: dict[tuple, list[int]] = {}
+    by_prefix: dict[tuple, dict[tuple[int, int], list[int]]] = {}
     for j, b in enumerate(inner):
         fb = b.lm.factors
         by_word.setdefault(fb, []).append(j)
+        degrees = (b.lm.z_degree, b.lm.op_degree)
         for k in range(1, len(fb)):
-            by_prefix.setdefault(fb[:k], []).append(j)
+            by_prefix.setdefault(fb[:k], {}).setdefault(degrees, []).append(j)
     for i, a in enumerate(outer):
         fa = a.lm.factors
         n = len(fa)
         for k in range(1, n):
-            hits = by_prefix.get(fa[n - k :])
-            if not hits:
+            groups = by_prefix.get(fa[n - k :])
+            if not groups:
                 continue
             # w = a.lm * b.lm with the shared factors counted once
             shared = Word(fa[n - k :])
             z_room = bounds[0] - a.lm.z_degree + shared.z_degree
             op_room = bounds[1] - a.lm.op_degree + shared.op_degree
-            for j in hits:
-                b = inner[j]
-                if b.lm.z_degree <= z_room and b.lm.op_degree <= op_room:
-                    yield i, j, 0, _intersection(a, b, k, bounds)
+            for (z, op), hits in groups.items():
+                if z <= z_room and op <= op_room:
+                    for j in hits:
+                        yield i, j, 0, _intersection(a, inner[j], k, bounds)
         if not _fits(a.lm, bounds):
             continue
         for level, lo, hi, frames in iter_slices(a.lm):
@@ -345,12 +377,8 @@ def indexed_records(
 def _as_generators(
     obj, tag: str, order: OrderSpec, bounds: tuple[int, int], alphabet: Alphabet
 ) -> list[Generator]:
-    if isinstance(obj, CatalogEntry):
-        gs = GeneratorSet(entries=(obj,), concrete=(), order=order, alphabet=alphabet)
-        return list(gs.expanded(bounds))
-    if isinstance(obj, OPoly):
-        return [_concrete(tag, obj, order)]
-    raise TypeError(f"cannot treat {type(obj).__name__} as a generator source")
+    entries = (obj,) if isinstance(obj, CatalogEntry) else ()
+    return GeneratorSet(entries, (), order, alphabet)._as_generators(obj, tag, bounds)
 
 
 def compositions(f, g, order: OrderSpec, bounds: tuple[int, int], alphabet: Alphabet | None = None):
@@ -364,17 +392,15 @@ def compositions(f, g, order: OrderSpec, bounds: tuple[int, int], alphabet: Alph
     """
     if alphabet is None:
         alphabet = Alphabet(order.base)
-    left = _as_generators(f, "f", order, bounds, alphabet)
-    right = left if g is f else _as_generators(g, "g", order, bounds, alphabet)
-    same = [x.poly for x in left] == [y.poly for y in right]
-    return indexed_records(left, None if same else right, bounds)
+    entries = [x for x in (f, g) if isinstance(x, CatalogEntry)]
+    return GeneratorSet(entries, (), order, alphabet).compositions(f, g, bounds)
 
 
 # ---------------------------------------------------------------------------
 # triviality
 
 
-@dataclass
+@dataclass(slots=True)
 class TrivialityResult:
     status: str  # "trivial" | "not_trivial" | "unresolved"
     residue: OPoly
@@ -439,7 +465,7 @@ def is_trivial(
 # the bounded completeness check
 
 
-@dataclass
+@dataclass(slots=True)
 class GSReport:
     bounds: tuple[int, int]
     fuel: int

@@ -56,8 +56,8 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 class OPI:
     """Named multilinear identity over ordered variables.  Its body is
     compiled once, on first use, into one splice plan per monomial
-    (:func:`opalg.terms._compile`, the plans contexts plug through too),
-    and every instantiation runs through those plans (:meth:`instance`)."""
+    (:func:`opalg.terms._compile`), and every instantiation runs through
+    those plans (:meth:`instance`)."""
 
     __slots__ = ("name", "variables", "body", "_lm_cache", "_plan")
 
@@ -180,7 +180,7 @@ def instantiate(phi: OPI, sigma: Mapping[str, Union[Word, OPoly]]) -> OPoly:
 # instance enumeration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     """One expanded generator: a monic polynomial with provenance."""
 
@@ -277,7 +277,7 @@ def expand_instances(
 # leading-schema checks
 
 
-@dataclass
+@dataclass(slots=True)
 class NoSubwordReport:
     opi: str
     lm: str
@@ -304,7 +304,7 @@ def check_lm_no_subword(phi: OPI, preset: str) -> NoSubwordReport:
     return NoSubwordReport(opi=phi.name, lm=render(lm), ok=witness is None, witness=witness)
 
 
-@dataclass
+@dataclass(slots=True)
 class StabilityReport:
     """Outcome of the leading-monomial stability check.  ``enumerated`` is
     always 0 (the verdict is symbolic) and stays for the readers that count

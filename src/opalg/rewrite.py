@@ -71,7 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcreteRule:
     """lhs word -> rhs polynomial, with rhs strictly below lhs when ordered."""
 
@@ -88,7 +88,7 @@ class ConcreteRule:
             raise ValueError(f"rule {self.rule_id}: lhs appears in rhs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemaRule:
     """Pattern rule backed by an OPI; each match instantiates the identity."""
 
@@ -101,7 +101,7 @@ class SchemaRule:
 Rule = Union[ConcreteRule, SchemaRule]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Redex:
     rule_id: str
     context: Context
@@ -109,7 +109,7 @@ class Redex:
     rhs: OPoly  # replacement for the slice
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     index: int
     rule_id: str
@@ -126,7 +126,7 @@ class TraceStep:
         return f"step {self.index}: rule {self.rule_id}, context {self.context}, σ {bindings}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ReductionResult:
     poly: OPoly
     steps: tuple[TraceStep, ...]
@@ -394,7 +394,7 @@ def normal_form_random(
 # shape checks for the two rewriting families
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeReport:
     """Condition-by-condition outcome of a family membership check."""
 

@@ -11,7 +11,6 @@ Measures used throughout the package:
 * breadth: number of top-level factors (``breadth(1) == 0``)
 * z_degree: number of letter occurrences at every depth
 * op_degree: number of bracket occurrences at every depth
-* depth: maximal bracket nesting
 
 Words and brackets are interned (hash-consed).  ``Word(factors)`` looks
 the factor tuple up in one module-level table and returns the live word
@@ -33,9 +32,10 @@ position counts from the start of the text, before any recursive step.
 Schema words may contain variable letters that match arbitrary factor
 blocks (:func:`schema_occurrences`); :func:`_compile` turns one into a
 splice plan and :func:`_splice` runs it on word values.  A context is a
-word with exactly one hole ``@``, a schema whose one variable is the hole:
-plugging a word runs the same splice, putting its factors in place of the
-hole (plugging the unit deletes the hole).
+word with exactly one hole ``@``, kept as the hole's position in the
+coordinates :func:`iter_slices` yields: plugging a word puts its factors
+in place of the hole (plugging the unit deletes the hole) and rebuilds the
+enclosing brackets around it.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class Word:
     Words are valid dict keys; all arithmetic lives in :mod:`opalg.poly`.
     """
 
-    __slots__ = ("factors", "z_degree", "op_degree", "depth", "_bracket", "_key", "__weakref__")
+    __slots__ = ("factors", "z_degree", "op_degree", "_bracket", "_key", "__weakref__")
 
     def __new__(cls, factors: Iterable[Factor] = ()):
         fs = tuple(factors)
@@ -174,7 +174,7 @@ class Word:
             w = entry()
             if w is not None:
                 return w
-        z = op = dep = 0
+        z = op = 0
         for f in fs:
             if isinstance(f, str):
                 z += 1
@@ -182,15 +182,12 @@ class Word:
                 inner = f.inner
                 z += inner.z_degree
                 op += inner.op_degree + 1
-                if inner.depth + 1 > dep:
-                    dep = inner.depth + 1
             else:
                 raise TypeError(f"bad factor {f!r}")
         w = object.__new__(cls)
         w.factors = fs
         w.z_degree = z
         w.op_degree = op
-        w.depth = dep
         w._bracket = None
         w._key = None
         entry = _WORDS[fs] = _Entry(w, _forget)
@@ -513,39 +510,60 @@ def _splice(plan, values: Sequence[Word]) -> Word:
     return Word(out)
 
 
-_HOLE_INDEX = {HOLE: 0}
+def _holes(factors: tuple[Factor, ...]) -> Iterator[tuple[tuple[Factor, ...], int, tuple]]:
+    """Each hole in a factor tuple, at every depth, as ``(level, k,
+    frames)``: the hole is ``level[k]`` and ``frames`` the enclosing
+    ``(factors, bracket index)`` pairs, outermost first."""
+    stack = [(factors, ())]
+    while stack:
+        level, frames = stack.pop()
+        for k, f in enumerate(level):
+            if f.__class__ is Bracket:
+                stack.append((f.inner.factors, frames + ((level, k),)))
+            elif f == HOLE:
+                yield level, k, frames
 
 
 class Context:
-    """A word with exactly one hole ``@`` at any depth: a schema whose one
-    variable is the hole, plugged through a splice plan like an identity.
-    The plan is compiled on first plug."""
+    """A word with exactly one hole ``@`` at any depth, kept as the hole's
+    position: the hole stands for ``level[i:j]``, and ``frames`` are the
+    enclosing ``(factors, bracket index)`` pairs, outermost first (the
+    coordinates :func:`iter_slices` yields).  Plugging rebuilds the word
+    around the plugged factors, frame by frame."""
 
-    __slots__ = ("word", "_plan")
+    __slots__ = ("level", "i", "j", "frames")
 
     def __init__(self, word: Word):
-        n = var_counts(word, frozenset(_HOLE_INDEX)).get(HOLE, 0)
-        if n != 1:
-            raise ValueError(f"a context needs exactly one hole, found {n} in {render(word)}")
-        self.word = word
-        self._plan = None
+        found = list(_holes(word.factors))
+        if len(found) != 1:
+            raise ValueError(f"a context needs exactly one hole, found {len(found)} in {render(word)}")
+        level, k, frames = found[0]
+        self.level, self.i, self.j, self.frames = level, k, k + 1, frames
+
+    @property
+    def word(self) -> Word:
+        """The context as a word, the hole written ``@``."""
+        return self.plug(Word((HOLE,)))
 
     def is_trivial(self) -> bool:
         """True for the bare hole (plugging returns the argument itself)."""
-        return self.word.factors == (HOLE,)
+        return not self.frames and self.i == 0 and self.j == len(self.level)
 
     def plug(self, s: Word) -> Word:
         """Replace the hole by the factors of ``s`` (unit deletes the hole)."""
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = _compile(self.word, _HOLE_INDEX)
-        return _splice(plan, (s,))
+        level = self.level
+        w = Word(level[: self.i] + s.factors + level[self.j :])
+        for outer, k in reversed(self.frames):
+            w = Word(outer[:k] + (Bracket(w),) + outer[k + 1 :])
+        return w
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Context) and self.word == other.word
 
     def __hash__(self) -> int:
-        return hash((Context, self.word))
+        # by text: the word is built afresh each time, so its identity is
+        # not stable
+        return hash((Context, render(self.word)))
 
     def __str__(self) -> str:
         return render(self.word)
@@ -600,11 +618,14 @@ def iter_slices(w: Word) -> Iterator[tuple[tuple[Factor, ...], int, int, tuple]]
 
 def slice_context(level: tuple[Factor, ...], i: int, j: int, frames: tuple) -> Context:
     """The context around a slice from :func:`iter_slices`: plugging
-    ``Word(level[i:j])`` into it gives back the scanned word."""
-    word = Word(level[:i] + (HOLE,) + level[j:])
-    for outer, k in reversed(frames):
-        word = Word(outer[:k] + (Bracket(word),) + outer[k + 1 :])
-    return Context(word)
+    ``Word(level[i:j])`` into it gives back the scanned word.  It keeps the
+    scanned word's own ``level`` and ``frames``; a scanned word that holds
+    a hole is refused, as its context would hold two."""
+    q = Context.__new__(Context)
+    q.level, q.i, q.j, q.frames = level, i, j, frames
+    if next(_holes(frames[0][0] if frames else level), None) is not None:
+        Context(q.word)  # refused: the hole word holds two holes or more
+    return q
 
 
 def iter_occurrences(w: Word, u: Word) -> Iterator[Context]:

@@ -132,6 +132,30 @@ def test_compositions_single_source_self_pairs(capsys):
     assert "overlap k=1" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compositions", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1"),
+        ("demo", "splitting-unit"),
+    ],
+)
+def test_compositions_expand_each_catalog_entry_once(capsys, monkeypatch, argv):
+    # the records and the rule set that reduces them share one expansion
+    from opalg import gsbasis
+
+    calls = []
+    real = gsbasis.expand_instances
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gsbasis, "expand_instances", counted)
+    code, out = run(capsys, *argv)
+    assert code == 1 and "5 record(s)" in out
+    assert len(calls) == 1
+
+
 def test_check_gs_passing_config(capsys):
     code, out = run(
         capsys,

@@ -362,3 +362,38 @@ def test_compositions_of_one_source_expands_it_once(monkeypatch):
     recs = compositions(entry, entry, DB12, (2, 1), Z12)
     assert len(calls) == 1
     assert recs == compositions(entry, parse_catalog("rb:6?lambda=1"), DB12, (2, 1), Z12)
+
+
+def test_per_item_types_have_no_instance_dict():
+    # one slot layout per generator, record, redex and step: a per-instance
+    # dict would cost more than the fields it holds
+    from opalg.opi import check_lm_no_subword, check_lm_stability
+    from opalg.rewrite import ConcreteRule, RuleSet, SchemaRule, check_rb_type, normal_form
+
+    entry = parse_catalog("diff:1")
+    gens = GeneratorSet((entry,), (P("z1*z2 - 1"),), DT12, Z12)
+    report = check_gs(gens, (2, 1), 2000)
+    record = next(r for r in report.records if r.verdict.steps)
+    rules = gens.ruleset((2, 1))
+    concrete = next(r for r in rules.rules if isinstance(r, ConcreteRule))
+    schema = next(r for r in rules.rules if isinstance(r, SchemaRule))
+    phi = entry.opis[0]
+    reduced = normal_form(P("[z1*z2]"), rules, 100)
+    items = [
+        gens.expanded((2, 1))[0],
+        record,
+        record.verdict,
+        record.verdict.steps[0],
+        record.verdict.steps[0].context,
+        rules.find_redex(W("[z1*z2]")),
+        reduced,
+        concrete,
+        schema,
+        report,
+        check_rb_type(parse_catalog("rb:1"), Z12, (1, 1), 100),
+        check_lm_no_subword(phi, "dt"),
+        check_lm_stability(phi, DT12),
+    ]
+    for item in items:
+        assert item is not None
+        assert not hasattr(item, "__dict__"), type(item).__name__

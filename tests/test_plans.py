@@ -16,12 +16,12 @@ each against the reference path it replaced.
 * A rule set scans only slices of a length some rule can match.  A rule
   whose left side has a top-level variable matches open-ended lengths; the
   scan must still find every redex the unfiltered reference finds.
-* A context is a one-hole schema: plugging runs its splice plan, which
-  every context compiles on first plug.  The reference is the
-  hole-scanning splice it replaced; every hole insertion and every slice
-  context of every word of ``all_words(Z12, 3, 2)`` must plug each word of
-  ``all_words(Z12, 2, 1)`` to the same word, and a slice context must be
-  the context of the hole word built the old way.
+* A context keeps its hole's position and rebuilds the word around what
+  is plugged.  The reference is the hole-scanning splice; every hole
+  insertion and every slice context of every word of
+  ``all_words(Z12, 3, 2)`` must plug each word of ``all_words(Z12, 2, 1)``
+  to the same word, and a slice context must be the context of the hole
+  word built the old way.
 """
 
 from itertools import product
@@ -294,7 +294,7 @@ def test_matchable_lengths():
     assert (closed._lengths, closed._open_from) == ({2}, None)
 
 
-# -- contexts as one-hole plans --------------------------------------------------
+# -- contexts as hole positions ----------------------------------------------------
 
 PLUGGED = all_words(Z12, 2, 1)
 
@@ -331,15 +331,29 @@ def test_a_word_holding_a_hole_has_no_occurrence_contexts():
         next(iter_occurrences(w, parse_word("z2", Z12)))
 
 
-def test_contexts_compile_on_first_plug():
+def test_a_hole_outside_the_slices_level_is_refused_too():
+    for text in ("[@]*z2", "z2*[z1*[@]]"):
+        w = parse_word(text, Z12, allow_hole=True)
+        with pytest.raises(ValueError, match="exactly one hole, found 2"):
+            next(iter_occurrences(w, parse_word("z2", Z12)))
+
+
+def test_contexts_plug_at_their_holes_position():
     q = parse_context("z1*[z2*@]*[1]", Z12)
-    assert q._plan is None
     u = parse_word("z1*[z2]", Z12)
     assert q.plug(u) is parse_word("z1*[z2*z1*[z2]]*[1]", Z12)
-    plan = q._plan
-    assert plan == ((0, ("z1",)), (3, ((0, ("z2",)), (1, 0))), (0, (Bracket(Word(()),),)))
     assert q.plug(Word(())) is parse_word("z1*[z2]*[1]", Z12)
-    assert q._plan is plan
     assert parse_context("[@]", Z12).plug(u) is parse_word("[z1*[z2]]", Z12)
     bare = parse_context("@", Z12)
     assert bare.is_trivial() and bare.plug(u) is u
+
+
+def test_slice_contexts_share_the_scanned_words_levels():
+    w = parse_word("z1*[z2*[z1]*z2]*z1", Z12)
+    kept = 0
+    for level, i, j, frames in iter_slices(w):
+        q = slice_context(level, i, j, frames)
+        assert q.level is level and q.frames is frames
+        assert q.plug(Word(level[i:j])) is w
+        kept += 1
+    assert kept > 10

@@ -43,24 +43,22 @@ def test_unit_measures():
     assert UNIT.breadth == 0
     assert UNIT.z_degree == 0
     assert UNIT.op_degree == 0
-    assert UNIT.depth == 0
     assert UNIT.is_unit()
 
 
 def test_bracketed_unit_is_not_unit():
     w = bracket(UNIT)
     assert not w.is_unit()
-    assert (w.breadth, w.z_degree, w.op_degree, w.depth) == (1, 0, 1, 1)
+    assert (w.breadth, w.z_degree, w.op_degree) == (1, 0, 1)
 
 
 def test_measures_sample():
     w = W("[z1*[z2]]*z1")
-    assert (w.breadth, w.z_degree, w.op_degree, w.depth) == (2, 3, 2, 2)
+    assert (w.breadth, w.z_degree, w.op_degree) == (2, 3, 2)
 
 
 def test_iterated_bracket_depth():
     w = bracket(bracket(bracket(W("z1"))))
-    assert w.depth == 3
     assert w.op_degree == 3
     assert w.z_degree == 1
 
@@ -126,7 +124,8 @@ def test_parse_rejects_unbalanced():
 def test_parse_enforces_bracket_depth_limit():
     deepest = "[" * MAX_DEPTH + "z1" + "]" * MAX_DEPTH
     w = W(deepest)
-    assert w.depth == MAX_DEPTH
+    # one letter nested MAX_DEPTH deep: every bracket encloses the next
+    assert (w.op_degree, w.z_degree) == (MAX_DEPTH, 1)
     assert render(w) == deepest
     with pytest.raises(ParseError, match=f"limit of {MAX_DEPTH}") as exc:
         W("z2*" + "[" * (MAX_DEPTH + 1) + "z1" + "]" * (MAX_DEPTH + 1))
