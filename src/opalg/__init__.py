@@ -9,7 +9,7 @@ The layers, bottom up:
 ``poly``
     linear combinations with exact rational coefficients.
 ``orders``
-    the shipped monomial orders plus a randomized axiom audit.
+    the shipped monomial orders.
 ``opi``
     identities with multilinear placeholder variables, the built-in
     catalog, instance expansion, leading-monomial checks.
@@ -31,7 +31,6 @@ from .gsbasis import (
     QuotientAlgebra,
     TrivialityResult,
     check_gs,
-    compositions,
     enumerate_irr,
     evaluate_morphism,
     is_trivial,
@@ -47,7 +46,7 @@ from .opi import (
     instantiate,
     parse_catalog,
 )
-from .orders import OrderSpec, check_order_axioms
+from .orders import OrderSpec
 from .poly import OPoly, parse_opoly, render_opoly
 from .rewrite import (
     ConcreteRule,
@@ -57,7 +56,6 @@ from .rewrite import (
     check_diff_type,
     check_rb_type,
     normal_form,
-    normal_form_random,
 )
 from .terms import (
     UNIT,
@@ -106,16 +104,13 @@ __all__ = [
     "check_gs",
     "check_lm_no_subword",
     "check_lm_stability",
-    "check_order_axioms",
     "check_rb_type",
-    "compositions",
     "enumerate_irr",
     "evaluate_morphism",
     "expand_instances",
     "instantiate",
     "is_trivial",
     "normal_form",
-    "normal_form_random",
     "parse_catalog",
     "parse_context",
     "parse_opoly",

@@ -12,13 +12,15 @@ Commands:
   demo           canned walkthroughs with fixed configurations
 
 Exit codes: 0 success/pass, 1 verified failure or unresolved outcome,
-2 usage or parse errors.
+2 usage or parse errors.  A reader that closes stdout early (``| head``)
+ends the run with 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -404,9 +406,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:
-        return _COMMANDS[ns.cmd](ns)
+        code = _COMMANDS[ns.cmd](ns)
+        sys.stdout.flush()
+        return code
     except BoundsExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader is gone: send the unwritten rest to devnull, so
+        # the flush at exit cannot fail again, and exit 1 as Python does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,7 +65,6 @@ __all__ = [
     "QuotientAlgebra",
     "TrivialityResult",
     "check_gs",
-    "compositions",
     "enumerate_irr",
     "evaluate_morphism",
     "indexed_records",
@@ -167,8 +166,11 @@ class GeneratorSet:
         return got
 
     def compositions(self, f, g, bounds: tuple[int, int]) -> list[CompositionRecord]:
-        """:func:`compositions` of two sources, each a polynomial or a
-        catalog entry, which this set expands through its own cache."""
+        """Every in-bounds intersection and inclusion record between two
+        sources, sorted.  A source is a polynomial or a catalog entry, which
+        this set expands to its bounded instances through its own cache.
+        When both sources expand to the same polynomials they pair as one
+        self-paired family, with no mirrored duplicates."""
         left = self._as_generators(f, "f", bounds)
         right = left if g is f else self._as_generators(g, "g", bounds)
         same = [x.poly for x in left] == [y.poly for y in right]
@@ -201,7 +203,6 @@ class CompositionRecord:
     right_id: str
     w: Word
     witness: str
-    context: Context | None
     value: OPoly
     pair_kind: str
     verdict: "TrivialityResult | None" = None
@@ -239,7 +240,6 @@ def _intersection(a: Generator, b: Generator, k: int, bounds: tuple[int, int]) -
         right_id=b.gen_id,
         w=w,
         witness=f"overlap k={k}",
-        context=None,
         value=a.poly * OPoly.from_word(u) - OPoly.from_word(v) * b.poly,
         pair_kind=_pair_kind(a, b),
     )
@@ -253,7 +253,6 @@ def _inclusion(a: Generator, b: Generator, q: Context) -> CompositionRecord:
         right_id=b.gen_id,
         w=a.lm,
         witness=f"context {q}",
-        context=q,
         value=a.poly - substitute(q, b.poly),
         pair_kind=_pair_kind(a, b),
     )
@@ -372,28 +371,6 @@ def indexed_records(
             keyed.append(((i, j, 2 * phase + 1), rec))
     keyed.sort(key=lambda t: (_record_sort_key(t[1]), t[0]))
     return [rec for _, rec in keyed]
-
-
-def _as_generators(
-    obj, tag: str, order: OrderSpec, bounds: tuple[int, int], alphabet: Alphabet
-) -> list[Generator]:
-    entries = (obj,) if isinstance(obj, CatalogEntry) else ()
-    return GeneratorSet(entries, (), order, alphabet)._as_generators(obj, tag, bounds)
-
-
-def compositions(f, g, order: OrderSpec, bounds: tuple[int, int], alphabet: Alphabet | None = None):
-    """Every intersection and inclusion record between the two inputs whose
-    shared word fits the bounds, deterministically sorted.
-
-    Inputs may be polynomials or catalog entries; a catalog entry expands
-    to its bounded instances first.
-    When both inputs expand to the same polynomials the pair is treated
-    as one self-paired family (no mirrored duplicates).
-    """
-    if alphabet is None:
-        alphabet = Alphabet(order.base)
-    entries = [x for x in (f, g) if isinstance(x, CatalogEntry)]
-    return GeneratorSet(entries, (), order, alphabet).compositions(f, g, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Monomial orders on bracketed words, and a randomized axiom checker.
+"""Monomial orders on bracketed words.
 
 Two presets:
 
@@ -21,14 +21,12 @@ being declared.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from functools import cmp_to_key
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
-from .terms import Alphabet, Word, random_context, random_word, render
+from .terms import Word
 
-__all__ = ["LT", "EQ", "GT", "PRESETS", "OrderSpec", "OrderAxiomReport", "check_order_axioms"]
+__all__ = ["LT", "EQ", "GT", "PRESETS", "OrderSpec"]
 
 LT, EQ, GT = -1, 0, 1
 
@@ -111,112 +109,3 @@ class OrderSpec:
 
     def describe(self) -> str:
         return f"{self.preset}(base {'<'.join(self.base)})"
-
-
-@dataclass
-class OrderAxiomReport:
-    """Outcome of randomized order-axiom checking."""
-
-    preset: str
-    trials: int
-    seed: int
-    checked: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_text(self) -> str:
-        lines = [f"order axioms [{self.preset}]: {self.trials} trials, seed {self.seed}"]
-        for name, count in sorted(self.checked.items()):
-            lines.append(f"  {name}: {count} checks")
-        if self.violations:
-            for kind, detail in self.violations:
-                lines.append(f"  VIOLATION {kind}: {detail}")
-            lines.append("  FAILED")
-        else:
-            lines.append("  ok")
-        return "\n".join(lines)
-
-
-_MAX_REPORTED = 10
-
-
-def check_order_axioms(
-    order,
-    alphabet: Alphabet | Sequence[str],
-    bounds: tuple[int, int],
-    trials: int,
-    seed: int = 0,
-) -> OrderAxiomReport:
-    """Randomized check of total-order and rewriting-order axioms.
-
-    ``order`` is anything with ``compare(u, v) -> int``; sampled words stay
-    within ``bounds = (max_z, max_op)``.  Checks per trial: comparability
-    with antisymmetry, equality-iff-structural, transitivity on a word
-    triple, compatibility with a random context, and strict growth under a
-    nontrivial context (the well-order probe that catches orders where
-    plugging can descend).
-    """
-    letters = tuple(alphabet)
-    max_z, max_op = bounds
-    rng = random.Random(seed)
-    preset = getattr(order, "preset", type(order).__name__)
-    rep = OrderAxiomReport(preset=preset, trials=trials, seed=seed)
-    counts = {
-        "antisymmetry": 0,
-        "equality": 0,
-        "transitivity": 0,
-        "context-compatibility": 0,
-        "context-growth": 0,
-    }
-
-    def note(kind: str, detail: str) -> None:
-        if len(rep.violations) < _MAX_REPORTED:
-            rep.violations.append((kind, detail))
-
-    for _ in range(trials):
-        u = random_word(rng, letters, max_z, max_op)
-        v = random_word(rng, letters, max_z, max_op)
-        w = random_word(rng, letters, max_z, max_op)
-
-        cuv = order.compare(u, v)
-        cvu = order.compare(v, u)
-        counts["antisymmetry"] += 1
-        if cuv != -cvu or cuv not in (LT, EQ, GT):
-            note("antisymmetry", f"compare({render(u)}, {render(v)}) = {cuv}, reversed {cvu}")
-
-        counts["equality"] += 1
-        if (cuv == EQ) != (u == v):
-            note("equality", f"compare({render(u)}, {render(v)}) = {cuv} but structural equality is {u == v}")
-        if order.compare(u, u) != EQ:
-            note("equality", f"compare({render(u)}, {render(u)}) != 0")
-
-        counts["transitivity"] += 1
-        trip = [u, v, w]
-        trip.sort(key=cmp_to_key(order.compare))
-        if order.compare(trip[0], trip[2]) > 0:
-            note(
-                "transitivity",
-                f"{render(trip[0])} <= {render(trip[1])} <= {render(trip[2])} yet the ends compare GT",
-            )
-
-        q = random_context(rng, letters, max_z, max_op)
-        counts["context-compatibility"] += 1
-        if cuv != 0:
-            lo, hi = (u, v) if cuv < 0 else (v, u)
-            if order.compare(q.plug(lo), q.plug(hi)) >= 0:
-                note(
-                    "context-compatibility",
-                    f"{render(lo)} < {render(hi)} but q = {q} gives "
-                    f"{render(q.plug(lo))} vs {render(q.plug(hi))} not LT",
-                )
-
-        qn = random_context(rng, letters, max_z, max_op, nontrivial=True)
-        counts["context-growth"] += 1
-        if order.compare(qn.plug(u), u) <= 0:
-            note("context-growth", f"q = {qn} does not raise {render(u)}: got {render(qn.plug(u))}")
-
-    rep.checked = counts
-    return rep

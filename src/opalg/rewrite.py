@@ -14,10 +14,6 @@ Redex search is position-major: slices come in the scan order that
 :func:`opalg.terms.iter_slices` owns (top-level slices left to right,
 shorter slices first at a given start, then bracket factors left to
 right, recursively); at one position, rules apply in declared priority.
-The randomized strategies below randomize which monomial and which
-position get reduced, never the rule priority at a position, so all
-strategies compute the same linear normal-form map wherever the system
-is confluent per word.
 
 A rule set never changes after construction.  It records which slice
 lengths its left sides can match, so redex search never slices a factor
@@ -28,13 +24,12 @@ redex, or that the word is irreducible.  A schema match instantiates its
 identity through the identity's compiled plan (:meth:`opalg.opi.OPI.instance`).
 :func:`normal_form` picks each step's monomial without sorting the
 polynomial: it skips words already known to be irreducible and searches
-the rest greatest first.  Every strategy takes its steps in place on one
-term dict, through the one step function that checks descent.
+the rest greatest first.  It takes its steps in place on one term dict,
+through the one step function that checks descent.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
@@ -67,7 +62,6 @@ __all__ = [
     "check_diff_type",
     "check_rb_type",
     "normal_form",
-    "normal_form_random",
 ]
 
 
@@ -286,18 +280,6 @@ class RuleSet:
             rdx = memo[w] = next(self.iter_redexes(w), None)
         return rdx
 
-    def position_redexes(self, w: Word) -> list[Redex]:
-        """First applicable rule at each position, in scan order."""
-        out: list[Redex] = []
-        seen: set[Word] = set()
-        for rdx in self.iter_redexes(w):
-            key = rdx.context.word
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(rdx)
-        return out
-
 
 def _reduce_at(acc: dict[Word, Scalar], w: Word, rdx: Redex, order: OrderSpec | None) -> Scalar:
     """One reduction step in place: the term ``c*w`` of ``acc`` becomes ``c``
@@ -359,35 +341,6 @@ def normal_form(f: OPoly, rules: RuleSet, fuel: int, *, want_trace: bool = True)
             steps.append(TraceStep(k, rdx.rule_id, rdx.context, rdx.sigma, c, w))
     still = _greatest_reducible(acc, rules) is not None
     return ReductionResult(_wrap(acc), tuple(steps), still)
-
-
-def normal_form_random(
-    f: OPoly,
-    rules: RuleSet,
-    fuel: int,
-    rng: random.Random,
-    *,
-    want_trace: bool = False,
-) -> ReductionResult:
-    """Like normal_form, but the reducible monomial and the position are
-    chosen by ``rng``.  Rule priority at a position stays fixed."""
-    steps: list[TraceStep] = []
-    acc = dict(f._terms)
-    order = rules.order
-    for k in range(fuel):
-        choices: list[tuple[Word, list[Redex]]] = []
-        for w, _ in _wrap(acc).items(order):
-            pos = rules.position_redexes(w)
-            if pos:
-                choices.append((w, pos))
-        if not choices:
-            return ReductionResult(_wrap(acc), tuple(steps), False)
-        w, pos = choices[rng.randrange(len(choices))]
-        rdx = pos[rng.randrange(len(pos))]
-        c = _reduce_at(acc, w, rdx, order)
-        if want_trace:
-            steps.append(TraceStep(k, rdx.rule_id, rdx.context, rdx.sigma, c, w))
-    return ReductionResult(_wrap(acc), tuple(steps), _greatest_reducible(acc, rules) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ __all__ = [
     "Word",
     "UNIT",
     "align_factors",
-    "all_hole_insertions",
     "all_words",
     "bracket",
     "check_input_size",
@@ -72,8 +71,6 @@ __all__ = [
     "parse_integer",
     "parse_rational",
     "parse_word",
-    "random_context",
-    "random_word",
     "render",
     "schema_occurrences",
     "slice_context",
@@ -835,51 +832,3 @@ def count_text(n: int) -> str:
     """A count from :func:`count_words` as text; one over the ceiling reads
     ``more than COUNT_CEILING``."""
     return f"more than {COUNT_CEILING}" if n > COUNT_CEILING else str(n)
-
-
-def random_word(rng, alphabet: Alphabet | Iterable[str], max_z: int, max_op: int) -> Word:
-    """Sample a word within the measure budget; may return the unit."""
-    letters = tuple(alphabet)
-    factors: list[Factor] = []
-    z_left, op_left = max_z, max_op
-    while (z_left > 0 or op_left > 0) and rng.random() < 0.6:
-        if op_left > 0 and (z_left == 0 or rng.random() < 0.35):
-            inner = random_word(rng, letters, z_left, op_left - 1)
-            factors.append(Bracket(inner))
-            z_left -= inner.z_degree
-            op_left -= inner.op_degree + 1
-        else:
-            factors.append(letters[rng.randrange(len(letters))])
-            z_left -= 1
-    return Word(factors)
-
-
-def all_hole_insertions(w: Word) -> list[Context]:
-    """Every context obtained by inserting a hole into ``w`` at any depth."""
-    out: list[Context] = []
-    fs = w.factors
-    for i in range(len(fs) + 1):
-        out.append(Context(Word(fs[:i] + (HOLE,) + fs[i:])))
-    for j, f in enumerate(fs):
-        if isinstance(f, Bracket):
-            for q in all_hole_insertions(f.inner):
-                out.append(Context(Word(fs[:j] + (Bracket(q.word),) + fs[j + 1 :])))
-    return out
-
-
-def random_context(
-    rng,
-    alphabet: Alphabet | Iterable[str],
-    max_z: int,
-    max_op: int,
-    *,
-    nontrivial: bool = False,
-) -> Context:
-    w = random_word(rng, alphabet, max_z, max_op)
-    slots = all_hole_insertions(w)
-    if nontrivial:
-        slots = [q for q in slots if not q.is_trivial()]
-        if not slots:
-            # empty word only offers the bare hole; force one wrapper
-            return Context(bracket(Word((HOLE,))))
-    return slots[rng.randrange(len(slots))]

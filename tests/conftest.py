@@ -1,7 +1,7 @@
 """Shared fixtures and hypothesis strategies.
 
-Word and polynomial strategies are seeded through the package's own
-random samplers: hypothesis shrinks the seed, the sampler keeps the
+Word and polynomial strategies are seeded through the random samplers
+of ``reference``: hypothesis shrinks the seed, the sampler keeps the
 measure budgets.  Less pretty than a fully native strategy but every
 generated value is guaranteed in-bounds.
 """
@@ -14,7 +14,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from opalg import Alphabet, OPoly, OrderSpec
-from opalg.terms import Bracket, Word, random_word
+from opalg.terms import Bracket, Word
+from reference import random_word
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")

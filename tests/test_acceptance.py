@@ -24,20 +24,17 @@ from opalg import (
     all_words,
     check_gs,
     check_lm_stability,
-    check_order_axioms,
     check_rb_type,
-    compositions,
     enumerate_irr,
     is_trivial,
     normal_form,
-    normal_form_random,
     parse_catalog,
     parse_opoly,
     parse_word,
     schema_occurrences,
 )
 from opalg.cli import main
-from opalg.terms import random_word
+from reference import check_order_axioms, normal_form_random, random_word
 
 DB12 = OrderSpec.for_alphabet("db", Z12)
 DT12 = OrderSpec.for_alphabet("dt", Z12)
@@ -58,7 +55,7 @@ def test_unit_generator_breaks_the_splitting_family_with_one_witness():
     entry = parse_catalog("diff:1")
     g = P("z1*z2 - 1")
     gens = GeneratorSet((entry,), (g,), DT12, Z12)
-    recs = compositions(entry, g, DT12, (2, 1))
+    recs = gens.compositions(entry, g, (2, 1))
     survivors = []
     for r in recs:
         verdict = is_trivial(r.value, gens, r.w, 10_000)
@@ -230,8 +227,8 @@ def test_order_audits_and_leading_term_stability():
     monomial stable at (2,1) on its declared domain."""
     for preset in ("db", "dt"):
         order = OrderSpec.for_alphabet(preset, Z12)
-        report = check_order_axioms(order, Z12, (3, 2), trials=10_000, seed=29)
-        assert report.passed, report.to_text()
+        violations = check_order_axioms(order, Z12, (3, 2), trials=10_000, seed=29)
+        assert not violations, violations
 
     deglex = ReferenceOrder("deglex", Z12)
     flat = [w for w in all_words(Z12, 4, 0)]

@@ -615,3 +615,22 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "z1 < z2" in proc.stdout
+
+
+def test_closed_stdout_exits_one_with_nothing_on_stderr():
+    # more output than a pipe buffers, so the run is still writing when the
+    # reader goes away after the first line
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opalg", "basis", "--catalog", "rb:6?lambda=1", "--bounds", "4,3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"12016 irreducible word(s)")
+    assert err == b"", err.decode()

@@ -23,7 +23,8 @@ from conftest import CATALOG_SELECTORS, Z12
 from opalg import OPoly, OrderSpec, check_rb_type, parse_catalog, render_opoly
 from opalg.opi import expand_instances
 from opalg.poly import _wrap
-from opalg.terms import UNIT, Word, bracket, random_word
+from opalg.terms import UNIT, Word, bracket
+from reference import random_word
 
 DB = OrderSpec.for_alphabet("db", Z12)
 DT = OrderSpec.for_alphabet("dt", Z12)

@@ -14,7 +14,6 @@ from opalg import (
     QuotientAlgebra,
     all_words,
     check_gs,
-    compositions,
     enumerate_irr,
     evaluate_morphism,
     is_trivial,
@@ -102,7 +101,7 @@ def test_expanded_classifies_instances():
 
 def test_self_overlap_of_quadratic_generator():
     f = P("z1*z1 - 1")
-    recs = compositions(f, f, DB12, (3, 0))
+    recs = GeneratorSet((), (), DB12, Z12).compositions(f, f, (3, 0))
     assert len(recs) == 1
     (r,) = recs
     assert r.kind == "intersection"
@@ -114,7 +113,7 @@ def test_self_overlap_of_quadratic_generator():
 def test_trivial_inclusion_kept_for_distinct_generators():
     f = P("z1*z2 - 1")
     g = P("2*z1*z2 - 2*z1")  # monicized before pairing
-    recs = compositions(f, g, DB12, (2, 0))
+    recs = GeneratorSet((), (), DB12, Z12).compositions(f, g, (2, 0))
     incl = [r for r in recs if r.kind == "inclusion"]
     assert len(incl) == 2  # both directions share the leading word
     assert {r.witness for r in incl} == {"context @"}
@@ -124,7 +123,7 @@ def test_trivial_inclusion_kept_for_distinct_generators():
 
 def test_splitting_config_produces_five_records():
     entry = parse_catalog("diff:1")
-    recs = compositions(entry, P("z1*z2 - 1"), DT12, (2, 1))
+    recs = GeneratorSet((entry,), (), DT12, Z12).compositions(entry, P("z1*z2 - 1"), (2, 1))
     assert len(recs) == 5
     assert {r.pair_kind for r in recs} <= {"schema-concrete", "concrete-schema"}
 
@@ -132,7 +131,7 @@ def test_splitting_config_produces_five_records():
 def test_splitting_pocket_record_is_conclusively_nontrivial():
     gens = splitting_set()
     entry = parse_catalog("diff:1")
-    recs = compositions(entry, P("z1*z2 - 1"), DT12, (2, 1))
+    recs = gens.compositions(entry, P("z1*z2 - 1"), (2, 1))
     pocket = [r for r in recs if r.w == W("[z1*z2]")]
     assert len(pocket) == 1
     (r,) = pocket
@@ -148,8 +147,8 @@ def test_splitting_pocket_record_is_conclusively_nontrivial():
 
 def test_records_sort_deterministically():
     entry = parse_catalog("diff:1")
-    a = compositions(entry, P("z1*z2 - 1"), DT12, (2, 1))
-    b = compositions(entry, P("z1*z2 - 1"), DT12, (2, 1))
+    a = GeneratorSet((entry,), (), DT12, Z12).compositions(entry, P("z1*z2 - 1"), (2, 1))
+    b = GeneratorSet((entry,), (), DT12, Z12).compositions(entry, P("z1*z2 - 1"), (2, 1))
     assert [r.headline() for r in a] == [r.headline() for r in b]
 
 
@@ -359,9 +358,10 @@ def test_compositions_of_one_source_expands_it_once(monkeypatch):
 
     monkeypatch.setattr(gsbasis, "expand_instances", counted)
     entry = parse_catalog("rb:6?lambda=1")
-    recs = compositions(entry, entry, DB12, (2, 1), Z12)
+    recs = GeneratorSet((entry,), (), DB12, Z12).compositions(entry, entry, (2, 1))
     assert len(calls) == 1
-    assert recs == compositions(entry, parse_catalog("rb:6?lambda=1"), DB12, (2, 1), Z12)
+    again = parse_catalog("rb:6?lambda=1")
+    assert recs == GeneratorSet((entry, again), (), DB12, Z12).compositions(entry, again, (2, 1))
 
 
 def test_per_item_types_have_no_instance_dict():

@@ -25,12 +25,11 @@ from opalg.terms import (
     all_words,
     iter_slices,
     parse_word,
-    random_context,
-    random_word,
     render,
     slice_context,
     structural_key,
 )
+from reference import random_context, random_word
 
 POOL = all_words(Z12, 3, 3)
 

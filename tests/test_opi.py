@@ -19,7 +19,8 @@ from opalg import (
     render_opoly,
 )
 from opalg.opi import MAX_EXPANSION_WORDS, catalog_help
-from opalg.terms import all_words, count_words, parse_word, random_word, render
+from opalg.terms import all_words, count_words, parse_word, render
+from reference import random_word
 
 DB = OrderSpec.for_alphabet("db", Z12)
 DT = OrderSpec.for_alphabet("dt", Z12)

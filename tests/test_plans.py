@@ -42,7 +42,6 @@ from opalg.terms import (
     Context,
     Word,
     _align,
-    all_hole_insertions,
     all_words,
     iter_occurrences,
     iter_slices,
@@ -51,6 +50,7 @@ from opalg.terms import (
     slice_context,
     word_tuples,
 )
+from reference import all_hole_insertions
 from test_reduction import reference_redexes
 
 PRESETS = ("db", "dt")

@@ -22,13 +22,12 @@ from opalg import (
     OrderSpec,
     all_words,
     check_gs,
-    compositions,
     parse_catalog,
     parse_opoly,
     render,
     render_opoly,
 )
-from opalg.gsbasis import _as_generators, _record_sort_key, indexed_records, pair_compositions
+from opalg.gsbasis import _record_sort_key, indexed_records, pair_compositions
 from opalg.terms import HOLE, Bracket, Context, Word, substitute
 
 DB12 = OrderSpec.for_alphabet("db", Z12)
@@ -80,9 +79,9 @@ def test_check_gs_records_match_all_pairs_scan(selector):
             assert_agree(gens.expanded(bounds), None, bounds)
 
 
-def reference_compositions(f, g, order, bounds):
-    left = _as_generators(f, "f", order, bounds, Z12)
-    right = _as_generators(g, "g", order, bounds, Z12)
+def reference_compositions(gens, f, g, bounds):
+    left = gens._as_generators(f, "f", bounds)
+    right = gens._as_generators(g, "g", bounds)
     if [x.poly for x in left] == [y.poly for y in right]:
         return all_pairs(left, None, bounds)
     return all_pairs(left, right, bounds)
@@ -91,11 +90,11 @@ def reference_compositions(f, g, order, bounds):
 @pytest.mark.parametrize("selector", CATALOG_SELECTORS)
 def test_compositions_match_all_pairs_scan(selector):
     entry = parse_catalog(selector)
-    order = OrderSpec.for_alphabet(entry.preset, Z12)
+    gens = GeneratorSet((entry,), (), OrderSpec.for_alphabet(entry.preset, Z12), Z12)
     for bounds in BOUNDS:
         for f, g in ((entry, COMMUTATOR), (COMMUTATOR, entry), (entry, entry)):
-            got = compositions(f, g, order, bounds, Z12)
-            assert as_tuples(got) == as_tuples(reference_compositions(f, g, order, bounds))
+            got = gens.compositions(f, g, bounds)
+            assert as_tuples(got) == as_tuples(reference_compositions(gens, f, g, bounds))
 
 
 def test_shared_generator_ids_keep_the_scan_order():
@@ -109,9 +108,9 @@ def test_shared_generator_ids_keep_the_scan_order():
     want = all_pairs(left, right, bounds)
     keys = [_record_sort_key(r) for r in want]
     assert len(set(keys)) < len(keys)
-    assert as_tuples(compositions(one, zero, DB12, bounds, Z12)) == as_tuples(want)
-    both = GeneratorSet((one, zero), (), DB12, Z12).expanded(bounds)
-    assert assert_agree(both, None, bounds) > 0
+    both = GeneratorSet((one, zero), (), DB12, Z12)
+    assert as_tuples(both.compositions(one, zero, bounds)) == as_tuples(want)
+    assert assert_agree(both.expanded(bounds), None, bounds) > 0
 
 
 def test_unit_leading_word_is_refused_like_the_scan():

@@ -11,8 +11,6 @@ result, every trace step and the ``exhausted`` flag, at every fuel up to
 the end of the reduction, and the redex search must agree word by word.
 """
 
-import random
-
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -30,7 +28,6 @@ from opalg import (
     check_diff_type,
     check_rb_type,
     normal_form,
-    normal_form_random,
     parse_catalog,
     parse_opoly,
     parse_word,
@@ -67,15 +64,6 @@ def reference_redexes(rules, w):
                 )
 
 
-def reference_position_redexes(rules, w):
-    out, seen = [], set()
-    for rdx in reference_redexes(rules, w):
-        if rdx.context.word not in seen:
-            seen.add(rdx.context.word)
-            out.append(rdx)
-    return out
-
-
 def reference_apply(f, w, c, rdx, order):
     replacement = substitute(rdx.context, rdx.rhs)
     if order is not None and replacement:
@@ -107,24 +95,6 @@ def reference_normal_form(f, rules, fuel):
             return ReductionResult(cur, tuple(steps), False)
         cur, st = hit
         steps.append(st)
-    return ReductionResult(cur, tuple(steps), reference_reducible(cur, rules))
-
-
-def reference_normal_form_random(f, rules, fuel, rng):
-    steps = []
-    cur = f
-    for k in range(fuel):
-        choices = []
-        for w, c in cur.items(rules.order):
-            pos = reference_position_redexes(rules, w)
-            if pos:
-                choices.append((w, c, pos))
-        if not choices:
-            return ReductionResult(cur, tuple(steps), False)
-        w, c, pos = choices[rng.randrange(len(choices))]
-        rdx = pos[rng.randrange(len(pos))]
-        cur = reference_apply(cur, w, c, rdx, rules.order)
-        steps.append(TraceStep(k, rdx.rule_id, rdx.context, rdx.sigma, c, w))
     return ReductionResult(cur, tuple(steps), reference_reducible(cur, rules))
 
 
@@ -200,11 +170,9 @@ def test_descent_check_fires_when_the_memo_serves_the_redex():
     for f in ("z1", "z1", "z2 + 3*z1"):
         with pytest.raises(RuntimeError, match=r"non-descending step: z1\*z1 !< z1 via up"):
             normal_form(parse_opoly(f, Z12), rules, 5)
-    # a single step and normal_form_random's steps go through the same check
+    # a single step goes through the same check
     with pytest.raises(RuntimeError, match="non-descending step"):
         normal_form(parse_opoly("z1", Z12), rules, 1)
-    with pytest.raises(RuntimeError, match="non-descending step"):
-        normal_form_random(parse_opoly("z2 + z1", Z12), rules, 5, random.Random(0))
     assert rules.find_redex(parse_word("z1", Z12)).rule_id == "up"
 
 
@@ -231,20 +199,7 @@ def test_memoized_redex_search_matches_the_rule_loop(name):
             want = list(reference_redexes(rules, w))
             assert list(rules.iter_redexes(w)) == want, render(w)
             assert rules.find_redex(w) == (want[0] if want else None), render(w)
-            assert rules.position_redexes(w) == reference_position_redexes(rules, w), render(w)
             found += len(want)
     assert found, f"{name}: no redex within (3,2)"
     assert rules._slices
 
-
-@pytest.mark.parametrize("name", sorted(RULE_SETS))
-def test_seeded_random_normal_forms_match_the_reference(name):
-    rules = RULE_SETS[name]
-    steps = 0
-    for k, w in enumerate(WORDS[::9]):
-        f = OPoly.from_word(w) + parse_opoly("2*z1*[z2] - [z1]*z2 + 3", Z12)
-        want = reference_normal_form_random(f, rules, FUEL, random.Random(k))
-        got = normal_form_random(f, rules, FUEL, random.Random(k), want_trace=True)
-        assert (got.poly, got.steps, got.exhausted) == (want.poly, want.steps, want.exhausted), render(w)
-        steps += len(want.steps)
-    assert steps

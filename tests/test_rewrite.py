@@ -21,13 +21,13 @@ from opalg import (
     check_diff_type,
     check_rb_type,
     normal_form,
-    normal_form_random,
     parse_catalog,
     parse_opoly,
     render_opoly,
 )
 from opalg.opi import MAX_EXPANSION_WORDS
 from opalg.terms import count_words, parse_word, render
+from reference import normal_form_random, random_word
 
 DB = OrderSpec.for_alphabet("db", Z12)
 DT = OrderSpec.for_alphabet("dt", Z12)
@@ -209,8 +209,6 @@ def test_descent_check_survives_optimized_interpreter():
 
 def test_random_strategy_agrees_with_leftmost():
     rules, _ = rules_for("rb:6?lambda=1", bounds=(3, 2), concrete=("z2*z1 - z1*z2",))
-    from opalg.terms import random_word
-
     for seed in range(30):
         rng = random.Random(seed)
         f = OPoly.from_word(random_word(rng, Z12, 3, 2)) + OPoly.from_word(

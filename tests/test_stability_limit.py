@@ -15,7 +15,8 @@ import pytest
 from conftest import Z12, instantiate_word
 from opalg import OrderSpec, check_lm_stability, instantiate, opi, parse_catalog
 from opalg.cli import main
-from opalg.terms import UNIT, all_words, random_word
+from opalg.terms import UNIT, all_words
+from reference import random_word
 
 DT = OrderSpec.for_alphabet("dt", Z12)
 DIFF5 = parse_catalog("diff:5").opis[0]

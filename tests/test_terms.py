@@ -18,18 +18,17 @@ from opalg.terms import (
     ParseError,
     Word,
     align_factors,
-    all_hole_insertions,
     all_words,
     bracket,
     iter_occurrences,
     parse_context,
     parse_word,
-    random_context,
     render,
     schema_occurrences,
     structural_key,
     substitute,
 )
+from reference import all_hole_insertions, random_context
 
 
 def W(text, alphabet=Z12):
