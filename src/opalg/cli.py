@@ -59,7 +59,8 @@ def _read_gens(path: str, alphabet: Alphabet):
 
 
 class Env:
-    """The run that a command's flags describe."""
+    """The run that a command's flags describe.  Only the settings of the
+    flags the command takes are set: ``compare`` has no ``bounds``."""
 
     def __init__(self, ns: argparse.Namespace):
         letters = tuple(p.strip() for p in ns.alphabet.split(",") if p.strip())
@@ -69,28 +70,32 @@ class Env:
 
         self.entries = tuple(parse_catalog(s) for s in ns.catalog or ())
 
-        preset = ns.order
-        if preset is None:
-            presets = {e.preset for e in self.entries}
-            preset = presets.pop() if len(presets) == 1 else "db"
-        if preset not in PRESETS:
-            raise ValueError(f"unknown order preset {preset!r}; choose from {', '.join(PRESETS)}")
-        self.order = OrderSpec.for_alphabet(preset, self.alphabet)
+        if "order" in ns:
+            preset = ns.order
+            if preset is None:
+                presets = {e.preset for e in self.entries}
+                preset = presets.pop() if len(presets) == 1 else "db"
+            if preset not in PRESETS:
+                raise ValueError(f"unknown order preset {preset!r}; choose from {', '.join(PRESETS)}")
+            self.order = OrderSpec.for_alphabet(preset, self.alphabet)
 
-        self.concrete = tuple(parse_opoly(t, self.alphabet) for t in ns.gens or ())
-        if ns.gens_file:
-            self.concrete += tuple(_read_gens(ns.gens_file, self.alphabet))
+        if "gens" in ns:
+            self.concrete = tuple(parse_opoly(t, self.alphabet) for t in ns.gens or ())
+            if ns.gens_file:
+                self.concrete += tuple(_read_gens(ns.gens_file, self.alphabet))
 
-        d, _, p = ns.bounds.partition(",")
-        try:
-            self.bounds = (parse_integer(d), parse_integer(p))
-        except ValueError:
-            raise ValueError(f"bounds must be 'D,P' integers, got {ns.bounds!r}") from None
-        if self.bounds[0] < 0 or self.bounds[1] < 0:
-            raise ValueError("bounds must be nonnegative")
-        if ns.fuel < 0:
-            raise ValueError(f"--fuel must be at least 0, got {ns.fuel}")
-        self.fuel = ns.fuel
+        if "bounds" in ns:
+            d, _, p = ns.bounds.partition(",")
+            try:
+                self.bounds = (parse_integer(d), parse_integer(p))
+            except ValueError:
+                raise ValueError(f"bounds must be 'D,P' integers, got {ns.bounds!r}") from None
+            if self.bounds[0] < 0 or self.bounds[1] < 0:
+                raise ValueError("bounds must be nonnegative")
+        if "fuel" in ns:
+            if ns.fuel < 0:
+                raise ValueError(f"--fuel must be at least 0, got {ns.fuel}")
+            self.fuel = ns.fuel
 
     def generator_set(self) -> GeneratorSet:
         if not self.entries and not self.concrete:
@@ -102,16 +107,24 @@ def _add_fuel(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fuel", type=_integer_flag, default=2000, help="reduction step budget (default %(default)s)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, *, order: bool = True, gens: bool = True, bounds: bool = True, fuel: bool = True
+) -> None:
+    # every command that takes these flags takes --alphabet and --catalog;
+    # the others are registered only where the command reads them
     p.add_argument("--alphabet", default="z1,z2", help="comma-separated letters, lowest first (default %(default)s)")
-    p.add_argument("--order", help="order preset: db or dt (default: from catalog, else db)")
+    if order:
+        p.add_argument("--order", help="order preset: db or dt (default: from catalog, else db)")
     p.add_argument("--catalog", action="append", help="catalog selector, repeatable (see 'demo --list' examples)")
-    p.add_argument("--gens", action="append", help="concrete generator polynomial, repeatable")
-    p.add_argument("--gens-file", dest="gens_file", help="file with one generator polynomial per line")
-    p.add_argument(
-        "--bounds", default="2,2", help="stratum bounds 'D,P': letter degree, operator degree (default %(default)s)"
-    )
-    _add_fuel(p)
+    if gens:
+        p.add_argument("--gens", action="append", help="concrete generator polynomial, repeatable")
+        p.add_argument("--gens-file", dest="gens_file", help="file with one generator polynomial per line")
+    if bounds:
+        p.add_argument(
+            "--bounds", default="2,2", help="stratum bounds 'D,P': letter degree, operator degree (default %(default)s)"
+        )
+    if fuel:
+        _add_fuel(p)
 
 
 @cache
@@ -130,12 +143,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="print each reduction step")
 
     p = sub.add_parser("compare", help="compare two words under the active order")
-    _add_common(p)
+    _add_common(p, gens=False, bounds=False, fuel=False)
     p.add_argument("left")
     p.add_argument("right")
 
     p = sub.add_parser("instantiate", help="substitute words into a catalog identity")
-    _add_common(p)
+    _add_common(p, gens=False, bounds=False, fuel=False)
     p.add_argument("--name", help="identity name when the entry bundles several (e.g. averaging:A)")
     p.add_argument("assign", nargs="+", help="assignments like x1=z1 x2=[z2]")
 
@@ -148,11 +161,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the full report as JSON to this path")
 
     p = sub.add_parser("check-type", help="audit a catalog family against its defining template")
-    _add_common(p)
+    _add_common(p, order=False, gens=False)
     p.add_argument("--report", help="write the audit as JSON to this path")
 
     p = sub.add_parser("basis", help="irreducible words within bounds, ascending")
-    _add_common(p)
+    _add_common(p, fuel=False)
 
     p = sub.add_parser("quotient-eval", help="normal-form arithmetic behind a passing check")
     _add_common(p)
@@ -267,6 +280,15 @@ def _cmd_compositions(ns) -> int:
     return worst
 
 
+def _check_report_path(path: str | None) -> None:
+    """Refuse, before any check runs, a report path whose directory is
+    missing or not writable; an existing report file is left untouched."""
+    if path:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+            raise ValueError(f"cannot write the report to {path}: {folder} is not a writable directory")
+
+
 def _emit(report, path: str | None) -> int:
     """Print a check report, write its JSON to ``path`` if given, and
     return the exit code of its verdict."""
@@ -280,6 +302,7 @@ def _emit(report, path: str | None) -> int:
 
 
 def _cmd_check_gs(ns) -> int:
+    _check_report_path(ns.report)
     env = Env(ns)
     # no name holds the generator set, so its expansion and rule-set memos
     # are freed before the report is printed and written
@@ -287,6 +310,7 @@ def _cmd_check_gs(ns) -> int:
 
 
 def _cmd_check_type(ns) -> int:
+    _check_report_path(ns.report)
     env = Env(ns)
     if len(env.entries) != 1:
         raise ValueError("check-type needs exactly one --catalog entry")

@@ -654,7 +654,6 @@ class QuotientAlgebra:
         self.generators = generators
         self.bounds = bounds
         self.fuel = fuel
-        self.report = report
         self._rules = generators.ruleset(bounds)
 
     @property

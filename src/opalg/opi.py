@@ -15,7 +15,12 @@ its leading monomials survive unit assignments, each item's parameters
 with their defaults, the builder of its identities and its help line.
 :func:`parse_catalog` resolves every selector through that table along
 one path, and :func:`catalog_help` and the unknown-family error read
-their family lists from it.  Every entry is asserted to be a
+their family lists from it.  The bodies are rows of ``(coefficient, word
+text)`` terms in the grammar :func:`opalg.terms.parse_word` reads and
+``opalg catalog`` prints: the collapse maps of ``rb``, the expansion maps
+of ``diff``, ``diffprime`` and the averaging laws.  The ``diff:3`` weights
+and the ``reynolds`` bodies build the same text terms in code.  Each text
+is parsed once.  Every entry is asserted to be a
 self-complete rewriting basis (an input assumption that bounded checks
 cannot establish on their own).
 """
@@ -26,13 +31,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import prod
 from typing import Callable, Mapping, Sequence, Union
 
 from .orders import OrderSpec
 from .poly import OPoly, Scalar, _wrap
-from .terms import UNIT, Alphabet, Bracket, Word, _compile, _splice, count_text, count_words, iter_slices, parse_integer, parse_rational, render, var_counts, word_tuples
+from .terms import UNIT, Alphabet, Word, _compile, _splice, count_text, count_words, iter_slices, parse_integer, parse_rational, parse_word, render, var_counts, word_tuples
 
 __all__ = [
     "MAX_EXPANSION_WORDS",
@@ -446,203 +452,113 @@ class CatalogEntry:
     units_stable: bool
 
 
-_X1, _X2 = "x1", "x2"
-_XY = (_X1, _X2)
+# Each body term is ``(coefficient, word text)`` in the package's own word
+# grammar, parsed once by ``_word``.  A coefficient is an int or the name of
+# a selector parameter; ``-name`` negates it.
+_Terms = Sequence[tuple[Union[int, str], str]]
+
+_XY = ("x1", "x2")
+
+# rb:k is ``[x1]*[x2] - [B]`` for the collapse map B of item k, after Zheng,
+# Gao, Guo and Sit, "Rota-Baxter type operators, rewriting systems and
+# Groebner-Shirshov bases".
+_RB_COLLAPSE: dict[int, _Terms] = {
+    1: ((1, "x1*[x2]"),),
+    2: ((1, "[x1]*x2"),),
+    3: ((1, "x1*[x2]"), (1, "x2*[x1]")),
+    4: ((1, "[x1]*x2"), (1, "[x2]*x1")),
+    5: ((1, "x1*[x2]"), (1, "[x1]*x2"), (-1, "[x1*x2]")),
+    6: ((1, "x1*[x2]"), (1, "[x1]*x2"), ("lambda", "x1*x2")),
+    7: ((1, "x1*[x2]"), (-1, "x1*[1]*x2"), ("lambda", "x1*x2")),
+    8: ((1, "[x1]*x2"), (-1, "x1*[1]*x2"), ("lambda", "x1*x2")),
+    9: ((1, "x1*[x2]"), (1, "[x1]*x2"), (-1, "x1*[1]*x2"), ("lambda", "x1*x2")),
+    10: ((1, "x1*[x2]"), (1, "[x1]*x2"), (-1, "x1*x2*[1]"), (-1, "x1*[1]*x2"), ("lambda", "x1*x2")),
+    11: ((1, "x1*[x2]"), (1, "[x1]*x2"), (-1, "x1*[1]*x2"), (-1, "[x1*x2]"), ("lambda", "x1*x2")),
+    12: ((1, "x1*[x2]"), (1, "[x1]*x2"), (-1, "x1*[1]*x2"), (-1, "[1]*x1*x2"), ("lambda", "x1*x2")),
+    13: (("c", "x1*[1]*x2"), ("lambda", "x1*x2")),
+    14: (("c", "x2*[1]*x1"), ("lambda", "x2*x1")),
+}
+
+# diff:k is ``[x1*x2] - N`` for the expansion map N of item k, after Guo, Sit
+# and Zhang, "Differential type operators and Groebner-Shirshov bases"; the
+# terms of diff:3 come from its weights (``_diff3_expansion``).
+_DIFF_EXPANSION: dict[int, _Terms] = {
+    1: (("a", "x1*[x2]"), ("a", "[x1]*x2"), ("b", "[x1]*[x2]"), ("c", "x1*x2")),
+    # a*b^2 x2*x1, a [x2]*[x1], -a*b x2*[x1] and -a*b [x2]*x1 vanish: a != 0 is refused
+    2: (("b", "x1*x2"),),
+    4: ((1, "x1*[x2]"), (1, "[x1]*x2"), ("a", "x1*[1]*x2"), ("b", "x1*x2")),
+    5: ((1, "[x1]*x2"), ("a", "x1*[1]*x2"), ("-a", "x1*x2*[1]")),
+    6: ((1, "x1*[x2]"), ("a", "x1*[1]*x2"), ("-a", "[1]*x1*x2")),
+}
+# the parameter of diff:k that weighs a bracket-pair term, refused unless 0
+_DIFF_BRACKET_PAIR = {1: "b", 2: "a"}
+
+_DIFFPRIME = ((1, "[x1]"), ("-c", "x1"))
+
+_AVERAGING: tuple[tuple[str, _Terms], ...] = (
+    ("averaging:A", ((1, "[[x1]*x2]"), (-1, "[x1]*[x2]"))),
+    ("averaging:B", ((1, "[x1*[x2]]"), (-1, "[x1]*[x2]"))),
+    ("averaging:C", ((1, "[[x1]]*[x2]"), (-1, "[x1]*[[x2]]"))),
+)
 
 
-def _w(*fs) -> Word:
-    return Word(fs)
+@cache
+def _word(text: str) -> Word:
+    return parse_word(text)
 
 
-def _b(*fs) -> Bracket:
-    return Bracket(Word(fs))
-
-
-def _rb_b_poly(item: int, params: Mapping[str, Fraction]) -> OPoly:
-    x, y = _X1, _X2
-    lam, c = params.get("lambda"), params.get("c")  # items 6..14 take lambda, 13 and 14 c
-    if item == 1:
-        terms = {_w(x, _b(y)): 1}
-    elif item == 2:
-        terms = {_w(_b(x), y): 1}
-    elif item == 3:
-        terms = {_w(x, _b(y)): 1, _w(y, _b(x)): 1}
-    elif item == 4:
-        terms = {_w(_b(x), y): 1, _w(_b(y), x): 1}
-    elif item == 5:
-        terms = {
-            _w(x, _b(y)): 1,
-            _w(_b(x), y): 1,
-            _w(_b(x, y)): -1,
-        }
-    elif item == 6:
-        terms = {
-            _w(x, _b(y)): 1,
-            _w(_b(x), y): 1,
-            _w(x, y): lam,
-        }
-    elif item == 7:
-        terms = {
-            _w(x, _b(y)): 1,
-            _w(x, _b(), y): -1,
-            _w(x, y): lam,
-        }
-    elif item == 8:
-        terms = {
-            _w(_b(x), y): 1,
-            _w(x, _b(), y): -1,
-            _w(x, y): lam,
-        }
-    elif item == 9:
-        terms = {
-            _w(x, _b(y)): 1,
-            _w(_b(x), y): 1,
-            _w(x, _b(), y): -1,
-            _w(x, y): lam,
-        }
-    elif item == 10:
-        terms = {
-            _w(x, _b(y)): 1,
-            _w(_b(x), y): 1,
-            _w(x, y, _b()): -1,
-            _w(x, _b(), y): -1,
-            _w(x, y): lam,
-        }
-    elif item == 11:
-        terms = {
-            _w(x, _b(y)): 1,
-            _w(_b(x), y): 1,
-            _w(x, _b(), y): -1,
-            _w(_b(x, y)): -1,
-            _w(x, y): lam,
-        }
-    elif item == 12:
-        terms = {
-            _w(x, _b(y)): 1,
-            _w(_b(x), y): 1,
-            _w(x, _b(), y): -1,
-            _w(_b(), x, y): -1,
-            _w(x, y): lam,
-        }
-    elif item == 13:
-        terms = {_w(x, _b(), y): c, _w(x, y): lam}
-    else:  # item 14
-        terms = {_w(y, _b(), x): c, _w(y, x): lam}
-    return OPoly(terms)
+def _body(terms: _Terms, params: Mapping[str, Fraction]) -> OPoly:
+    """The polynomial of ``terms``, in their order, at ``params``."""
+    out = []
+    for c, text in terms:
+        if isinstance(c, str):
+            c = -params[c[1:]] if c[0] == "-" else params[c]
+        out.append((_word(text), c))
+    return OPoly(out)
 
 
 def _rb_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
-    lead = OPoly.from_word(_w(_b(_X1), _b(_X2)))
-    return (OPI(name, _XY, lead - _rb_b_poly(item, params).apply_bracket()),)
+    collapse = _body(_RB_COLLAPSE[item], params).apply_bracket()
+    return (OPI(name, _XY, OPoly.from_word(_word("[x1]*[x2]")) - collapse),)
 
 
-def _diff_n_poly(item: int, params: Mapping[str, Fraction]) -> OPoly:
-    x, y = _X1, _X2
+def _diff3_expansion(params: Mapping[str, Fraction]) -> _Terms:
+    # each weight lIJ puts I unit brackets before x1*x2 and J after
+    terms = []
+    for k, v in params.items():
+        i, j = int(k[1]), int(k[2])
+        if v and i + j > 1:
+            raise ValueError(
+                f"diff:3 weight {k}={v} is not supported by preset dt: "
+                "two or more unit brackets outrank the bracket of the product"
+            )
+        terms.append((k, "*".join(["[1]"] * i + ["x1", "x2"] + ["[1]"] * j)))
+    if not any(params.values()):
+        raise ValueError("diff:3: all weights vanish")
+    return terms
+
+
+def _diff_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
     if item == 1:
         a, b, c = params["a"], params["b"], params["c"]
         if a * a != a + b * c:
             raise ValueError(f"diff:1 needs a^2 = a + b*c; got a={a}, b={b}, c={c}")
-        if b != 0:
-            raise ValueError(
-                "diff:1 with b != 0 is not supported by preset dt: "
-                "the bracket-pair term would outrank the bracket of the product"
-            )
-        terms = {
-            _w(x, _b(y)): a,
-            _w(_b(x), y): a,
-            _w(_b(x), _b(y)): b,
-            _w(x, y): c,
-        }
-    elif item == 2:
-        a, b = params["a"], params["b"]
-        if a != 0:
-            raise ValueError(
-                "diff:2 with a != 0 is not supported by preset dt: "
-                "the bracket-pair term would outrank the bracket of the product"
-            )
-        terms = {
-            _w(y, x): a * b * b,
-            _w(x, y): b,
-            _w(_b(y), _b(x)): a,
-            _w(y, _b(x)): -a * b,
-            _w(_b(y), x): -a * b,
-        }
-    elif item == 3:
-        # each weight lIJ puts I unit brackets before x1*x2 and J after
-        terms = {}
-        for k, v in params.items():
-            i, j = int(k[1]), int(k[2])
-            if v and i + j > 1:
-                raise ValueError(
-                    f"diff:3 weight {k}={v} is not supported by preset dt: "
-                    "two or more unit brackets outrank the bracket of the product"
-                )
-            terms[_w(*((_b(),) * i + (x, y) + (_b(),) * j))] = v
-        if not any(terms.values()):
-            raise ValueError("diff:3: all weights vanish")
-    elif item == 4:
-        a, b = params["a"], params["b"]
-        terms = {
-            _w(x, _b(y)): 1,
-            _w(_b(x), y): 1,
-            _w(x, _b(), y): a,
-            _w(x, y): b,
-        }
-    elif item == 5:
-        a = params["a"]
-        terms = {
-            _w(_b(x), y): 1,
-            _w(x, _b(), y): a,
-            _w(x, y, _b()): -a,
-        }
-    else:  # item 6
-        a = params["a"]
-        terms = {
-            _w(x, _b(y)): 1,
-            _w(x, _b(), y): a,
-            _w(_b(), x, y): -a,
-        }
-    return OPoly(terms)
-
-
-def _diff_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
-    lead = OPoly.from_word(_w(_b(_X1, _X2)))
-    return (OPI(name, _XY, lead - _diff_n_poly(item, params)),)
-
-
-def _diffprime_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
-    return (OPI(name, (_X1,), OPoly({_w(_b(_X1)): 1, _w(_X1): -params["c"]})),)
-
-
-def _averaging_opis(name: str, item: int, params: Mapping[str, Fraction]) -> tuple[OPI, ...]:
-    a = OPI(
-        "averaging:A",
-        _XY,
-        OPoly({_w(_b(_b(_X1), _X2)): 1, _w(_b(_X1), _b(_X2)): -1}),
-    )
-    b = OPI(
-        "averaging:B",
-        _XY,
-        OPoly({_w(_b(_X1, _b(_X2))): 1, _w(_b(_X1), _b(_X2)): -1}),
-    )
-    c = OPI(
-        "averaging:C",
-        _XY,
-        OPoly({_w(_b(_b(_X1)), _b(_X2)): 1, _w(_b(_X1), _b(_b(_X2))): -1}),
-    )
-    return (a, b, c)
+    k = _DIFF_BRACKET_PAIR.get(item)
+    if k and params[k]:
+        raise ValueError(
+            f"{name} with {k} != 0 is not supported by preset dt: "
+            "the bracket-pair term would outrank the bracket of the product"
+        )
+    expansion = _diff3_expansion(params) if item == 3 else _DIFF_EXPANSION[item]
+    return (OPI(name, _XY, OPoly.from_word(_word("[x1*x2]")) - _body(expansion, params)),)
 
 
 def _reynolds_opi(n: int) -> OPI:
-    vs = tuple(f"x{i}" for i in range(1, n + 1))
-    wrapped = tuple(_b(v) for v in vs)
-    t: dict[Word, Fraction] = {}
-    t[_w(_b(*wrapped))] = Fraction(1)
-    t[Word(wrapped)] = Fraction(1)
-    for i in range(n):
-        inner = wrapped[:i] + (vs[i],) + wrapped[i + 1 :]
-        t[_w(Bracket(Word(inner)))] = Fraction(-1)
-    return OPI(f"reynolds:{n}", vs, OPoly(t))
+    vs = [f"x{i}" for i in range(1, n + 1)]
+    wrapped = [f"[{v}]" for v in vs]
+    terms = [(1, f"[{'*'.join(wrapped)}]"), (1, "*".join(wrapped))]
+    terms += [(-1, f"[{'*'.join(wrapped[:i] + vs[i : i + 1] + wrapped[i + 1 :])}]") for i in range(n)]
+    return OPI(f"reynolds:{n}", vs, _body(terms, {}))
 
 
 # Largest n a ``reynolds?n=`` selector may ask for.  reynolds:k has no
@@ -716,7 +632,7 @@ _CATALOG = {
         preset="dt",
         units_stable=True,
         defaults=lambda _: {"c": Fraction(1)},
-        build=_diffprime_opis,
+        build=lambda name, _, params: (OPI(name, ("x1",), _body(_DIFFPRIME, params)),),
         help="single-variable bracket collapse; parameter c",
     ),
     "averaging": _Family(
@@ -724,7 +640,7 @@ _CATALOG = {
         preset="dt",
         units_stable=True,
         defaults=lambda _: {},
-        build=_averaging_opis,
+        build=lambda _, __, params: tuple(OPI(n, _XY, _body(t, params)) for n, t in _AVERAGING),
         help="three derived identities",
     ),
     "reynolds": _Family(

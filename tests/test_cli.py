@@ -214,6 +214,53 @@ def test_check_gs_report_bytes_stable(tmp_path, capsys):
     assert blobs[0].endswith(b"\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-gs", "--catalog", "rb:6?lambda=1", "--gens", COMMUTATOR, "--bounds", "3,2"],
+        ["check-type", "--catalog", "rb:1", "--bounds", "2,1"],
+    ],
+    ids=["check-gs", "check-type"],
+)
+def test_report_in_a_missing_directory_exits_two_before_the_check(tmp_path, capsys, argv):
+    path = tmp_path / "absent" / "x.json"
+    code = main([*argv, "--report", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(path) in captured.err
+
+
+def test_refused_check_leaves_an_existing_report_untouched(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text("kept\n", encoding="utf-8")
+    code = main(["check-gs", "--catalog", "rb:1", "--bounds", "2,x", "--report", str(path)])
+    capsys.readouterr()
+    assert code == 2
+    assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+# each command takes only the flags it reads; argparse refuses the others
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command in ("compare", "instantiate")
+        for flag in (["--gens", "z1"], ["--gens-file", "g.txt"], ["--bounds", "2,2"], ["--fuel", "5"])
+    ]
+    + [("check-type", flag) for flag in (["--order", "db"], ["--gens", "z1"], ["--gens-file", "g.txt"])]
+    + [("basis", ["--fuel", "5"])],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_command_refuses_a_flag_it_does_not_read(capsys, command, flag):
+    operands = {"compare": ["z1", "z2"], "instantiate": ["x1=z1", "x2=z2"]}.get(command, [])
+    code = main([command, "--catalog", "rb:1", *flag, *operands])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag[0]}" in captured.err
+
+
 # -- check-type / basis / quotient-eval ---------------------------------------
 
 

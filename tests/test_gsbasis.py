@@ -1,5 +1,6 @@
 """Composition records, triviality verdicts, completeness reports, quotients."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,18 @@ def test_erasure_family_irreducibles():
 def test_quotient_refuses_failing_generator_set():
     with pytest.raises(ValueError, match="refused"):
         QuotientAlgebra(splitting_set(), (2, 1), 2000)
+
+
+def test_quotient_keeps_no_composition_record_alive():
+    def live():
+        return sum(isinstance(o, gsbasis.CompositionRecord) for o in gc.get_objects())
+
+    gc.collect()
+    before = live()
+    qa = QuotientAlgebra(rb_commutator_set(), (3, 2), 2000)
+    gc.collect()
+    assert live() == before
+    assert qa.nf(P("z2*z1")) == P("z1*z2")
 
 
 def test_quotient_bounds_are_hard_walls():

@@ -18,6 +18,7 @@ from opalg import (
     parse_opoly,
     render_opoly,
 )
+from opalg import opi
 from opalg.opi import MAX_EXPANSION_WORDS, catalog_help
 from opalg.terms import all_words, count_words, parse_word, render
 from reference import random_word
@@ -290,6 +291,28 @@ def test_nijenhuis_matches_its_insertion_alias():
     nij = parse_catalog("nijenhuis").opis[0]
     rb5 = parse_catalog("rb:5").opis[0]
     assert nij.body == rb5.body
+
+
+def _catalog_rows():
+    """``(family, item, terms)`` for every written body row of the catalog."""
+    rows = [("rb", k, terms) for k, terms in opi._RB_COLLAPSE.items()]
+    rows += [("diff", k, terms) for k, terms in opi._DIFF_EXPANSION.items()]
+    rows += [("diffprime", 0, opi._DIFFPRIME)]
+    rows += [("averaging", 0, terms) for _, terms in opi._AVERAGING]
+    return rows
+
+
+def test_catalog_row_words_render_back_to_their_text():
+    for family, item, terms in _catalog_rows():
+        for _, text in terms:
+            assert render(parse_word(text)) == text, (family, item)
+
+
+def test_catalog_row_parameters_are_keys_of_the_item_defaults():
+    # a stray name would escape the CLI as a KeyError
+    for family, item, terms in _catalog_rows():
+        names = {c.removeprefix("-") for c, _ in terms if isinstance(c, str)}
+        assert names <= set(opi._CATALOG[family].defaults(item)), (family, item)
 
 
 def test_splitting_constraints_enforced():
