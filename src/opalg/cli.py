@@ -187,11 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_nf(ns) -> int:
     env = Env(ns)
     f = parse_opoly(ns.expr, env.alphabet)
-    gens = env.generator_set()
     in_z = max((m.z_degree for m in f.support()), default=0)
     in_op = max((m.op_degree for m in f.support()), default=0)
-    scope = (max(env.bounds[0], in_z), max(env.bounds[1], in_op) + gens.max_gap())
-    rules = gens.ruleset(scope)
+    rules = env.generator_set().ruleset((max(env.bounds[0], in_z), max(env.bounds[1], in_op)))
     res = normal_form(f, rules, env.fuel, want_trace=ns.trace)
     if ns.trace:
         trace = res.trace_text()
@@ -268,10 +266,11 @@ def _cmd_compositions(ns) -> int:
     # and for the rule set that reduces them
     gens = env.generator_set()
     recs = gens.compositions(left, right, env.bounds)
+    rules = gens.ruleset(env.bounds)
     print(f"{len(recs)} record(s) at bounds {env.bounds} under {env.order.describe()}")
     worst = 0
     for r in recs:
-        verdict = is_trivial(r.value, gens, r.w, env.fuel, rules=gens.ruleset(env.bounds))
+        verdict = is_trivial(r.value, rules, r.w, env.fuel)
         print(f"- {r.headline()}")
         print(f"  value = {render_opoly(r.value, env.order)}")
         print(f"  {verdict.to_text()}")
@@ -281,12 +280,16 @@ def _cmd_compositions(ns) -> int:
 
 
 def _check_report_path(path: str | None) -> None:
-    """Refuse, before any check runs, a report path whose directory is
-    missing or not writable; an existing report file is left untouched."""
-    if path:
-        folder = os.path.dirname(path) or "."
-        if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
-            raise ValueError(f"cannot write the report to {path}: {folder} is not a writable directory")
+    """Refuse, before any check runs, a report path that is empty, names a
+    directory, or lies in a directory that is missing or not writable; an
+    existing report file is left untouched."""
+    if path is None:
+        return
+    if not path or os.path.isdir(path):
+        raise ValueError(f"cannot write the report to {path!r}: not a file name")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ValueError(f"cannot write the report to {path}: {folder} is not a writable directory")
 
 
 def _emit(report, path: str | None) -> int:
@@ -349,11 +352,10 @@ def _cmd_quotient_eval(ns) -> int:
     return 0
 
 
-# name -> (blurb, the check-gs flags of its run); splitting-unit prints its
-# own walkthrough, the others print the check
+# name -> (blurb, the check-gs flags of its run); a demo prints that check
 _DEMOS = {
     "splitting-unit": (
-        "a splitting identity against z1*z2 - 1: one honest non-trivial record",
+        "a splitting identity against z1*z2 - 1: fails with one witness at [z1*z2]",
         ("--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1"),
     ),
     "rb-commutator": (
@@ -371,37 +373,12 @@ _DEMOS = {
 }
 
 
-def _demo_splitting_unit(env: Env) -> int:
-    entry, g = env.entries[0], env.concrete[0]
-    gens, order, bounds = env.generator_set(), env.order, env.bounds
-    print(f"sources: {entry.key} and g = {render_opoly(g, order)}; bounds {bounds}; order {order.preset}")
-    recs = gens.compositions(entry, g, bounds)
-    rules = gens.ruleset(bounds)
-    bad = 0
-    for r in recs:
-        verdict = is_trivial(r.value, gens, r.w, env.fuel, rules=rules)
-        if verdict.status == "trivial":
-            continue
-        bad += 1
-        print(f"{r.headline()}")
-        print(f"  value   = {render_opoly(r.value, order)}")
-        print(f"  residue = {render_opoly(verdict.residue, order)}")
-        print("  verdict: NOT TRIVIAL" if verdict.status == "not_trivial" else "  verdict: unresolved")
-    print(f"{len(recs)} record(s), {bad} surviving reduction")
-    if bad:
-        print("the unit generator degenerates the splitting at its units; no bounded basis here")
-    return 1 if bad else 0
-
-
 def _cmd_demo(ns) -> int:
     if ns.list or not ns.which:
         for name, (blurb, _) in _DEMOS.items():
             print(f"{name:14} {blurb}")
         return 0
-    run = _build_parser().parse_args(["check-gs", *_DEMOS[ns.which][1], f"--fuel={ns.fuel}"])
-    if ns.which == "splitting-unit":
-        return _demo_splitting_unit(Env(run))
-    return _cmd_check_gs(run)
+    return _cmd_check_gs(_build_parser().parse_args(["check-gs", *_DEMOS[ns.which][1], f"--fuel={ns.fuel}"]))
 
 
 def _cmd_catalog(ns) -> int:

@@ -9,10 +9,11 @@ alphabet) with concrete polynomials.  Two generators interact through
   depth (the plugged copy of the whole word is skipped for a generator
   against itself).
 
-A record is trivial when its value reduces to zero by the generators
-themselves through anchors below ``w``; a bounded check that reduces
-every in-bounds record certifies the set on the bounded stratum, which
-is what quotient arithmetic needs to be well defined there.
+A record is trivial when its value reduces to zero under the rule set of
+its stratum, compiled from the generators themselves, through anchors
+below ``w``; a bounded check that reduces every in-bounds record
+certifies the set on the bounded stratum, which is what quotient
+arithmetic needs to be well defined there.
 
 ``check_gs`` has two routes.  The raw route reduces every record.  The
 certified route applies when every schema family (i) is flagged as a
@@ -117,11 +118,6 @@ class GeneratorSet:
     @property
     def opis(self) -> tuple[OPI, ...]:
         return tuple(phi for e in self.entries for phi in e.opis)
-
-    def max_gap(self) -> int:
-        preset = self.order.preset
-        gaps = [phi.op_gap(preset) for phi in self.opis]
-        return max(gaps, default=0)
 
     def instances(self, entry: CatalogEntry, bounds: tuple[int, int]) -> tuple[Generator, ...]:
         """The bounded instances of ``entry``, expanded once per bounds for
@@ -396,16 +392,12 @@ class TrivialityResult:
         return f"unresolved: {self.note}"
 
 
-def is_trivial(
-    h: OPoly,
-    generators: GeneratorSet,
-    w: Word,
-    fuel: int,
-    *,
-    rules: RuleSet | None = None,
-) -> TrivialityResult:
-    """Decide whether ``h`` rewrites to zero through anchors below ``w``.
+def is_trivial(h: OPoly, rules: RuleSet, w: Word, fuel: int) -> TrivialityResult:
+    """Decide whether ``h`` rewrites to zero under ``rules`` through anchors
+    below ``w``, comparing under ``rules.order``.
 
+    ``rules`` is the rule set of the stratum the record was enumerated in
+    (:meth:`GeneratorSet.ruleset`); a rule set without an order is refused.
     Every monomial of ``h`` must already lie below ``w``; reduction then
     keeps anchors below ``w``, so reaching zero is a sound certificate.
     A nonzero normal form whose monomials stay inside the rule set's
@@ -414,15 +406,14 @@ def is_trivial(
     system cannot have.  Anything else (fuel out, residue escaping the
     verified bounds) stays unresolved.
     """
-    order = generators.order
+    order = rules.order
+    if order is None:
+        raise ValueError("is_trivial needs a rule set compiled under an order")
     for m in h.support():
         if order.compare(m, w) >= 0:
             raise ValueError(
                 f"monomial {render(m)} of the candidate is not below the shared word {render(w)}"
             )
-    if rules is None:
-        gap = generators.max_gap()
-        rules = generators.ruleset((w.z_degree, w.op_degree + gap))
     res = normal_form(h, rules, fuel, want_trace=True)
     if res.poly.is_zero():
         return TrivialityResult("trivial", res.poly, res.steps)
@@ -591,7 +582,7 @@ def check_gs(
         if use_hypothesis and r.pair_kind == "schema-schema":
             r.skipped = "schema-schema record; covered by the certified-family hypotheses"
         else:
-            r.verdict = is_trivial(r.value, gens, r.w, fuel, rules=ruleset)
+            r.verdict = is_trivial(r.value, ruleset, r.w, fuel)
 
     counts = {
         "total": len(records),

@@ -137,14 +137,6 @@ class OPI:
             self._lm_cache[preset] = got
         return got
 
-    def op_gap(self, preset: str) -> int:
-        """op_degree headroom between the leading schema and the lowest
-        monomial; :meth:`opalg.gsbasis.GeneratorSet.max_gap` takes the
-        largest, which widens the rule scope of ``nf`` and the default rule
-        set of ``is_trivial``."""
-        lead_op = self.lm(preset).op_degree
-        return lead_op - min(m.op_degree for m in self.body.support())
-
     def __repr__(self) -> str:
         return f"OPI({self.name}: {self.body})"
 

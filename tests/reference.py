@@ -1,9 +1,11 @@
-"""Randomized test helpers: word and context samplers, a reduction strategy
-that picks its monomial and position at random, and an order-axiom audit.
+"""Test helpers: word and context samplers, a reduction strategy that
+picks its monomial and position at random, an order-axiom audit, and the
+operator-degree gap that widens a stratum's rule scope.
 
 None of this is on a product path.  The samplers feed the hypothesis
-strategies and the seeded sweeps; the random strategy and the audit are
-the independent routes the acceptance suite checks the engine against.
+strategies and the seeded sweeps; the random strategy, the audit and the
+widened rule scope are the independent routes the tests check the engine
+against.
 """
 
 import random
@@ -83,6 +85,19 @@ def normal_form_random(f: OPoly, rules: RuleSet, fuel: int, rng: random.Random) 
         steps.append(TraceStep(k, rdx.rule_id, rdx.context, rdx.sigma, c, w))
     exhausted = any(rules.find_redex(w) is not None for w in acc)
     return ReductionResult(OPoly(acc), tuple(steps), exhausted)
+
+
+def op_gap(gens) -> int:
+    """The largest op_degree gap, over the identities of ``gens``, between
+    an identity's leading schema and its lowest monomial.  A rule set
+    compiled at a stratum's operator bound plus this gap also holds the
+    instances whose lowest monomial fits the stratum but whose lead does
+    not: the wide scope the stratum's own rule set is checked against."""
+    preset = gens.order.preset
+    return max(
+        (phi.lm(preset).op_degree - min(m.op_degree for m in phi.body.support()) for phi in gens.opis),
+        default=0,
+    )
 
 
 def check_order_axioms(order, alphabet, bounds, trials, seed=0):

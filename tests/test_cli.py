@@ -152,7 +152,7 @@ def test_compositions_expand_each_catalog_entry_once(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(gsbasis, "expand_instances", counted)
     code, out = run(capsys, *argv)
-    assert code == 1 and "5 record(s)" in out
+    assert code == 1 and ("5 record(s)" if argv[0] == "compositions" else "result: FAIL") in out
     assert len(calls) == 1
 
 
@@ -229,6 +229,24 @@ def test_report_in_a_missing_directory_exits_two_before_the_check(tmp_path, caps
     assert code == 2
     assert captured.out == ""
     assert str(path) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-gs", "--catalog", "rb:6?lambda=1", "--gens", COMMUTATOR, "--bounds", "3,2"],
+        ["check-type", "--catalog", "rb:1", "--bounds", "2,1"],
+    ],
+    ids=["check-gs", "check-type"],
+)
+@pytest.mark.parametrize("kind", ["empty", "directory"])
+def test_report_path_naming_no_file_exits_two_before_the_check(tmp_path, capsys, argv, kind):
+    path = "" if kind == "empty" else str(tmp_path)
+    code = main([*argv, "--report", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"cannot write the report to {path!r}" in captured.err
 
 
 def test_refused_check_leaves_an_existing_report_untouched(tmp_path, capsys):
@@ -367,9 +385,15 @@ def test_quotient_eval_out_of_bounds_is_refused(capsys):
 def test_demo_splitting_unit(capsys):
     code, out = run(capsys, "demo", "splitting-unit")
     assert code == 1
-    assert "verdict: NOT TRIVIAL" in out
-    assert "-[z1]*z2" in out and "z1*[z2]" in out
-    assert "5 record(s), 1 surviving" in out
+    assert "records: not_trivial=1, skipped=0, total=29, trivial=28, unresolved=0" in out
+    assert "inclusion (diff:1[x1=z1, x2=z2], g0) at w = [z1*z2] [context [@]]" in out
+    assert "NOT trivial: irreducible residue -z1*[z2] - [z1]*z2" in out
+    assert out.endswith("result: FAIL\n")
+
+
+@pytest.mark.parametrize("name", sorted(cli._DEMOS))
+def test_demo_prints_the_check_gs_run_of_its_row(capsys, name):
+    assert run(capsys, "demo", name) == run(capsys, "check-gs", *cli._DEMOS[name][1])
 
 
 def test_demo_list(capsys):

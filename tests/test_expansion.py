@@ -6,10 +6,13 @@ commutator under ``db``, ``z1*z2 - 1`` under ``dt``), at three strata.
 * The expanded generators are pinned by a digest of their ids, monic
   polynomials, leading words and kinds, so a change in what expansion
   yields, or in its order, fails here.
-* Irreducibility at a stratum is read from the stratum's own rule set.
-  The reference widens the operator bound by ``max_gap()``; the two must
-  agree on every word of the stratum, since a rule the wider set adds has
-  a left side outside the bounds and cannot match inside an in-bounds word.
+* Every command reduces with the rule set of its own stratum.  The
+  reference widens the operator bound by the identities' op_degree gap
+  (``reference.op_gap``); with and without a bracketed concrete generator
+  beside the catalog entry, the two must give the same normal form and
+  trace on every word of the stratum, and the same verdict, residue and
+  step count on every record, since a rule the wider set adds has a left
+  side outside the bounds and cannot match inside an in-bounds word.
 * ``expand_instances`` sizes its assignment net by the leading schema when
   the lead is certified above every other monomial.  The reference keeps
   the wide net, sized by the lowest monomial, and drops what leads out of
@@ -33,14 +36,18 @@ from opalg import (
     QuotientAlgebra,
     all_words,
     expand_instances,
+    is_trivial,
+    normal_form,
     opi,
     parse_catalog,
     parse_opoly,
     render,
     render_opoly,
 )
+from opalg.gsbasis import indexed_records
 from opalg.opi import MAX_EXPANSION_WORDS, Generator, _lead_certificates
 from opalg.terms import Bracket, Word, count_words, word_tuples
+from reference import op_gap
 
 BOUNDS = [(2, 1), (2, 2), (3, 2)]
 CONCRETE = {"db": "z2*z1 - z1*z2", "dt": "z1*z2 - 1"}
@@ -71,19 +78,63 @@ def test_expansion_is_pinned_over_the_catalog():
     assert (count, digest.hexdigest()) == (EXPANSION_COUNT, EXPANSION_DIGEST)
 
 
+# a concrete generator with brackets, so the stratum's concrete rules
+# reach past operator degree 0
+BRACKETED = "z1*z2 - [[1]]"
+FUEL = 2000
+
+
+def referee_sets(selector):
+    """Each configuration of ``generator_sets``, then the entry beside the
+    bracketed generator; each with its rule set at ``bounds`` and the one
+    widened by the identities' op_degree gap."""
+    entry = parse_catalog(selector)
+    order = OrderSpec.for_alphabet(entry.preset, Z12)
+    bracketed = GeneratorSet((entry,), (parse_opoly(BRACKETED, Z12),), order, Z12)
+    for gens in (*generator_sets(selector), bracketed):
+        for bounds in BOUNDS:
+            wide = gens.ruleset((bounds[0], bounds[1] + op_gap(gens)))
+            yield gens, bounds, gens.ruleset(bounds), wide
+
+
 @pytest.mark.parametrize("selector", CATALOG_SELECTORS)
 def test_stratum_rule_set_agrees_with_the_gap_widened_one(selector):
-    for gens in generator_sets(selector):
-        for bounds in BOUNDS:
-            rules = gens.ruleset(bounds)
-            widened = gens.ruleset((bounds[0], bounds[1] + gens.max_gap()))
-            for w in all_words(Z12, *bounds):
-                assert (rules.find_redex(w) is None) == (widened.find_redex(w) is None), (
-                    selector,
-                    len(gens.concrete),
-                    bounds,
-                    render(w),
-                )
+    for gens, bounds, rules, wide in referee_sets(selector):
+        for w in all_words(Z12, *bounds):
+            f = OPoly.from_word(w)
+            got = normal_form(f, rules, FUEL, want_trace=True)
+            want = normal_form(f, wide, FUEL, want_trace=True)
+            assert (got.poly, got.steps, got.exhausted) == (want.poly, want.steps, want.exhausted), (
+                selector,
+                render_opoly(gens.concrete[0]) if gens.concrete else "-",
+                bounds,
+                render(w),
+            )
+
+
+@pytest.mark.parametrize("selector", CATALOG_SELECTORS)
+def test_record_verdicts_agree_with_the_gap_widened_rule_set(selector):
+    for gens, bounds, rules, wide in referee_sets(selector):
+        for r in indexed_records(gens.expanded(bounds), None, bounds):
+            got = is_trivial(r.value, rules, r.w, FUEL)
+            want = is_trivial(r.value, wide, r.w, FUEL)
+            assert (got.status, got.residue, len(got.steps)) == (want.status, want.residue, len(want.steps)), (
+                selector,
+                render_opoly(gens.concrete[0]) if gens.concrete else "-",
+                bounds,
+                r.headline(),
+            )
+
+
+def test_the_widened_scope_expands_more_instances():
+    # the agreement above means something only if the wide scope holds
+    # more instances than the stratum
+    wider = sum(
+        len(gens.expanded(wide.bounds)) > len(gens.expanded(bounds))
+        for selector in CATALOG_SELECTORS
+        for gens, bounds, _, wide in referee_sets(selector)
+    )
+    assert wider >= 100, wider
 
 
 def test_quotient_algebra_holds_one_rule_set():

@@ -13,6 +13,7 @@ from opalg import (
     OPoly,
     OrderSpec,
     QuotientAlgebra,
+    RuleSet,
     all_words,
     check_gs,
     enumerate_irr,
@@ -139,7 +140,7 @@ def test_splitting_pocket_record_is_conclusively_nontrivial():
     assert r.kind == "inclusion"
     assert r.witness == "context [@]"
     assert r.value == P("-[z1]*z2 - z1*[z2] + [1]")
-    verdict = is_trivial(r.value, gens, r.w, 2000)
+    verdict = is_trivial(r.value, gens.ruleset((2, 1)), r.w, 2000)
     assert verdict.status == "not_trivial"
     assert verdict.conclusive
     assert verdict.residue == P("-[z1]*z2 - z1*[z2]")
@@ -157,31 +158,33 @@ def test_records_sort_deterministically():
 
 
 def test_is_trivial_rejects_monomials_at_or_above_anchor():
-    gens = splitting_set()
+    rules = splitting_set().ruleset((2, 1))
     with pytest.raises(ValueError):
-        is_trivial(P("z1*z2"), gens, W("z1*z2"), 100)
+        is_trivial(P("z1*z2"), rules, W("z1*z2"), 100)
     with pytest.raises(ValueError):
-        is_trivial(P("z1*z2*z1"), gens, W("z1*z2"), 100)
+        is_trivial(P("z1*z2*z1"), rules, W("z1*z2"), 100)
+
+
+def test_is_trivial_refuses_a_rule_set_without_an_order():
+    with pytest.raises(ValueError, match="order"):
+        is_trivial(OPoly.zero(), RuleSet((), None, (2, 1)), W("z1*z2"), 100)
 
 
 def test_is_trivial_zero_input():
-    gens = splitting_set()
-    v = is_trivial(OPoly.zero(), gens, W("z1*z2"), 100)
+    v = is_trivial(OPoly.zero(), splitting_set().ruleset((2, 1)), W("z1*z2"), 100)
     assert v.status == "trivial" and v.conclusive
 
 
 def test_is_trivial_fuel_exhaustion_is_unresolved():
-    gens = splitting_set()
-    v = is_trivial(P("z1*z2 - 1"), gens, W("z1*z2*z1"), 0)
+    v = is_trivial(P("z1*z2 - 1"), splitting_set().ruleset((3, 1)), W("z1*z2*z1"), 0)
     assert v.status == "unresolved"
     assert not v.conclusive
     assert "fuel" in v.note
 
 
 def test_is_trivial_conclusive_refusal_inside_bounds():
-    gens = averaging_set()
     h = P("[1]*[z1] - [z1]*[1]")
-    v = is_trivial(h, gens, W("[[z1]]"), 2000)
+    v = is_trivial(h, averaging_set().ruleset((1, 2)), W("[[z1]]"), 2000)
     assert v.status == "not_trivial"
     assert v.residue == h
 
@@ -190,7 +193,7 @@ def test_is_trivial_residue_escaping_bounds_is_unresolved():
     gens = GeneratorSet((), (P("z1*z2 - [[1]]"),), DB12, Z12)
     rules = gens.ruleset((4, 0))
     h = P("[[1]] - 1")
-    v = is_trivial(h, gens, W("z1*z2*z1"), 100, rules=rules)
+    v = is_trivial(h, rules, W("z1*z2*z1"), 100)
     assert v.status == "unresolved"
     assert "leaves the verified bounds" in v.note
 

@@ -3,7 +3,9 @@
 No engine step is randomized, so no module under ``src/opalg`` imports
 ``random``; the randomized helpers the tests use live in ``reference``.
 Every name a layer exports resolves, so ``from opalg.<layer> import *``
-never trips over an entry left behind by a deletion.
+never trips over an entry left behind by a deletion, and every name a
+module imports is used there, so a deletion leaves no import behind
+(``__init__.py`` imports to re-export, so it is exempt).
 """
 
 import ast
@@ -32,3 +34,31 @@ def test_no_module_imports_random(path):
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _unused_imports(tree):
+    """Names an import binds that the module never reads nor lists in
+    ``__all__``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_does_not_use(path):
+    assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_unused_import_guard_catches_a_leftover():
+    tree = ast.parse("import os\nfrom json import dumps, loads as ld\n__all__ = ['dumps']\nos.sep\n")
+    assert _unused_imports(tree) == [(2, "ld")]

@@ -71,14 +71,6 @@ def test_lm_per_preset():
     assert render(phi.lm("dt")) == "[x1*x2]"
 
 
-def test_op_gap_samples():
-    assert parse_catalog("rb:6?lambda=1").opis[0].op_gap("db") == 1
-    assert parse_catalog("rb:6?lambda=0").opis[0].op_gap("db") == 0
-    assert parse_catalog("diffprime?c=1").opis[0].op_gap("dt") == 1
-    for phi in parse_catalog("reynolds?n=3").opis:
-        assert phi.op_gap("dt") == 1
-
-
 # -- instantiation ------------------------------------------------------------
 
 
