@@ -60,7 +60,6 @@ from .rewrite import (
 from .terms import (
     UNIT,
     Alphabet,
-    Bracket,
     Context,
     ParseError,
     Word,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "BoundsExceeded",
-    "Bracket",
     "CatalogEntry",
     "CompositionRecord",
     "ConcreteRule",

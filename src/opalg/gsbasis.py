@@ -698,7 +698,7 @@ def evaluate_morphism(
             if isinstance(fct, str):
                 acc = target.nf_multiply(acc, letter_image(fct))
             else:
-                acc = target.nf_multiply(acc, target.nf_operator(word_image(fct.inner)))
+                acc = target.nf_multiply(acc, target.nf_operator(word_image(fct)))
         return acc
 
     out = OPoly.zero()

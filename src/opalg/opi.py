@@ -363,7 +363,7 @@ def _schema_cmp(
             return None
         if isinstance(f, str) or isinstance(g, str):
             return order._factor_cmp(f, g), f"{render(Word((f,)))} vs {render(Word((g,)))} at factor {i}"
-        got = _schema_cmp(f.inner, g.inner, order, vset, nonunit)
+        got = _schema_cmp(f, g, order, vset, nonunit)
         if got is None:
             return None
         return got[0], f"{got[1]} inside factor {i}"

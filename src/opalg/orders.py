@@ -75,7 +75,7 @@ class OrderSpec:
             return LT  # letter below bracket
         if gl:
             return GT
-        return self.compare(f.inner, g.inner)
+        return self.compare(f, g)
 
     def compare(self, u: Word, v: Word) -> int:
         """-1, 0, or 1; zero exactly on structural equality (interned

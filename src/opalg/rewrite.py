@@ -39,7 +39,6 @@ from .orders import OrderSpec
 from .poly import OPoly, Scalar, _wrap
 from .terms import (
     Alphabet,
-    Bracket,
     Context,
     Word,
     align_factors,
@@ -490,22 +489,17 @@ def _scan_adjacent_nonunit_brackets(w: Word) -> str | None:
     for level, i, j, _ in iter_slices(w):
         if j - i == 2:
             a, b = level[i], level[i + 1]
-            if (
-                isinstance(a, Bracket)
-                and isinstance(b, Bracket)
-                and not a.inner.is_unit()
-                and not b.inner.is_unit()
-            ):
-                return f"[{render(a.inner)}]*[{render(b.inner)}]"
+            if isinstance(a, Word) and isinstance(b, Word) and a.factors and b.factors:
+                return f"[{render(a)}]*[{render(b)}]"
     return None
 
 
 def _scan_wide_bracket(w: Word) -> str | None:
     for f in w.factors:
-        if isinstance(f, Bracket):
-            if f.inner.breadth >= 2:
-                return f"[{render(f.inner)}]"
-            hit = _scan_wide_bracket(f.inner)
+        if isinstance(f, Word):
+            if f.breadth >= 2:
+                return f"[{render(f)}]"
+            hit = _scan_wide_bracket(f)
             if hit:
                 return hit
     return None
@@ -522,17 +516,17 @@ def check_rb_type(
     induced rewriting terminates at bounds and is associative up to
     rewriting (units included in the probe tuples, jointly budgeted)."""
     phi, rep, shaped = _open_audit(
-        candidate, "bracket-pair", lambda x, y: Word((Bracket(Word((x,))), Bracket(Word((y,))))), alphabet, bounds, fuel
+        candidate, "bracket-pair", lambda x, y: Word((Word((x,)), Word((y,)))), alphabet, bounds, fuel
     )
     if shaped is None:
         return rep
     lead, rest = shaped
     inner_terms: list[tuple[Word, Scalar]] = []
     for m, c in rest.items(reverse=False):
-        if m.breadth != 1 or not isinstance(m.factors[0], Bracket):
+        if m.breadth != 1 or not isinstance(m.factors[0], Word):
             rep.add("shape", False, f"residual term {render(m)} is not a single bracket")
             return rep
-        inner_terms.append((m.factors[0].inner, c))
+        inner_terms.append((m.factors[0], c))
     b_poly = OPoly(inner_terms)
     if not _map_is_clean(
         rep, "collapse", b_poly, _scan_adjacent_nonunit_brackets, "no adjacent brackets with nonunit inners"
@@ -559,7 +553,7 @@ def check_diff_type(
     the induced rewriting (nontrivial splits only) satisfies the cocycle
     closure on jointly bounded nonunit triples."""
     phi, rep, shaped = _open_audit(
-        candidate, "bracket-of-product", lambda x, y: Word((Bracket(Word((x, y))),)), alphabet, bounds, fuel
+        candidate, "bracket-of-product", lambda x, y: Word((Word((x, y)),)), alphabet, bounds, fuel
     )
     if shaped is None:
         return rep

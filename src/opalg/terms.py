@@ -12,10 +12,12 @@ Measures used throughout the package:
 * z_degree: number of letter occurrences at every depth
 * op_degree: number of bracket occurrences at every depth
 
-Words and brackets are interned (hash-consed).  ``Word(factors)`` looks
-the factor tuple up in one module-level table and returns the live word
-with those factors, building it only when there is none; ``Bracket(u)``
-returns the one live bracket cached on ``u``.  So structurally equal words
+A bracket factor ``[u]`` is the inner word ``u`` itself, so a factor is
+a ``str`` (a letter) or a ``Word`` (the bracket around that word).
+
+Words are interned (hash-consed).  ``Word(factors)`` looks the factor
+tuple up in one module-level table and returns the live word with those
+factors, building it only when there is none.  So structurally equal words
 are the same object, equality and hashing are by identity, and a word's
 measures, sort key and text are computed once.  This holds because words
 come only from ``Word(...)``; pickling and copying go through it too.  The
@@ -54,7 +56,6 @@ __all__ = [
     "MAX_DIGITS",
     "MAX_INPUT_CHARS",
     "Alphabet",
-    "Bracket",
     "Context",
     "ParseError",
     "Word",
@@ -99,37 +100,7 @@ MAX_DIGITS = 4000
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-class Bracket:
-    """A single bracketed factor wrapping an inner word.
-
-    Interned like :class:`Word`: ``Bracket(u)`` returns the one live
-    bracket cached on ``u``, so two brackets are equal exactly when they
-    are the same object, and equality and hashing are by identity.  The
-    cache is a weak reference, so a word and its bracket form no cycle and
-    are freed as soon as nothing else holds them.
-    """
-
-    __slots__ = ("inner", "__weakref__")
-
-    def __new__(cls, inner: "Word"):
-        if not isinstance(inner, Word):
-            raise TypeError(f"bracket inner must be a Word, got {type(inner).__name__}")
-        ref = inner._bracket
-        b = ref() if ref is not None else None
-        if b is None:
-            b = object.__new__(cls)
-            b.inner = inner
-            inner._bracket = weakref.ref(b)
-        return b
-
-    def __reduce__(self):
-        return (Bracket, (self.inner,))
-
-    def __repr__(self) -> str:
-        return f"Bracket({render(self.inner)!r})"
-
-
-Factor = Union[str, Bracket]
+Factor = Union[str, "Word"]
 
 
 class _Entry(weakref.ref):
@@ -150,7 +121,8 @@ def _forget(entry: _Entry, words: dict = _WORDS) -> None:
 
 
 class Word:
-    """Immutable factor sequence with cached measures.
+    """Immutable factor sequence with cached measures; a factor is a letter
+    or, standing for its bracket, a word.
 
     Words are interned: ``Word(factors)`` returns the one live word with
     those factors, building it only when there is none.  Equality and
@@ -162,7 +134,7 @@ class Word:
     Words are valid dict keys; all arithmetic lives in :mod:`opalg.poly`.
     """
 
-    __slots__ = ("factors", "z_degree", "op_degree", "_bracket", "_key", "__weakref__")
+    __slots__ = ("factors", "z_degree", "op_degree", "_key", "__weakref__")
 
     def __new__(cls, factors: Iterable[Factor] = ()):
         fs = tuple(factors)
@@ -175,17 +147,15 @@ class Word:
         for f in fs:
             if isinstance(f, str):
                 z += 1
-            elif isinstance(f, Bracket):
-                inner = f.inner
-                z += inner.z_degree
-                op += inner.op_degree + 1
+            elif isinstance(f, Word):
+                z += f.z_degree
+                op += f.op_degree + 1
             else:
                 raise TypeError(f"bad factor {f!r}")
         w = object.__new__(cls)
         w.factors = fs
         w.z_degree = z
         w.op_degree = op
-        w._bracket = None
         w._key = None
         entry = _WORDS[fs] = _Entry(w, _forget)
         entry.key = fs
@@ -218,7 +188,9 @@ UNIT = Word(())
 
 def bracket(u: Word) -> Word:
     """The one-factor word ``[u]``."""
-    return Word((Bracket(u),))
+    if not isinstance(u, Word):
+        raise TypeError(f"bracket inner must be a Word, got {type(u).__name__}")
+    return Word((u,))
 
 
 def structural_key(u: Word) -> tuple:
@@ -227,7 +199,7 @@ def structural_key(u: Word) -> tuple:
     key = u._key
     if key is None:
         if u.factors:
-            text = "*".join(f if isinstance(f, str) else "[" + render(f.inner) + "]" for f in u.factors)
+            text = "*".join(f if isinstance(f, str) else "[" + render(f) + "]" for f in u.factors)
         else:
             text = "1"
         key = u._key = (u.z_degree, u.op_degree, len(u.factors), text)
@@ -422,7 +394,7 @@ def _parse_word_tokens(
             toks.take()
             inner = _parse_word_tokens(toks, alphabet, allow_hole, extra_letters)
             toks.expect("]")
-            factors.append(Bracket(inner))
+            factors.append(inner)
         elif tok == HOLE:
             if not allow_hole:
                 raise ParseError("hole '@' not allowed in a plain word", pos)
@@ -458,9 +430,9 @@ def parse_word(
 
 
 # Segment kinds of a splice plan: a run of literal factors, a variable's
-# factors spliced in, a lone variable in a bracket (``[x]``, the bracket of
-# the value itself), and a bracket around a nested plan.
-_LITERAL, _SLOT, _WRAP, _NEST = range(4)
+# factors spliced in, and a bracket around a nested plan (a lone variable
+# in a bracket, ``[x]``, nests the bare-variable plan: the value itself).
+_LITERAL, _SLOT, _NEST = range(3)
 
 
 def _compile(schema: Word, index: Mapping[str, int]):
@@ -475,12 +447,11 @@ def _compile(schema: Word, index: Mapping[str, int]):
     for f in fs:
         if isinstance(f, str) and f in index:
             kind, arg = _SLOT, index[f]
-        elif isinstance(f, str) or not var_counts(f.inner, frozenset(index)):
+        elif isinstance(f, str) or not var_counts(f, frozenset(index)):
             run.append(f)
             continue
         else:
-            arg = _compile(f.inner, index)
-            kind = _WRAP if isinstance(arg, int) else _NEST
+            kind, arg = _NEST, _compile(f, index)
         if run:
             segments.append((_LITERAL, tuple(run)))
             run = []
@@ -500,10 +471,8 @@ def _splice(plan, values: Sequence[Word]) -> Word:
             out += arg
         elif kind == _SLOT:
             out += values[arg].factors
-        elif kind == _WRAP:
-            out.append(Bracket(values[arg]))
         else:
-            out.append(Bracket(_splice(arg, values)))
+            out.append(_splice(arg, values))
     return Word(out)
 
 
@@ -515,8 +484,8 @@ def _holes(factors: tuple[Factor, ...]) -> Iterator[tuple[tuple[Factor, ...], in
     while stack:
         level, frames = stack.pop()
         for k, f in enumerate(level):
-            if f.__class__ is Bracket:
-                stack.append((f.inner.factors, frames + ((level, k),)))
+            if f.__class__ is Word:
+                stack.append((f.factors, frames + ((level, k),)))
             elif f == HOLE:
                 yield level, k, frames
 
@@ -551,7 +520,7 @@ class Context:
         level = self.level
         w = Word(level[: self.i] + s.factors + level[self.j :])
         for outer, k in reversed(self.frames):
-            w = Word(outer[:k] + (Bracket(w),) + outer[k + 1 :])
+            w = Word(outer[:k] + (w,) + outer[k + 1 :])
         return w
 
     def __eq__(self, other: object) -> bool:
@@ -609,8 +578,8 @@ def iter_slices(w: Word) -> Iterator[tuple[tuple[Factor, ...], int, int, tuple]]
                 yield level, i, j, frames
         for k in range(n - 1, -1, -1):
             f = level[k]
-            if isinstance(f, Bracket):
-                stack.append((f.inner.factors, frames + ((level, k),)))
+            if f.__class__ is Word:
+                stack.append((f.factors, frames + ((level, k),)))
 
 
 def slice_context(level: tuple[Factor, ...], i: int, j: int, frames: tuple) -> Context:
@@ -645,7 +614,7 @@ def var_counts(w: Word, variables: frozenset[str]) -> dict[str, int]:
                 if f in variables:
                     counts[f] = counts.get(f, 0) + 1
             else:
-                stack.append(f.inner)
+                stack.append(f)
     return counts
 
 
@@ -683,16 +652,16 @@ def _align(
         if tf and tf[0] == head:
             yield from _align(sf[1:], tf[1:], variables, nonempty, binding)
     else:
-        if tf and isinstance(tf[0], Bracket):
-            inner = head.inner.factors
+        if tf and isinstance(tf[0], Word):
+            inner = head.factors
             if len(inner) == 1 and isinstance(inner[0], str) and inner[0] in variables:
-                value = tf[0].inner
+                value = tf[0]
                 if value.factors or inner[0] not in nonempty:
                     b2 = dict(binding)
                     b2[inner[0]] = value
                     yield from _align(sf[1:], tf[1:], variables, nonempty, b2)
                 return
-            for b2 in _align(inner, tf[0].inner.factors, variables, nonempty, binding):
+            for b2 in _align(inner, tf[0].factors, variables, nonempty, binding):
                 yield from _align(sf[1:], tf[1:], variables, nonempty, b2)
 
 
@@ -762,7 +731,7 @@ def all_words(alphabet: Alphabet | tuple[str, ...], max_z: int, max_op: int) -> 
                     # first factor [inner] spends a letters and b + 1 brackets
                     tails = exact[z - a, p - 1 - b]
                     for inner in exact[a, b]:
-                        head = (Bracket(inner),)
+                        head = (inner,)
                         acc += [Word(head + tail.factors) for tail in tails]
             exact[z, p] = acc
     return tuple(sorted((w for cell in exact.values() for w in cell), key=structural_key))

@@ -14,7 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from opalg import Alphabet, OPoly, OrderSpec
-from opalg.terms import Bracket, Word
+from opalg.terms import Word
 from reference import random_word
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
@@ -94,7 +94,7 @@ class ReferenceOrder:
             return -1
         if gl:
             return 1
-        return self.compare(f.inner, g.inner)
+        return self.compare(f, g)
 
     def _lex(self, fs, gs):
         for f, g in zip(fs, gs):
@@ -166,5 +166,5 @@ def instantiate_word(schema, sigma, variables):
         elif isinstance(f, str):
             out.append(f)
         else:
-            out.append(Bracket(instantiate_word(f.inner, sigma, variables)))
+            out.append(instantiate_word(f, sigma, variables))
     return Word(out)

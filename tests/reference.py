@@ -14,7 +14,7 @@ from functools import cmp_to_key
 from opalg import OPoly, ReductionResult, RuleSet
 from opalg.orders import EQ, GT, LT
 from opalg.rewrite import TraceStep, _reduce_at
-from opalg.terms import HOLE, Bracket, Context, Word, bracket, render
+from opalg.terms import HOLE, Context, Word, bracket, render
 
 
 def random_word(rng, alphabet, max_z, max_op):
@@ -25,7 +25,7 @@ def random_word(rng, alphabet, max_z, max_op):
     while (z_left > 0 or op_left > 0) and rng.random() < 0.6:
         if op_left > 0 and (z_left == 0 or rng.random() < 0.35):
             inner = random_word(rng, letters, z_left, op_left - 1)
-            factors.append(Bracket(inner))
+            factors.append(inner)
             z_left -= inner.z_degree
             op_left -= inner.op_degree + 1
         else:
@@ -41,9 +41,9 @@ def all_hole_insertions(w):
     for i in range(len(fs) + 1):
         out.append(Context(Word(fs[:i] + (HOLE,) + fs[i:])))
     for j, f in enumerate(fs):
-        if isinstance(f, Bracket):
-            for q in all_hole_insertions(f.inner):
-                out.append(Context(Word(fs[:j] + (Bracket(q.word),) + fs[j + 1 :])))
+        if isinstance(f, Word):
+            for q in all_hole_insertions(f):
+                out.append(Context(Word(fs[:j] + (q.word,) + fs[j + 1 :])))
     return out
 
 

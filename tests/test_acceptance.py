@@ -15,7 +15,6 @@ from pathlib import Path
 
 from conftest import Z1, Z12, ReferenceOrder
 from opalg import (
-    Bracket,
     GeneratorSet,
     OPoly,
     OrderSpec,
@@ -164,9 +163,9 @@ def test_reduction_is_strategy_independent_across_families():
 def _adjacent_brackets(w: Word) -> bool:
     fs = w.factors
     for a, b in zip(fs, fs[1:]):
-        if isinstance(a, Bracket) and isinstance(b, Bracket):
+        if isinstance(a, Word) and isinstance(b, Word):
             return True
-    return any(isinstance(f, Bracket) and _adjacent_brackets(f.inner) for f in fs)
+    return any(isinstance(f, Word) and _adjacent_brackets(f) for f in fs)
 
 
 def test_weighted_insertion_small_stratum_is_exhaustively_consistent():
@@ -189,8 +188,8 @@ def test_weighted_insertion_small_stratum_is_exhaustively_consistent():
 def _erase(w: Word) -> Word:
     out = []
     for f in w.factors:
-        if isinstance(f, Bracket):
-            out.extend(_erase(f.inner).factors)
+        if isinstance(f, Word):
+            out.extend(_erase(f).factors)
         else:
             out.append(f)
     return Word(tuple(out))

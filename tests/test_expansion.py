@@ -46,7 +46,7 @@ from opalg import (
 )
 from opalg.gsbasis import indexed_records
 from opalg.opi import MAX_EXPANSION_WORDS, Generator, _lead_certificates
-from opalg.terms import Bracket, Word, count_words, word_tuples
+from opalg.terms import Word, count_words, word_tuples
 from reference import op_gap
 
 BOUNDS = [(2, 1), (2, 2), (3, 2)]
@@ -228,14 +228,14 @@ def _random_factors(rng, variables, depth, bare=0.5):
         j = rng.randint(i + 1, len(variables))
         run = variables[i:j]
         if depth and rng.random() >= bare:
-            out.append(Bracket(Word(_random_factors(rng, run, depth - 1))))
+            out.append(Word(_random_factors(rng, run, depth - 1)))
         else:
             out.extend(run)
         if rng.random() < 0.15:
-            out.append(Bracket(Word(())))
+            out.append(Word(()))
         i = j
     if depth and bare and rng.random() < 0.3:
-        out = [Bracket(Word(out))]
+        out = [Word(out)]
     return out
 
 
@@ -244,8 +244,8 @@ def _insert(rng, factors, var):
     brackets = [i for i, f in enumerate(factors) if not isinstance(f, str)]
     if brackets and rng.random() < 0.5:
         i = rng.choice(brackets)
-        inner = _insert(rng, list(factors[i].inner.factors), var)
-        return factors[:i] + [Bracket(Word(inner))] + factors[i + 1 :]
+        inner = _insert(rng, list(factors[i].factors), var)
+        return factors[:i] + [Word(inner)] + factors[i + 1 :]
     k = rng.randint(0, len(factors))
     return factors[:k] + [var] + factors[k:]
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import CATALOG_SELECTORS, Z12, opolys
 from opalg import OPoly, OrderSpec, expand_instances, instantiate, parse_catalog, parse_opoly, render_opoly
-from opalg.terms import Bracket, Word, all_words, word_tuples
+from opalg.terms import Word, all_words, word_tuples
 
 CASES = [(f"{sel}/{phi.name}", phi) for sel in CATALOG_SELECTORS for phi in parse_catalog(sel).opis]
 OPIS = [phi for _, phi in CASES]
@@ -39,9 +39,9 @@ def _subst_word(m, sigma, variables):
         elif isinstance(f, str):
             acc = [(fs + (f,), c) for fs, c in acc]
         else:
-            inner = _subst_word(f.inner, sigma, variables)
+            inner = _subst_word(f, sigma, variables)
             acc = [
-                (fs + (Bracket(w),), c * cw)
+                (fs + (w,), c * cw)
                 for fs, c in acc
                 for w, cw in inner.items(reverse=False)
             ]

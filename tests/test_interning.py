@@ -1,7 +1,7 @@
-"""Interned words and brackets against the structural reference.
+"""Interned words against the structural reference.
 
-Words and brackets are hash-consed: structurally equal words are the same
-object, so ``==`` and ``hash`` are by identity.  The reference below is the
+Words are hash-consed: structurally equal words are the same object, so
+``==`` and ``hash`` are by identity.  A bracket factor is its inner word.  The reference below is the
 structural equality, hash and rendering words had before interning; every
 check compares the interned behaviour with it, over the whole pool
 ``all_words(Z12, 3, 3)`` and over seeded random words and contexts.
@@ -20,8 +20,8 @@ from opalg import OPoly
 from opalg import terms
 from opalg.terms import _compile, _splice
 from opalg.terms import (
-    Bracket,
     Word,
+    bracket,
     all_words,
     iter_slices,
     parse_word,
@@ -40,13 +40,14 @@ POOL = all_words(Z12, 3, 3)
 def ref_form(u):
     """Nested tuples of letters and ``("[", inner form)`` pairs: two words
     are structurally equal exactly when their forms are equal."""
-    return tuple(f if isinstance(f, str) else ("[", ref_form(f.inner)) for f in u.factors)
+    return tuple(f if isinstance(f, str) else ("[", ref_form(f)) for f in u.factors)
 
 
 def ref_eq(u, v):
-    # the structural __eq__ of Word before interning, Bracket's inlined
+    # the structural __eq__ of Word before interning, a bracket factor
+    # compared by its inner word
     return len(u.factors) == len(v.factors) and all(
-        f == g if isinstance(f, str) or isinstance(g, str) else ref_eq(f.inner, g.inner)
+        f == g if isinstance(f, str) or isinstance(g, str) else ref_eq(f, g)
         for f, g in zip(u.factors, v.factors)
     )
 
@@ -54,15 +55,15 @@ def ref_eq(u, v):
 def ref_render(u):
     if not u.factors:
         return "1"
-    return "*".join(f if isinstance(f, str) else "[" + ref_render(f.inner) + "]" for f in u.factors)
+    return "*".join(f if isinstance(f, str) else "[" + ref_render(f) + "]" for f in u.factors)
 
 
 def ref_key(u):
     z = sum(1 for f in u.factors if isinstance(f, str))
     op = 0
     for f in u.factors:
-        if isinstance(f, Bracket):
-            iz, iop, _, _ = ref_key(f.inner)
+        if isinstance(f, Word):
+            iz, iop, _, _ = ref_key(f)
             z, op = z + iz, op + iop + 1
     return (z, op, len(u.factors), ref_render(u))
 
@@ -83,7 +84,7 @@ def ref_substitute(form, values):
 
 def build(form):
     """A word rebuilt bottom-up from its reference form."""
-    return Word(f if isinstance(f, str) else Bracket(build(f[1])) for f in form)
+    return Word(f if isinstance(f, str) else build(f[1]) for f in form)
 
 
 def random_words(seed, n=300):
@@ -124,14 +125,15 @@ def test_render_and_structural_key_agree_with_the_reference():
         assert structural_key(w) is structural_key(w)
 
 
-def test_brackets_are_interned_on_their_inner_word():
+def test_a_bracket_factor_is_its_inner_word():
     for w in POOL[:500]:
-        b = Bracket(w)
-        assert Bracket(build(ref_form(w))) is b
-        assert b.inner is w
-        assert hash(b) == hash(Bracket(w))
-        # a bracket never equals a letter, and a letter never a bracket
-        assert b != "z1" and "z1" != b
+        b = bracket(w)
+        assert b.factors == (w,) and b.factors[0] is w
+        assert bracket(build(ref_form(w))) is b
+        # a bracket factor never equals a letter, and a letter never a
+        # bracket factor, the bracket of the letter's own word included
+        assert b.factors[0] != "z1" and "z1" != b.factors[0]
+    assert bracket(Word(("z1",))).factors[0] != "z1"
 
 
 # -- every route to a word reaches the same object ----------------------------
@@ -192,10 +194,6 @@ def test_pickle_and_copy_return_the_interned_object():
             assert pickle.loads(pickle.dumps(w, protocol)) is w
         assert copy.copy(w) is w
         assert copy.deepcopy(w) is w
-        if w.factors and isinstance(w.factors[0], Bracket):
-            b = w.factors[0]
-            assert pickle.loads(pickle.dumps(b)) is b
-            assert copy.deepcopy(b) is b
     f = OPoly({POOL[5]: 2, POOL[40]: -1})
     g = copy.deepcopy(f)
     assert g == f and all(u is v for u, v in zip(g.support(), f.support()))
@@ -213,7 +211,7 @@ def test_the_table_drops_words_nothing_references():
     # one object
     assert len(terms._WORDS) - before == 4
     assert w.factors[0] is w.factors[1]
-    refs = [weakref.ref(w), weakref.ref(w.factors[0].inner), weakref.ref(w.factors[0])]
+    refs = [weakref.ref(w), weakref.ref(w.factors[0]), weakref.ref(w.factors[0].factors[0])]
     del w
     gc.collect()
     assert all(r() is None for r in refs)
@@ -237,4 +235,4 @@ def test_bad_factors_are_refused():
     with pytest.raises(TypeError):
         Word((["z1"],))
     with pytest.raises(TypeError, match="bracket inner must be a Word"):
-        Bracket("z1")
+        bracket("z1")

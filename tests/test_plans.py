@@ -38,7 +38,6 @@ from opalg.poly import _wrap
 from opalg.rewrite import ConcreteRule, SchemaRule
 from opalg.terms import (
     HOLE,
-    Bracket,
     Context,
     Word,
     _align,
@@ -98,14 +97,14 @@ def reference_align(sf, tf, variables, nonempty, binding):
         if tf and tf[0] == head:
             yield from reference_align(sf[1:], tf[1:], variables, nonempty, binding)
     else:
-        if tf and isinstance(tf[0], Bracket):
-            for b2 in reference_align(head.inner.factors, tf[0].inner.factors, variables, nonempty, binding):
+        if tf and isinstance(tf[0], Word):
+            for b2 in reference_align(head.factors, tf[0].factors, variables, nonempty, binding):
                 yield from reference_align(sf[1:], tf[1:], variables, nonempty, b2)
 
 
 def reference_has_hole(u):
     for f in u.factors:
-        if f == HOLE or (isinstance(f, Bracket) and reference_has_hole(f.inner)):
+        if f == HOLE or (isinstance(f, Word) and reference_has_hole(f)):
             return True
     return False
 
@@ -117,8 +116,8 @@ def reference_plug(u, s):
     for f in u.factors:
         if f == HOLE:
             out.extend(s.factors)
-        elif isinstance(f, Bracket) and reference_has_hole(f.inner):
-            out.append(Bracket(reference_plug(f.inner, s)))
+        elif isinstance(f, Word) and reference_has_hole(f):
+            out.append(reference_plug(f, s))
         else:
             out.append(f)
     return Word(out)
@@ -129,7 +128,7 @@ def reference_slice_context(level, i, j, frames):
     ``Context``."""
     word = Word(level[:i] + (HOLE,) + level[j:])
     for outer, k in reversed(frames):
-        word = Word(outer[:k] + (Bracket(word),) + outer[k + 1 :])
+        word = Word(outer[:k] + (word,) + outer[k + 1 :])
     return Context(word)
 
 
@@ -178,11 +177,13 @@ def test_plan_segments():
     # a bare variable is its own value
     assert _compile(Word(("x1",)), index) == 0
     assert _splice(0, [u, v]) is u
-    # a lone variable in a bracket wraps the value itself
+    # a lone variable in a bracket nests the bare-variable plan, so the
+    # bracket factor is the value itself
     plan = _compile(parse_word("[x1]*z2*[1]*x2*[z1*[x2]]", Z12, extra_letters=XS), index)
     kinds = [kind for kind, _ in plan]
-    assert kinds == [2, 0, 1, 3]
-    assert plan[1] == (0, ("z2", Bracket(Word(()))))
+    assert kinds == [2, 0, 1, 2]
+    assert plan[0] == (2, 0)
+    assert plan[1] == (0, ("z2", Word(())))
     assert _splice(plan, [u, v]) is parse_word("[z1*[z2]]*z2*[1]*[1]*[z1*[[1]]]", Z12)
     # a body with a bare-variable monomial
     phi = parse_catalog("diffprime?c=1").opis[0]

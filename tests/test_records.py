@@ -28,7 +28,7 @@ from opalg import (
     render_opoly,
 )
 from opalg.gsbasis import _record_sort_key, indexed_records, pair_compositions
-from opalg.terms import HOLE, Bracket, Context, Word, substitute
+from opalg.terms import HOLE, Context, Word, substitute
 
 DB12 = OrderSpec.for_alphabet("db", Z12)
 
@@ -158,9 +158,9 @@ def _nestings(factors):
         for j in range(i + 1, n + 1):
             yield factors[:i] + (HOLE,) + factors[j:], factors[i:j]
     for k, f in enumerate(factors):
-        if isinstance(f, Bracket):
-            for inner, sl in _nestings(f.inner.factors):
-                yield factors[:k] + (Bracket(Word(inner)),) + factors[k + 1 :], sl
+        if isinstance(f, Word):
+            for inner, sl in _nestings(f.factors):
+                yield factors[:k] + (Word(inner),) + factors[k + 1 :], sl
 
 
 def derived_records(gens, bounds):

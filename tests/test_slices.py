@@ -16,7 +16,6 @@ from opalg.rewrite import ConcreteRule, Redex, _scan_adjacent_nonunit_brackets
 from opalg.terms import (
     COUNT_CEILING,
     HOLE,
-    Bracket,
     Context,
     Word,
     _align,
@@ -67,9 +66,9 @@ def reference_redexes(rules, w):
                             rhs,
                         )
     for idx, f in enumerate(fs):
-        if isinstance(f, Bracket):
-            for rdx in reference_redexes(rules, f.inner):
-                outer = Word(fs[:idx] + (Bracket(rdx.context.word),) + fs[idx + 1 :])
+        if isinstance(f, Word):
+            for rdx in reference_redexes(rules, f):
+                outer = Word(fs[:idx] + (rdx.context.word,) + fs[idx + 1 :])
                 yield Redex(rdx.rule_id, Context(outer), rdx.sigma, rdx.rhs)
 
 
@@ -80,9 +79,9 @@ def reference_occurrences(w, u):
         if fs[i : i + k] == u.factors:
             yield Context(Word(fs[:i] + (HOLE,) + fs[i + k :]))
     for j, f in enumerate(fs):
-        if isinstance(f, Bracket):
-            for q in reference_occurrences(f.inner, u):
-                yield Context(Word(fs[:j] + (Bracket(q.word),) + fs[j + 1 :]))
+        if isinstance(f, Word):
+            for q in reference_occurrences(f, u):
+                yield Context(Word(fs[:j] + (q.word,) + fs[j + 1 :]))
 
 
 def reference_schema_occurrences(w, schema, variables, nonempty):
@@ -95,9 +94,9 @@ def reference_schema_occurrences(w, schema, variables, nonempty):
             for sigma in _align(schema.factors, fs[i:j], vs, ne, {}):
                 yield Context(Word(fs[:i] + (HOLE,) + fs[j:])), sigma
     for j, f in enumerate(fs):
-        if isinstance(f, Bracket):
-            for q, sigma in reference_schema_occurrences(f.inner, schema, vs, ne):
-                yield Context(Word(fs[:j] + (Bracket(q.word),) + fs[j + 1 :])), sigma
+        if isinstance(f, Word):
+            for q, sigma in reference_schema_occurrences(f, schema, vs, ne):
+                yield Context(Word(fs[:j] + (q.word,) + fs[j + 1 :])), sigma
 
 
 def reference_adjacent_nonunit_brackets(w):
@@ -105,15 +104,15 @@ def reference_adjacent_nonunit_brackets(w):
     for i in range(len(fs) - 1):
         a, b = fs[i], fs[i + 1]
         if (
-            isinstance(a, Bracket)
-            and isinstance(b, Bracket)
-            and not a.inner.is_unit()
-            and not b.inner.is_unit()
+            isinstance(a, Word)
+            and isinstance(b, Word)
+            and not a.is_unit()
+            and not b.is_unit()
         ):
-            return f"[{render(a.inner)}]*[{render(b.inner)}]"
+            return f"[{render(a)}]*[{render(b)}]"
     for f in fs:
-        if isinstance(f, Bracket):
-            hit = reference_adjacent_nonunit_brackets(f.inner)
+        if isinstance(f, Word):
+            hit = reference_adjacent_nonunit_brackets(f)
             if hit:
                 return hit
     return None
@@ -126,8 +125,8 @@ def reference_adjacent_variables(w, vset):
         if isinstance(a, str) and isinstance(b, str) and a in vset and b in vset:
             return f"{a}*{b}"
     for f in fs:
-        if isinstance(f, Bracket):
-            hit = reference_adjacent_variables(f.inner, vset)
+        if isinstance(f, Word):
+            hit = reference_adjacent_variables(f, vset)
             if hit:
                 return hit
     return None

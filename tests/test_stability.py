@@ -24,7 +24,7 @@ from conftest import CATALOG_SELECTORS, Z12, instantiate_word
 from opalg import OPI, GeneratorSet, OPoly, OrderSpec, check_lm_stability, parse_catalog
 from opalg.gsbasis import _evaluate_hypotheses
 from opalg.opi import CatalogEntry, _schema_cmp
-from opalg.terms import UNIT, Bracket, Word, all_words, parse_word, render, word_tuples
+from opalg.terms import UNIT, Word, all_words, parse_word, render, word_tuples
 
 # diff:3 leading with a unit bracket beside the product, on either side
 EXTRA_SELECTORS = ["diff:3?l01=1", "diff:3?l10=1,l00=0"]
@@ -229,7 +229,7 @@ def _random_schema(rng, letters, brackets):
         levels.append(inner)
 
     def build(level):
-        return Word(Bracket(build(f)) if isinstance(f, list) else f for f in level)
+        return Word(build(f) if isinstance(f, list) else f for f in level)
 
     return build(top)
 

@@ -17,7 +17,7 @@ import pytest
 import opalg.rewrite as rewrite
 from conftest import Z12
 from opalg import OPI, OPoly, check_diff_type, check_rb_type, instantiate, parse_catalog
-from opalg.terms import Bracket, Word, render, word_tuples
+from opalg.terms import Word, render, word_tuples
 from test_check_type_golden import SHIPPED
 
 BOUNDS = (2, 1)
@@ -29,8 +29,8 @@ def _rest(phi, lead):
 
 def reference_rb_sides(phi):
     x, y = phi.variables
-    rest = _rest(phi, Word((Bracket(Word((x,))), Bracket(Word((y,))))))
-    b = OPI("B", (x, y), OPoly((m.factors[0].inner, c) for m, c in rest.items()))
+    rest = _rest(phi, Word((Word((x,)), Word((y,)))))
+    b = OPI("B", (x, y), OPoly((m.factors[0], c) for m, c in rest.items()))
     return lambda u, v, w: (
         instantiate(b, {x: instantiate(b, {x: u, y: v}), y: OPoly.from_word(w)}),
         instantiate(b, {x: OPoly.from_word(u), y: instantiate(b, {x: v, y: w})}),
@@ -39,7 +39,7 @@ def reference_rb_sides(phi):
 
 def reference_diff_sides(phi):
     x, y = phi.variables
-    n = OPI("N", (x, y), _rest(phi, Word((Bracket(Word((x, y))),))))
+    n = OPI("N", (x, y), _rest(phi, Word((Word((x, y)),))))
     return lambda u, v, w: (
         instantiate(n, {x: u * v, y: OPoly.from_word(w)}),
         instantiate(n, {x: OPoly.from_word(u), y: v * w}),

@@ -13,7 +13,6 @@ from opalg.terms import (
     MAX_INPUT_CHARS,
     UNIT,
     Alphabet,
-    Bracket,
     Context,
     ParseError,
     Word,
@@ -299,7 +298,7 @@ def test_schema_occurrence_replug():
     schema = parse_word("[x1]*x2", Z12, extra_letters=("x1", "x2"))
     w = W("z1*[z2]*z1")
     for q, sigma in schema_occurrences(w, schema, ("x1", "x2")):
-        inst = Word((Bracket(sigma["x1"]),)) * sigma["x2"]
+        inst = Word((sigma["x1"],)) * sigma["x2"]
         assert q.plug(inst) == w
 
 
@@ -351,7 +350,7 @@ def reference_all_words(letters, max_z, max_op):
         if p >= 1:
             for inner in gen(d, p - 1):
                 for tail in gen(d - inner.z_degree, p - inner.op_degree - 1):
-                    acc.append(Word((Bracket(inner),) + tail.factors))
+                    acc.append(Word((inner,) + tail.factors))
         cache[d, p] = tuple(acc)
         return cache[d, p]
 
