@@ -4,8 +4,9 @@ identity catalogs, composition records, and boundedly verified quotients.
 The layers, bottom up:
 
 ``terms``
-    bracketed words over an alphabet, contexts with one hole, occurrence
-    and schema matching, exhaustive enumeration.
+    bracketed words over an alphabet (a factor is a letter or, standing
+    for its bracket, a word), contexts with one hole, occurrence and
+    schema matching, exhaustive enumeration.
 ``poly``
     linear combinations with exact rational coefficients.
 ``orders``
@@ -28,6 +29,7 @@ from .gsbasis import (
     CompositionRecord,
     GSReport,
     GeneratorSet,
+    NotVerified,
     QuotientAlgebra,
     TrivialityResult,
     check_gs,
@@ -84,6 +86,7 @@ __all__ = [
     "GSReport",
     "Generator",
     "GeneratorSet",
+    "NotVerified",
     "OPI",
     "OPoly",
     "OrderSpec",

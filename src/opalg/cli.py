@@ -19,6 +19,7 @@ ends the run with 1 and nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from functools import cache
 from .gsbasis import (
     BoundsExceeded,
     GeneratorSet,
+    NotVerified,
     QuotientAlgebra,
     check_gs,
     enumerate_irr,
@@ -47,15 +49,22 @@ def _integer_flag(text: str) -> int:
 
 
 def _read_gens(path: str, alphabet: Alphabet):
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                try:
-                    poly = parse_opoly(line, alphabet)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{ln}: {exc}") from None
-                yield poly
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, with lines split as text mode splits them
+        ln = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        raise ValueError(f"{path}:{ln}: not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
+    for ln, raw in enumerate(io.StringIO(text, newline=None), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            try:
+                poly = parse_opoly(line, alphabet)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            yield poly
 
 
 class Env:
@@ -340,13 +349,12 @@ def _cmd_basis(ns) -> int:
 
 def _cmd_quotient_eval(ns) -> int:
     env = Env(ns)
-    gens = env.generator_set()
+    f = parse_opoly(ns.expr, env.alphabet)
     try:
-        qa = QuotientAlgebra(gens, env.bounds, env.fuel)
-    except ValueError as exc:
+        qa = QuotientAlgebra(env.generator_set(), env.bounds, env.fuel)
+    except NotVerified as exc:
         print(f"refused: {exc}")
         return 1
-    f = parse_opoly(ns.expr, env.alphabet)
     out = qa.nf(f)
     print(f"normal form: {render_opoly(out, env.order)}")
     return 0

@@ -63,6 +63,7 @@ __all__ = [
     "GSReport",
     "Generator",
     "GeneratorSet",
+    "NotVerified",
     "QuotientAlgebra",
     "TrivialityResult",
     "check_gs",
@@ -75,6 +76,11 @@ __all__ = [
 
 class BoundsExceeded(ValueError):
     """Raised when quotient arithmetic would leave the verified stratum."""
+
+
+class NotVerified(ValueError):
+    """Raised when quotient arithmetic is asked of a generator set whose
+    completeness check does not pass."""
 
 
 class GeneratorSet:
@@ -638,7 +644,7 @@ class QuotientAlgebra:
     def __init__(self, generators: GeneratorSet, bounds: tuple[int, int], fuel: int):
         report = check_gs(generators, bounds, fuel)
         if not report.passed:
-            raise ValueError(
+            raise NotVerified(
                 f"generator set is not verified at bounds {bounds}; "
                 f"quotient arithmetic refused (route {report.route})"
             )

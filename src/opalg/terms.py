@@ -1,7 +1,8 @@
 """Bracketed words over a finite alphabet, with one linear operator.
 
-A word is a finite sequence of factors; a factor is either a letter or a
-bracketed word ``[u]``.  The empty sequence is the multiplicative unit,
+A word is a finite sequence of factors; a factor is either a letter (a
+``str``) or a bracketed word ``[u]``, held as the inner word ``u`` itself
+(a ``Word``).  The empty sequence is the multiplicative unit,
 written ``1``.  ``[1]`` is an ordinary factor and is not the unit.  Words
 multiply by concatenation, so the set of all words is the free monoid on
 letters and brackets, closed under the bracket operator.
@@ -11,9 +12,6 @@ Measures used throughout the package:
 * breadth: number of top-level factors (``breadth(1) == 0``)
 * z_degree: number of letter occurrences at every depth
 * op_degree: number of bracket occurrences at every depth
-
-A bracket factor ``[u]`` is the inner word ``u`` itself, so a factor is
-a ``str`` (a letter) or a ``Word`` (the bracket around that word).
 
 Words are interned (hash-consed).  ``Word(factors)`` looks the factor
 tuple up in one module-level table and returns the live word with those

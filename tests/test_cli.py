@@ -351,6 +351,28 @@ def test_quotient_eval_refuses_unverified_set(capsys):
     assert out.startswith("refused:")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--catalog", "rb:6?lambda=1", "--bounds", "2,9"], "over the limit of 50000"),
+        (["--gens", "1"], "presents the unit ideal"),
+    ],
+)
+def test_quotient_eval_usage_errors_exit_two_as_check_gs_does(capsys, flags, message):
+    # only a set whose check runs and fails is refused with 1; a set the
+    # check cannot take exits 2, as check-gs does on the same flags
+    for argv in (["quotient-eval", *flags, "z1"], ["check-gs", *flags]):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out.startswith("error: ") and message in out
+
+
+def test_quotient_eval_parses_its_expression_before_the_check(capsys):
+    code, out = run(capsys, "quotient-eval", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1", "[z1")
+    assert code == 2
+    assert out == "error: expected ']', found None (at position 3)\n"
+
+
 def test_quotient_eval_bracket_pair(capsys):
     code, out = run(
         capsys,
@@ -470,6 +492,15 @@ def test_gens_file_names_the_path_and_line_of_a_bad_polynomial(tmp_path, capsys)
     path = tmp_path / "gens.txt"
     path.write_text(f"{COMMUTATOR}\n\nz1*\n")
     assert run(capsys, "basis", "--gens-file", str(path)) == (2, f"error: {path}:3: expected a factor (at position 3)\n")
+
+
+def test_gens_file_that_is_not_utf8_names_the_path_and_line(tmp_path, capsys):
+    path = tmp_path / "gens.txt"
+    path.write_bytes(COMMUTATOR.encode() + b"\r\rz1\xff\n")
+    assert run(capsys, "basis", "--gens-file", str(path)) == (
+        2,
+        f"error: {path}:3: not UTF-8 text: byte 0xff (invalid start byte)\n",
+    )
 
 
 def test_parse_error_exits_two(capsys):

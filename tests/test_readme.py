@@ -1,10 +1,13 @@
-"""README's CLI examples, run as written.
+"""README's examples, run as written.
 
 Every line ``$ opalg ...`` inside a fenced block of README.md is one
 example; the lines after it, up to a blank line, the next ``$`` line or
 the end of the block, are its expected stdout.  The command runs in
 process through ``cli.main`` and its stdout is compared line by line.  A
 line ``...`` stands for any run of lines, the empty run included.
+
+Every fenced ``python`` block runs as a whole, in a fresh namespace, and
+must finish without raising.
 """
 
 import contextlib
@@ -44,7 +47,22 @@ def _matches(expected, actual) -> bool:
     return bool(actual) and actual[0] == expected[0] and _matches(expected[1:], actual[1:])
 
 
+def _python_blocks():
+    """The source of each fenced ``python`` block, in README order."""
+    blocks, current = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if current is None and line == "```python":
+            current = []
+        elif current is not None and line.startswith("```"):
+            blocks.append("\n".join(current) + "\n")
+            current = None
+        elif current is not None:
+            current.append(line)
+    return blocks
+
+
 EXAMPLES = _examples()
+PYTHON_BLOCKS = _python_blocks()
 
 
 def test_readme_has_cli_examples():
@@ -58,3 +76,13 @@ def test_readme_example_prints_what_readme_shows(command, expected):
         main(shlex.split(command))
     actual = out.getvalue().splitlines()
     assert _matches(expected, actual), "\n".join(["expected:", *expected, "printed:", *actual])
+
+
+def test_readme_has_a_python_example():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS, ids=[f"python-{k}" for k in range(len(PYTHON_BLOCKS))])
+def test_readme_python_block_runs(source):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(source, str(README), "exec"), {"__name__": "__readme__"})
