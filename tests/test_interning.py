@@ -131,9 +131,8 @@ def test_a_bracket_factor_is_its_inner_word():
         assert b.factors == (w,) and b.factors[0] is w
         assert bracket(build(ref_form(w))) is b
         # a bracket factor never equals a letter, and a letter never a
-        # bracket factor, the bracket of the letter's own word included
+        # bracket factor: [z1]'s factor is the word z1, not the letter
         assert b.factors[0] != "z1" and "z1" != b.factors[0]
-    assert bracket(Word(("z1",))).factors[0] != "z1"
 
 
 # -- every route to a word reaches the same object ----------------------------
