@@ -321,6 +321,8 @@ def _scan(outer: Sequence[Generator], inner: Sequence[Generator], bounds: tuple[
         degrees = (b.lm.z_degree, b.lm.op_degree)
         for k in range(1, len(fb)):
             by_prefix.setdefault(fb[:k], {}).setdefault(degrees, []).append(j)
+    # an inclusion is a slice of some inner leading word's breadth
+    breadths = {len(fb) for fb in by_word}
     for i, a in enumerate(outer):
         fa = a.lm.factors
         n = len(fa)
@@ -338,7 +340,7 @@ def _scan(outer: Sequence[Generator], inner: Sequence[Generator], bounds: tuple[
                         yield i, j, 0, _intersection(a, inner[j], k, bounds)
         if not _fits(a.lm, bounds):
             continue
-        for level, lo, hi, frames in iter_slices(a.lm):
+        for level, lo, hi, frames in iter_slices(a.lm, breadths):
             for j in by_word.get(level[lo:hi], ()):
                 if same and i == j and not frames and hi - lo == n:
                     continue
@@ -400,7 +402,8 @@ class TrivialityResult:
 
 def is_trivial(h: OPoly, rules: RuleSet, w: Word, fuel: int) -> TrivialityResult:
     """Decide whether ``h`` rewrites to zero under ``rules`` through anchors
-    below ``w``, comparing under ``rules.order``.
+    below ``w``, comparing under ``rules.order``, and keep the reduction's
+    trace in the verdict.
 
     ``rules`` is the rule set of the stratum the record was enumerated in
     (:meth:`GeneratorSet.ruleset`); a rule set without an order is refused.
@@ -410,8 +413,15 @@ def is_trivial(h: OPoly, rules: RuleSet, w: Word, fuel: int) -> TrivialityResult
     verified bounds is a conclusive refusal: such a residue is a nonzero
     ideal element supported on irreducible words, which a complete bounded
     system cannot have.  Anything else (fuel out, residue escaping the
-    verified bounds) stays unresolved.
+    verified bounds) stays unresolved.  :func:`check_gs` reaches the same
+    status, residue and note without the trace.
     """
+    return _judge(h, rules, w, fuel, want_trace=True)
+
+
+def _judge(h: OPoly, rules: RuleSet, w: Word, fuel: int, want_trace: bool) -> TrivialityResult:
+    """:func:`is_trivial`'s verdict; without ``want_trace`` the normal form
+    may come from the rule set's memo and the verdict keeps no steps."""
     order = rules.order
     if order is None:
         raise ValueError("is_trivial needs a rule set compiled under an order")
@@ -420,7 +430,7 @@ def is_trivial(h: OPoly, rules: RuleSet, w: Word, fuel: int) -> TrivialityResult
             raise ValueError(
                 f"monomial {render(m)} of the candidate is not below the shared word {render(w)}"
             )
-    res = normal_form(h, rules, fuel, want_trace=True)
+    res = normal_form(h, rules, fuel, want_trace=want_trace)
     if res.poly.is_zero():
         return TrivialityResult("trivial", res.poly, res.steps)
     if res.exhausted:
@@ -569,7 +579,10 @@ def check_gs(
 
     ``route="auto"`` applies the certified-family argument when its
     hypotheses hold and reduces the rest; ``route="raw"`` reduces every
-    record unconditionally.
+    record unconditionally.  Each reduced record gets :func:`is_trivial`'s
+    status, residue and note, from the stratum rule set's memoized word
+    normal forms, so a word shared by many records is reduced once; its
+    verdict keeps no trace (``verdict.steps == ()``).
     """
     if route not in ("auto", "raw"):
         raise ValueError(f"route must be 'auto' or 'raw', got {route!r}")
@@ -588,7 +601,7 @@ def check_gs(
         if use_hypothesis and r.pair_kind == "schema-schema":
             r.skipped = "schema-schema record; covered by the certified-family hypotheses"
         else:
-            r.verdict = is_trivial(r.value, ruleset, r.w, fuel)
+            r.verdict = _judge(r.value, ruleset, r.w, fuel, want_trace=False)
 
     counts = {
         "total": len(records),

@@ -294,8 +294,8 @@ def check_lm_no_subword(phi: OPI, preset: str) -> NoSubwordReport:
     witness = next(
         (
             f"{level[i]}*{level[i + 1]}"
-            for level, i, j, _ in iter_slices(lm)
-            if j - i == 2 and level[i] in vset and level[i + 1] in vset
+            for level, i, j, _ in iter_slices(lm, (2,))
+            if level[i] in vset and level[i + 1] in vset
         ),
         None,
     )

@@ -45,6 +45,7 @@ class OrderSpec:
             raise ValueError(f"unknown order preset {self.preset!r} (choose from {', '.join(PRESETS)})")
         object.__setattr__(self, "base", tuple(self.base))
         object.__setattr__(self, "_rank", {name: i for i, name in enumerate(self.base)})
+        object.__setattr__(self, "_db", self.preset == "db")
 
     @classmethod
     def for_alphabet(cls, preset: str, alphabet: Iterable[str]) -> "OrderSpec":
@@ -86,14 +87,22 @@ class OrderSpec:
             return LT if u.z_degree < v.z_degree else GT
         if u.op_degree != v.op_degree:
             return LT if u.op_degree < v.op_degree else GT
-        bu, bv = u.breadth, v.breadth
+        fu, fv = u.factors, v.factors
+        bu, bv = len(fu), len(fv)
         if bu != bv:
-            if self.preset == "db":
+            if self._db:
                 return LT if bu < bv else GT
             return GT if bu < bv else LT  # dt: smaller breadth is greater
-        # equal breadth: the factor walk ends on a difference or on equality
-        for f, g in zip(u.factors, v.factors):
-            c = self._factor_cmp(f, g)
+        # equal breadth: the factor walk ends on a difference or on equality;
+        # interned bracket factors differ exactly when they are not identical
+        for f, g in zip(fu, fv):
+            if f is g:
+                continue
+            if f.__class__ is Word:
+                return self.compare(f, g) if g.__class__ is Word else GT
+            if g.__class__ is Word:
+                return LT  # letter below bracket
+            c = self._letter_cmp(f, g)
             if c:
                 return c
         return EQ

@@ -24,8 +24,14 @@ redex, or that the word is irreducible.  A schema match instantiates its
 identity through the identity's compiled plan (:meth:`opalg.opi.OPI.instance`).
 :func:`normal_form` picks each step's monomial without sorting the
 polynomial: it skips words already known to be irreducible and searches
-the rest greatest first.  It takes its steps in place on one term dict,
-through the one step function that checks descent.
+the rest greatest first.  It takes its steps in place on one term dict.
+
+An ordered rule set also remembers the normal form of every reducible word
+it has reduced, with a bound on the steps that took.  Reduction under an
+order is linear, so :func:`normal_form` without a trace sums those word
+normal forms when the bounds fit its fuel, and steps otherwise; traces and
+raw rule sets always step.  Steps and memo fills compute each replacement
+through :func:`_replacement`, the one place that checks descent.
 """
 
 from __future__ import annotations
@@ -140,9 +146,11 @@ class RuleSet:
     from ``_open_from`` up when a left side has a top-level variable), and
     it remembers, for as long as it lives, the matches of every factor
     slice it has scanned (which rule, with which assignment, replacing the
-    slice by what) and the first redex of every word it has searched."""
+    slice by what), the first redex of every word it has searched and,
+    under an order, the normal form of every word it has reduced without a
+    trace (:func:`_fill_normal_forms`)."""
 
-    __slots__ = ("rules", "order", "bounds", "_lengths", "_open_from", "_slices", "_redexes")
+    __slots__ = ("rules", "order", "bounds", "_lengths", "_open_from", "_slices", "_redexes", "_normal", "__weakref__")
 
     def __init__(
         self,
@@ -171,6 +179,8 @@ class RuleSet:
         self._slices: dict[tuple, tuple[tuple, ...]] = {}
         # word -> first redex, or None when irreducible
         self._redexes: dict[Word, Redex | None] = {}
+        # reducible word -> (step bound, normal form terms); ordered sets only
+        self._normal: dict[Word, tuple[int, tuple[tuple[Word, Scalar], ...]]] = {}
 
     @classmethod
     def ordered(
@@ -257,11 +267,7 @@ class RuleSet:
         length no rule can match are skipped unsliced; each other slice's
         matches are computed once per rule set."""
         slices = self._slices
-        lengths = self._lengths
-        open_from = self._open_from
-        for level, i, j, frames in iter_slices(w):
-            if j - i not in lengths and (open_from is None or j - i < open_from):
-                continue
+        for level, i, j, frames in iter_slices(w, self._lengths, self._open_from):
             sl = level[i:j]
             matches = slices.get(sl)
             if matches is None:
@@ -280,11 +286,11 @@ class RuleSet:
         return rdx
 
 
-def _reduce_at(acc: dict[Word, Scalar], w: Word, rdx: Redex, order: OrderSpec | None) -> Scalar:
-    """One reduction step in place: the term ``c*w`` of ``acc`` becomes ``c``
-    times the redex's replacement, terms that cancel are dropped, and ``c``
-    is returned.  Under an order the replacement must lie strictly below
-    ``w``; a step that does not descend raises before ``acc`` changes."""
+def _replacement(w: Word, rdx: Redex, order: OrderSpec | None) -> list[tuple[Word, Scalar]]:
+    """The terms that replace ``w`` at ``rdx``, as ``(monomial, coefficient)``
+    pairs.  Under an order each monomial must lie strictly below ``w``: this
+    is the package's one descent check, run by every stepwise step and every
+    memo fill, and a step that does not descend raises here."""
     plug = rdx.context.plug
     replacement = [(plug(m), d) for m, d in rdx.rhs._terms.items()]
     if order is not None and replacement:
@@ -293,8 +299,13 @@ def _reduce_at(acc: dict[Word, Scalar], w: Word, rdx: Redex, order: OrderSpec | 
             raise RuntimeError(
                 f"non-descending step: {render(hi)} !< {render(w)} via {rdx.rule_id}"
             )
-    c = acc.pop(w)
-    for m, d in replacement:
+    return replacement
+
+
+def _add_scaled(acc: dict[Word, Scalar], c: Scalar, terms) -> None:
+    """Add ``c`` times the ``(word, coefficient)`` pairs ``terms`` to
+    ``acc`` in place, dropping the terms that cancel."""
+    for m, d in terms:
         s = c * d
         prev = acc.get(m)
         if prev is not None:
@@ -303,6 +314,16 @@ def _reduce_at(acc: dict[Word, Scalar], w: Word, rdx: Redex, order: OrderSpec | 
             acc[m] = s
         else:
             del acc[m]
+
+
+def _reduce_at(acc: dict[Word, Scalar], w: Word, rdx: Redex, order: OrderSpec | None) -> Scalar:
+    """One reduction step in place: the term ``c*w`` of ``acc`` becomes ``c``
+    times the redex's replacement, terms that cancel are dropped, and ``c``
+    is returned.  A step that does not descend raises before ``acc``
+    changes."""
+    replacement = _replacement(w, rdx, order)
+    c = acc.pop(w)
+    _add_scaled(acc, c, replacement)
     return c
 
 
@@ -324,9 +345,89 @@ def _greatest_reducible(acc: dict[Word, Scalar], rules: RuleSet) -> tuple[Word, 
     return None
 
 
+def _fill_normal_forms(rules: RuleSet, words) -> None:
+    """Memoize, in ``rules._normal``, the normal form of every reducible
+    word among ``words`` and of every reducible word their replacements
+    reach, children before parents, on an explicit stack (a chain of
+    thousands of steps needs no interpreter recursion).
+
+    An entry is ``(bound, terms)``: ``terms`` the normal form as
+    ``(word, coefficient)`` pairs and ``bound`` 1 plus the bounds of the
+    replacement's words (0 for an irreducible word).  The stepwise path
+    reduces each reducible word it reaches at most once, since everything
+    it adds lies below the word it reduces, so ``bound`` bounds its step
+    count on the word at any fuel.  Every replacement passes the descent
+    check of :func:`_replacement`, which also makes the walk finite."""
+    memo = rules._normal
+    known = rules._redexes
+    order = rules.order
+    stack: list[tuple[Word, list | None]] = [
+        (w, None) for w in words if w not in memo and known.get(w, _UNSEEN) is not None
+    ]
+    while stack:
+        w, replacement = stack[-1]
+        if replacement is None:
+            rdx = None if w in memo else rules.find_redex(w)
+            if rdx is None:
+                stack.pop()
+                continue
+            replacement = _replacement(w, rdx, order)
+            stack[-1] = (w, replacement)
+            # a word reached twice is filled by its first visit; none is its
+            # own descendant, as every replacement lies below its word
+            stack.extend(
+                (m, None) for m, _ in replacement if m not in memo and known.get(m, _UNSEEN) is not None
+            )
+            continue
+        stack.pop()
+        # every reducible word of the replacement is filled by now
+        bound = 1
+        acc: dict[Word, Scalar] = {}
+        for m, d in replacement:
+            b, terms = memo.get(m) or (0, ((m, 1),))
+            bound += b
+            _add_scaled(acc, d, terms)
+        memo[w] = (bound, tuple(acc.items()))
+
+
+def _memoized_normal_form(f: OPoly, rules: RuleSet, fuel: int) -> ReductionResult | None:
+    """``f``'s normal form summed from the memoized normal forms of its
+    words, or None when the stepwise path must answer: the summed bound
+    exceeds ``fuel`` (the steps might not fit), or a fill met a step that
+    does not descend (the stepwise path raises it at its own step, or runs
+    out of fuel before it)."""
+    try:
+        _fill_normal_forms(rules, f._terms)
+    except RuntimeError:
+        return None
+    memo = rules._normal
+    bound = 0
+    acc: dict[Word, Scalar] = {}
+    for w, c in f._terms.items():
+        b, terms = memo.get(w) or (0, ((w, 1),))
+        bound += b
+        _add_scaled(acc, c, terms)
+    if bound > fuel:
+        return None
+    return ReductionResult(_wrap(acc), (), False)
+
+
 def normal_form(f: OPoly, rules: RuleSet, fuel: int, *, want_trace: bool = True) -> ReductionResult:
-    """Reduce the greatest reducible monomial at its first position, step by
-    step in one term dict, until irreducible or out of fuel."""
+    """Reduce ``f`` until irreducible or out of fuel: the greatest reducible
+    monomial is reduced at its first redex, one step at a time, in one term
+    dict, and ``exhausted`` says that fuel ran out on a reducible result.
+
+    Under an order, reduction is a linear map that fixes irreducible words
+    and sends a reducible word to the normal form of its replacement.  So
+    when no trace is wanted, an ordered rule set answers from its memo of
+    word normal forms (:func:`_fill_normal_forms`) whenever the memoized
+    step bounds of ``f``'s words sum to at most ``fuel``; the result, and
+    any error, are those of the stepwise path, which answers otherwise.  A
+    raw rule set always steps."""
+    if not want_trace and rules.order is not None:
+        res = _memoized_normal_form(f, rules, fuel)
+        if res is not None:
+            return res
     steps: list[TraceStep] = []
     acc = dict(f._terms)
     order = rules.order
@@ -486,11 +587,10 @@ def _memoized_map(expr: OPI):
 
 
 def _scan_adjacent_nonunit_brackets(w: Word) -> str | None:
-    for level, i, j, _ in iter_slices(w):
-        if j - i == 2:
-            a, b = level[i], level[i + 1]
-            if isinstance(a, Word) and isinstance(b, Word) and a.factors and b.factors:
-                return f"[{render(a)}]*[{render(b)}]"
+    for level, i, j, _ in iter_slices(w, (2,)):
+        a, b = level[i], level[i + 1]
+        if isinstance(a, Word) and isinstance(b, Word) and a.factors and b.factors:
+            return f"[{render(a)}]*[{render(b)}]"
     return None
 
 

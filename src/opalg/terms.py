@@ -41,6 +41,7 @@ enclosing brackets around it.
 from __future__ import annotations
 
 import re
+import sys
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -556,7 +557,9 @@ def substitute(q: Context, s):
     return s.map_words(q.plug)
 
 
-def iter_slices(w: Word) -> Iterator[tuple[tuple[Factor, ...], int, int, tuple]]:
+def iter_slices(
+    w: Word, lengths: Iterable[int] | None = None, open_from: int | None = None
+) -> Iterator[tuple[tuple[Factor, ...], int, int, tuple]]:
     """Every nonempty factor slice of ``w`` at every depth, as
     ``(level, i, j, frames)``: the slice is ``level[i:j]``, ``level`` is the
     factor tuple it is cut from and ``frames`` the enclosing
@@ -566,13 +569,28 @@ def iter_slices(w: Word) -> Iterator[tuple[tuple[Factor, ...], int, int, tuple]]
     occurrences, schema matching and record indexing: the top-level
     slices by start, then by end, then the slices inside each bracket
     factor, left to right, recursively.
+
+    Given ``lengths`` (the slice lengths ``j - i`` wanted) or ``open_from``
+    (every length from it up), or both, only the slices of a wanted length
+    come, in the same order; the others are never visited.
     """
+    if open_from is None:
+        open_from = 1 if lengths is None else sys.maxsize
+    elif open_from < 1:
+        open_from = 1
+    # at each start, the wanted lengths below open_from come first, ascending,
+    # then every length from open_from up
+    fixed = () if lengths is None else sorted(lengths)
     stack = [(w.factors, ())]
     while stack:
         level, frames = stack.pop()
         n = len(level)
         for i in range(n):
-            for j in range(i + 1, n + 1):
+            for k in fixed:
+                if k >= open_from or i + k > n:
+                    break
+                yield level, i, i + k, frames
+            for j in range(i + open_from, n + 1):
                 yield level, i, j, frames
         for k in range(n - 1, -1, -1):
             f = level[k]
@@ -596,9 +614,8 @@ def iter_occurrences(w: Word, u: Word) -> Iterator[Context]:
     """Contexts ``q`` with ``q.plug(u) == w``, in :func:`iter_slices` order."""
     if u.is_unit():
         raise ValueError("occurrences of the unit are everywhere; refusing")
-    k = len(u.factors)
-    for level, i, j, frames in iter_slices(w):
-        if j - i == k and level[i:j] == u.factors:
+    for level, i, j, frames in iter_slices(w, (len(u.factors),)):
+        if level[i:j] == u.factors:
             yield slice_context(level, i, j, frames)
 
 

@@ -50,6 +50,48 @@ def test_nf_with_concrete_generator(capsys):
     assert "normal form: z1*z2" in out
 
 
+def _nf_lines(out):
+    return [line for line in out.splitlines() if not line.startswith("step ")]
+
+
+@pytest.mark.parametrize(
+    "flags, expr",
+    [
+        (["--catalog", "rb:6?lambda=1", "--bounds", "2,2"], "[z1]*[z2]*[z1]"),
+        (["--catalog", "rb:6?lambda=1", "--gens", COMMUTATOR], "z2*[z2*z1]*z1 + 2*[z1]*[z2]"),
+        (["--catalog", "diff:1", "--gens", "z1*z2 - 1"], "[z1*z2*z1] - z1*z2"),
+        (["--catalog", "nijenhuis"], "[z1]*[z2]*[z1]"),
+    ],
+    ids=["rb6", "rb6-commutator", "diff1-unit", "nijenhuis"],
+)
+def test_nf_prints_the_same_result_with_and_without_trace_at_every_fuel(capsys, flags, expr):
+    # nf answers from the memoized word normal forms, nf --trace steps
+    code, out = run(capsys, "nf", "--trace", *flags, expr)
+    assert code == 0
+    steps = sum(line.startswith("step ") for line in out.splitlines())
+    assert steps > 1
+    for fuel in range(steps + 2):
+        stepwise = run(capsys, "nf", "--trace", "--fuel", str(fuel), *flags, expr)
+        memo = run(capsys, "nf", "--fuel", str(fuel), *flags, expr)
+        assert (memo[0], _nf_lines(memo[1])) == (stepwise[0], _nf_lines(stepwise[1])), fuel
+        assert memo[0] == (0 if fuel >= steps else 1)
+
+
+def test_nf_at_fuel_one_prints_the_first_step_partial_result(capsys):
+    # the memo knows the full normal form, but one step of fuel cannot reach it
+    code, out = run(capsys, "nf", "--catalog", "rb:6?lambda=1", "--bounds", "2,2", "--fuel", "1", "[z1]*[z2]*[z1]")
+    assert (code, out.splitlines()) == (1, [
+        "normal form: [[z1]*z2]*[z1] + [z1*[z2]]*[z1] + [z1*z2]*[z1]",
+        "fuel 1 exhausted; the result above is not fully reduced",
+    ])
+
+
+def test_nf_sorts_a_long_commutator_chain(capsys):
+    # 33*33 steps, one word each: the memo fills them without recursion
+    code, out = run(capsys, "nf", "--gens", COMMUTATOR, "--bounds", "66,0", "*".join(["z2"] * 33 + ["z1"] * 33))
+    assert (code, out) == (0, "normal form: " + "*".join(["z1"] * 33 + ["z2"] * 33) + "\n")
+
+
 def test_compare_breadth_direction(capsys):
     code, out = run(capsys, "compare", "[z1*z2]", "z1*[z2]")
     assert code == 0

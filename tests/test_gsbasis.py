@@ -1,6 +1,8 @@
 """Composition records, triviality verdicts, completeness reports, quotients."""
 
 import gc
+import types
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,8 @@ from opalg import (
     parse_opoly,
     parse_word,
 )
-from opalg import gsbasis
+from opalg import cli, gsbasis
+from opalg.rewrite import TraceStep
 
 DB12 = OrderSpec.for_alphabet("db", Z12)
 DT12 = OrderSpec.for_alphabet("dt", Z12)
@@ -299,6 +302,43 @@ def test_quotient_keeps_no_composition_record_alive():
     assert qa.nf(P("z2*z1")) == P("z1*z2")
 
 
+def _reachable(root, skip=(type, types.ModuleType, types.FunctionType)):
+    """Every object the garbage collector can reach from ``root``, not
+    following classes, modules or functions (which reach everything)."""
+    seen = {id(root): root}
+    todo = [root]
+    while todo:
+        for o in gc.get_referents(todo.pop()):
+            if id(o) not in seen and not isinstance(o, skip):
+                seen[id(o)] = o
+                todo.append(o)
+    return seen.values()
+
+
+def test_check_gs_report_holds_no_trace():
+    report = check_gs(rb_commutator_set(), (3, 2), 2000, route="raw")
+    reached = list(_reachable(report))
+    assert any(isinstance(o, gsbasis.CompositionRecord) for o in reached)
+    assert not any(isinstance(o, TraceStep) for o in reached)
+    assert report.counts["trivial"] and all(r.verdict.steps == () for r in report.records)
+
+
+def test_check_gs_command_frees_every_rule_set(monkeypatch, capsys, tmp_path):
+    # the memo of word normal forms lives on its rule set: none outlives the call
+    built = []
+    init = RuleSet.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(RuleSet, "__init__", recording_init)
+    argv = ["check-gs", "--catalog", "rb:6?lambda=1", "--gens", "z2*z1 - z1*z2", "--bounds", "3,2"]
+    assert cli.main(argv + ["--report", str(tmp_path / "report.json")]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    assert built and [ref() for ref in built] == [None] * len(built)
+
+
 def test_quotient_bounds_are_hard_walls():
     gens = GeneratorSet((parse_catalog("rb:6?lambda=0"),), (), OrderSpec.for_alphabet("db", Z1), Z1)
     qa = QuotientAlgebra(gens, (2, 2), 2000)
@@ -389,8 +429,10 @@ def test_per_item_types_have_no_instance_dict():
     entry = parse_catalog("diff:1")
     gens = GeneratorSet((entry,), (P("z1*z2 - 1"),), DT12, Z12)
     report = check_gs(gens, (2, 1), 2000)
-    record = next(r for r in report.records if r.verdict.steps)
     rules = gens.ruleset((2, 1))
+    # check_gs verdicts keep no trace; the step comes from is_trivial
+    record = next(r for r in report.records if r.verdict is not None and is_trivial(r.value, rules, r.w, 2000).steps)
+    step = is_trivial(record.value, rules, record.w, 2000).steps[0]
     concrete = next(r for r in rules.rules if isinstance(r, ConcreteRule))
     schema = next(r for r in rules.rules if isinstance(r, SchemaRule))
     phi = entry.opis[0]
@@ -399,8 +441,8 @@ def test_per_item_types_have_no_instance_dict():
         gens.expanded((2, 1))[0],
         record,
         record.verdict,
-        record.verdict.steps[0],
-        record.verdict.steps[0].context,
+        step,
+        step.context,
         rules.find_redex(W("[z1*z2]")),
         reduced,
         concrete,

@@ -62,3 +62,30 @@ def test_no_module_imports_a_name_it_does_not_use(path):
 def test_the_unused_import_guard_catches_a_leftover():
     tree = ast.parse("import os\nfrom json import dumps, loads as ld\n__all__ = ['dumps']\nos.sep\n")
     assert _unused_imports(tree) == [(2, "ld")]
+
+
+def _raises_naming(tree, text):
+    """The line of each ``raise`` whose exception text contains ``text``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            parts = [n.value for n in ast.walk(node.exc) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            if any(text in part for part in parts):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_descent_check_lives_in_one_place():
+    # the stepwise step and the memo fill share one check, so a step that
+    # does not descend fails with one message whichever path meets it
+    found = [
+        (path.name, line)
+        for path in MODULES
+        for line in _raises_naming(ast.parse(path.read_text(), str(path)), "non-descending step")
+    ]
+    assert len(found) == 1, found
+
+
+def test_the_raise_scan_reads_formatted_messages():
+    tree = ast.parse('raise RuntimeError(f"non-descending step: {a}")\nraise ValueError("other")\n')
+    assert _raises_naming(tree, "non-descending step") == [1]

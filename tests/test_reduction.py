@@ -9,6 +9,9 @@ the rule loop run afresh on every slice, and builds the next polynomial
 from immutable parts, so no memo reaches them.  Both must agree on the
 result, every trace step and the ``exhausted`` flag, at every fuel up to
 the end of the reduction, and the redex search must agree word by word.
+Without a trace, an ordered rule set answers from its memoized word
+normal forms; the stepwise path is the reference for that memo, and
+``check_gs``'s verdicts must be ``is_trivial``'s without its trace.
 """
 
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import opalg.rewrite as rewrite
-from conftest import Z12, opolys
+from conftest import CATALOG_SELECTORS, Z12, opolys
 from opalg import (
     ConcreteRule,
     GeneratorSet,
@@ -26,7 +29,9 @@ from opalg import (
     RuleSet,
     all_words,
     check_diff_type,
+    check_gs,
     check_rb_type,
+    is_trivial,
     normal_form,
     parse_catalog,
     parse_opoly,
@@ -203,3 +208,109 @@ def test_memoized_redex_search_matches_the_rule_loop(name):
     assert found, f"{name}: no redex within (3,2)"
     assert rules._slices
 
+
+
+# -- the memoized normal forms against the stepwise path ----------------------------
+#
+# Without a trace, an ordered rule set sums memoized word normal forms; the
+# stepwise path is the reference.  Both must give the same polynomial, the
+# same ``exhausted`` flag and the same error at every fuel from 0 to the
+# end of the reduction, asked in ascending and then descending fuel on one
+# shared rule set, so a memo entry written at one fuel answers the others.
+
+
+def both_paths(f, rules, fuel):
+    def run(want_trace):
+        try:
+            res = normal_form(f, rules, fuel, want_trace=want_trace)
+        except RuntimeError as exc:
+            return str(exc)
+        return res.poly, res.exhausted
+
+    memo, stepwise = run(False), run(True)
+    assert memo == stepwise, (str(f), fuel)
+    return stepwise
+
+
+def every_fuel_up_and_down(f, rules):
+    steps = len(normal_form(f, rules, FUEL).steps)
+    fuels = list(range(steps + 2))
+    for fuel in fuels + fuels[::-1]:
+        both_paths(f, rules, fuel)
+    return steps
+
+
+ORDERED = sorted(name for name in FRESH if not name.startswith("raw"))
+
+
+@pytest.mark.parametrize("name", ORDERED)
+def test_memoized_normal_forms_match_the_stepwise_path_at_every_fuel(name):
+    rules = FRESH[name]()
+    steps = [every_fuel_up_and_down(OPoly.from_word(w), rules) for w in WORDS]
+    assert any(steps), f"{name}: no word within (3,2) is reducible"
+    assert rules._normal
+
+
+MEMO_SETS = {name: FRESH[name]() for name in ORDERED}
+
+
+@seed(7412)
+@settings(max_examples=200)
+@given(st.sampled_from(ORDERED), opolys(max_terms=5))
+def test_memoized_normal_forms_of_random_polynomials(name, f):
+    every_fuel_up_and_down(f, MEMO_SETS[name])
+
+
+@pytest.mark.parametrize("selector", CATALOG_SELECTORS)
+def test_check_gs_verdicts_are_is_trivial_without_its_trace(selector):
+    # every record at (2,2), of the identity alone and with the commutator:
+    # check_gs judges through the memo, is_trivial through the steps
+    entry = parse_catalog(selector)
+    order = OrderSpec.for_alphabet(entry.preset, Z12)
+    judged = 0
+    for concrete in ((), (parse_opoly("z2*z1 - z1*z2", Z12),)):
+        gens = GeneratorSet((entry,), concrete, order, Z12)
+        rules = gens.ruleset((2, 2))
+        for fuel in (FUEL, 1):
+            for r in check_gs(gens, (2, 2), fuel, route="raw").records:
+                want = is_trivial(r.value, rules, r.w, fuel)
+                got = r.verdict
+                assert (got.status, got.residue, got.note, got.steps) == (want.status, want.residue, want.note, ())
+                judged += 1
+        for r in check_gs(gens, (2, 2), FUEL, route="raw").records:
+            every_fuel_up_and_down(r.value, rules)
+    assert judged or selector == "reynolds?n=4"
+
+
+def test_raw_rule_sets_keep_stepping():
+    rules = FRESH["raw rb:6?lambda=1"]()
+    for w in WORDS:
+        both_paths(OPoly.from_word(w), rules, FUEL)
+    assert not rules._normal
+
+
+def test_memo_fill_meets_the_descent_check():
+    # z2 -> z1 descends and z1 -> z1*z1 does not: the memo path gives the
+    # stepwise error where the steps reach it, and the stepwise partial
+    # result where fuel runs out first
+    down = ConcreteRule("down", parse_word("z2", Z12), parse_opoly("z1", Z12))
+    up = ConcreteRule("up", parse_word("z1", Z12), parse_opoly("z1*z1", Z12))
+    rules = RuleSet([down, up], OrderSpec.for_alphabet("db", Z12))
+    z2 = parse_opoly("z2", Z12)
+    assert both_paths(z2, rules, 0) == (z2, True)
+    assert both_paths(z2, rules, 1) == (parse_opoly("z1", Z12), True)
+    for fuel in (2, 5, 2, 1):
+        both_paths(z2, rules, fuel)
+    with pytest.raises(RuntimeError, match=r"non-descending step: z1\*z1 !< z1 via up"):
+        normal_form(z2, rules, 5, want_trace=False)
+    assert not rules._normal
+
+
+def test_a_long_chain_fills_without_recursion():
+    # 1,089 commutator steps, each leaving one word: the memo fills them on
+    # an explicit stack, past the interpreter's default recursion limit
+    commutator = _ordered("rb:6?lambda=1", ["z2*z1 - z1*z2"])
+    f = parse_opoly("*".join(["z2"] * 33 + ["z1"] * 33), Z12)
+    res = normal_form(f, commutator, 2000, want_trace=False)
+    assert res == ReductionResult(parse_opoly("*".join(["z1"] * 33 + ["z2"] * 33), Z12), (), False)
+    assert commutator._normal[next(iter(f._terms))][0] == 33 * 33

@@ -147,6 +147,20 @@ def test_iter_slices_order_on_a_nested_word():
     assert list(iter_slices(Word(()))) == []
 
 
+@pytest.mark.parametrize(
+    "lengths, open_from",
+    [((2,), None), ({1, 3}, None), ((), None), (None, 2), ({1}, 3), ((), 0), ((4,), 9)],
+    ids=["pairs", "one-and-three", "none", "from-two", "one-and-from-three", "from-zero", "out-of-reach"],
+)
+def test_restricted_walk_is_the_filtered_full_walk(lengths, open_from):
+    def wanted(k):
+        return (lengths is not None and k in lengths) or (open_from is not None and k >= open_from)
+
+    for w in WORDS:
+        want = [s for s in iter_slices(w) if wanted(s[2] - s[1])]
+        assert list(iter_slices(w, lengths, open_from)) == want, render(w)
+
+
 def test_slice_context_plugs_back_to_the_word():
     count = 0
     for w in WORDS:

@@ -45,12 +45,14 @@ def test_installed_tracer_reads_what_the_traced_calls_return(capsys):
         assert gsbasis.check_gs is not check_gs
         assert cli.main(["check-gs", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1"]) == 1
         assert cli.main(["check-type", "--catalog", "rb:1", "--bounds", "2,1"]) == 0
+        # check-gs verdicts keep no trace; compositions counts its steps
+        assert cli.main(["compositions", "--catalog", "diff:1", "--gens", "z1*z2 - 1", "--bounds", "2,1"]) == 1
         metrics = {name: value for name, (value, _unit) in tracer.metrics().items()}
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert gsbasis.check_gs is check_gs
-    assert metrics["cli.main.calls"] == 2
+    assert metrics["cli.main.calls"] == 3
     assert metrics["gsbasis.check_gs.calls"] == 1
     assert metrics["rewrite.check_rb_type.calls"] == 1
     assert metrics["gsbasis.generators"] > 0
