@@ -15,6 +15,13 @@ below ``w``; a bounded check that reduces every in-bounds record
 certifies the set on the bounded stratum, which is what quotient
 arithmetic needs to be well defined there.
 
+Records are found through indexes over the leading words
+(:func:`indexed_records`).  The inclusions in a leading word are its
+top-level hits followed by each bracket factor's hits one frame down, the
+:func:`opalg.terms.iter_slices` order, so a scan finds each distinct
+bracket factor's hits once and shares them with every leading word that
+holds the factor.
+
 ``check_gs`` has two routes.  The raw route reduces every record.  The
 certified route applies when every schema family (i) is flagged as a
 self-complete rewriting basis by its source, (ii) has a leading schema
@@ -27,6 +34,7 @@ while everything touching a concrete generator is still reduced.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -48,11 +56,11 @@ from .terms import (
     Alphabet,
     Context,
     Word,
+    _context_at,
+    _level_slices,
     all_words,
     iter_occurrences,
-    iter_slices,
     render,
-    slice_context,
     structural_key,
     substitute,
 )
@@ -302,12 +310,36 @@ def _record_sort_key(r: CompositionRecord):
     return (structural_key(r.w), r.kind, r.left_id, r.right_id, r.witness)
 
 
+def _word_hits(word: Word, by_word: dict, breadths: tuple[int, ...], memo: dict) -> list[tuple]:
+    """Every slice of ``word`` that is some inner leading word, as ``(level,
+    lo, hi, frames, j)`` in :func:`opalg.terms.iter_slices` order: the
+    top-level hits, then each bracket factor's hits one frame down, read
+    from ``memo`` (bracket factor -> its hits), which this fills."""
+    fs = word.factors
+    out = [
+        (fs, lo, hi, (), j)
+        for lo, ends, _ in _level_slices(len(fs), breadths, sys.maxsize)
+        for hi in ends
+        for j in by_word.get(fs[lo:hi], ())
+    ]
+    for k, f in enumerate(fs):
+        if f.__class__ is Word:
+            inner = memo.get(f)
+            if inner is None:
+                inner = memo[f] = _word_hits(f, by_word, breadths, memo)
+            if inner:
+                frame = ((fs, k),)
+                out += [(level, lo, hi, frame + frames, j) for level, lo, hi, frames, j in inner]
+    return out
+
+
 def _scan(outer: Sequence[Generator], inner: Sequence[Generator], bounds: tuple[int, int], same: bool):
     """``(i, j, phase, record)`` for each intersection ``(outer[i], inner[j])``
     (phase 0) and each inclusion of ``inner[j]``'s leading word in
     ``outer[i]``'s (phase 1), looked up in indexes over ``inner``.  With
     ``same`` the lists are one, and a leading word is not included in
-    itself through the bare hole."""
+    itself through the bare hole.  A bracket factor's inclusion hits are
+    found once per scan and shared by every leading word that holds it."""
     # the per-pair scan refuses here too, inside iter_occurrences
     if any(b.lm.is_unit() for b in inner) and any(_fits(a.lm, bounds) for a in outer):
         raise ValueError("occurrences of the unit are everywhere; refusing")
@@ -322,7 +354,8 @@ def _scan(outer: Sequence[Generator], inner: Sequence[Generator], bounds: tuple[
         for k in range(1, len(fb)):
             by_prefix.setdefault(fb[:k], {}).setdefault(degrees, []).append(j)
     # an inclusion is a slice of some inner leading word's breadth
-    breadths = {len(fb) for fb in by_word}
+    breadths = tuple(sorted({len(fb) for fb in by_word}))
+    memo: dict[Word, list[tuple]] = {}
     for i, a in enumerate(outer):
         fa = a.lm.factors
         n = len(fa)
@@ -340,11 +373,10 @@ def _scan(outer: Sequence[Generator], inner: Sequence[Generator], bounds: tuple[
                         yield i, j, 0, _intersection(a, inner[j], k, bounds)
         if not _fits(a.lm, bounds):
             continue
-        for level, lo, hi, frames in iter_slices(a.lm, breadths):
-            for j in by_word.get(level[lo:hi], ()):
-                if same and i == j and not frames and hi - lo == n:
-                    continue
-                yield i, j, 1, _inclusion(a, inner[j], slice_context(level, lo, hi, frames))
+        for level, lo, hi, frames, j in _word_hits(a.lm, by_word, breadths, memo):
+            if same and i == j and not frames and hi - lo == n:
+                continue
+            yield i, j, 1, _inclusion(a, inner[j], _context_at(level, lo, hi, frames))
 
 
 def indexed_records(
@@ -381,7 +413,7 @@ def indexed_records(
 # triviality
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TrivialityResult:
     status: str  # "trivial" | "not_trivial" | "unresolved"
     residue: OPoly
@@ -398,6 +430,10 @@ class TrivialityResult:
         if self.status == "not_trivial":
             return f"NOT trivial: irreducible residue {self.residue} ({self.note})"
         return f"unresolved: {self.note}"
+
+
+# the verdict of every record that reduces to zero without a trace, shared
+_TRIVIAL = TrivialityResult("trivial", OPoly.zero(), ())
 
 
 def is_trivial(h: OPoly, rules: RuleSet, w: Word, fuel: int) -> TrivialityResult:
@@ -432,7 +468,7 @@ def _judge(h: OPoly, rules: RuleSet, w: Word, fuel: int, want_trace: bool) -> Tr
             )
     res = normal_form(h, rules, fuel, want_trace=want_trace)
     if res.poly.is_zero():
-        return TrivialityResult("trivial", res.poly, res.steps)
+        return TrivialityResult("trivial", res.poly, res.steps) if res.steps else _TRIVIAL
     if res.exhausted:
         return TrivialityResult("unresolved", res.poly, res.steps, note=f"fuel {fuel} exhausted")
     vb = rules.bounds

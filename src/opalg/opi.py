@@ -180,12 +180,17 @@ def instantiate(phi: OPI, sigma: Mapping[str, Union[Word, OPoly]]) -> OPoly:
 
 @dataclass(frozen=True, slots=True)
 class Generator:
-    """One expanded generator: a monic polynomial with provenance."""
+    """One expanded generator: a monic polynomial with provenance.  An
+    instance also keeps the identity and the word values, in variable
+    order, it was instantiated at (``None`` and ``()`` for a concrete
+    generator); they stay out of equality, hashing and the repr."""
 
     gen_id: str
     poly: OPoly
     lm: Word
     kind: str  # "concrete" | "schema" | "degenerate"
+    opi: "OPI | None" = field(default=None, compare=False, repr=False)
+    values: tuple[Word, ...] = field(default=(), compare=False, repr=False)
 
 
 # Most words one variable may range over in expand_instances, and most
@@ -267,7 +272,7 @@ def expand_instances(
             seen.add(monic)
             bindings = ", ".join(f"{v}={render(w)}" for v, w in zip(phi.variables, values))
             kind = "schema" if lm == phi.instance_word(schema_lm, values) else "degenerate"
-            out.append(Generator(f"{phi.name}[{bindings}]", monic, lm, kind))
+            out.append(Generator(f"{phi.name}[{bindings}]", monic, lm, kind, phi, values))
     return tuple(out)
 
 

@@ -250,7 +250,9 @@ class OPoly:
 def _wrap(acc: dict) -> OPoly:
     # trusted constructor: acc maps words to nonzero coefficients, exact
     # rationals (int when integral, Fraction otherwise), and is taken over
-    # without a copy
+    # without a copy; an empty acc gives the one shared zero
+    if not acc:
+        return _ZERO_POLY
     p = OPoly.__new__(OPoly)
     p._terms = acc
     p._hash = None

@@ -20,8 +20,11 @@ lengths its left sides can match, so redex search never slices a factor
 run of any other length, and it remembers, for as long as it lives, the
 rule matches of every factor slice it has scanned (a match depends on the
 slice alone, so each slice runs the rule loop once) and each word's first
-redex, or that the word is irreducible.  A schema match instantiates its
-identity through the identity's compiled plan (:meth:`opalg.opi.OPI.instance`).
+redex, or that the word is irreducible.  An ordered rule set indexes the
+stable instances it was compiled from by leading word, so a schema match at
+one of them reads its replacement from that monic instance; any other
+schema match instantiates its identity through the identity's compiled plan
+(:meth:`opalg.opi.OPI.instance`), then guards and scales it.
 :func:`normal_form` picks each step's monomial without sorting the
 polynomial: it skips words already known to be irreducible and searches
 the rest greatest first.  It takes its steps in place on one term dict.
@@ -47,11 +50,11 @@ from .terms import (
     Alphabet,
     Context,
     Word,
+    _context_at,
     align_factors,
     all_words,
     iter_slices,
     render,
-    slice_context,
     structural_key,
     word_tuples,
 )
@@ -148,9 +151,12 @@ class RuleSet:
     slice it has scanned (which rule, with which assignment, replacing the
     slice by what), the first redex of every word it has searched and,
     under an order, the normal form of every word it has reduced without a
-    trace (:func:`_fill_normal_forms`)."""
+    trace (:func:`_fill_normal_forms`).  An ordered rule set also indexes
+    the stable instances it was compiled from (:meth:`ordered`)."""
 
-    __slots__ = ("rules", "order", "bounds", "_lengths", "_open_from", "_slices", "_redexes", "_normal", "__weakref__")
+    __slots__ = (
+        "rules", "order", "bounds", "_lengths", "_open_from", "_instances", "_slices", "_redexes", "_normal", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -175,6 +181,9 @@ class RuleSet:
             else:
                 self._lengths.add(len(fs))
         self._open_from = min(open_from, default=None)
+        # leading word -> the first stable instance leading with it;
+        # ordered() fills it, a raw rule set has none
+        self._instances: dict[Word, Generator] = {}
         # slice factors -> (rule_id, sigma, rhs) per match, in priority order
         self._slices: dict[tuple, tuple[tuple, ...]] = {}
         # word -> first redex, or None when irreducible
@@ -197,8 +206,9 @@ class RuleSet:
         :meth:`opalg.gsbasis.GeneratorSet.expanded` lists at ``bounds``:
         concrete polynomials and degenerate (unstable) instances become
         concrete rules in that order, stable instances are left to their
-        schema rule.  A unit leading monomial on any of them presents the
-        unit ideal and is refused."""
+        schema rule and indexed by leading word, the first one for each
+        lead (:meth:`_rhs_for_schema` reads them).  A unit leading monomial
+        on any of them presents the unit ideal and is refused."""
         rules: list[Rule] = [
             SchemaRule(rule_id=phi.name, opi=phi, lhs=phi.lm(order.preset)) for phi in opis
         ]
@@ -213,7 +223,11 @@ class RuleSet:
                 )
             if g.kind != "schema":
                 rules.append(ConcreteRule(g.gen_id, g.lm, OPoly.from_word(g.lm) - g.poly))
-        return cls(rules, order, bounds)
+        out = cls(rules, order, bounds)
+        for g in generators:
+            if g.kind == "schema":
+                out._instances.setdefault(g.lm, g)
+        return out
 
     @classmethod
     def raw(cls, rules: Sequence[Rule]) -> "RuleSet":
@@ -222,7 +236,17 @@ class RuleSet:
 
     # -- redex search ----------------------------------------------------
 
-    def _rhs_for_schema(self, rule: SchemaRule, slice_word: Word, values: Sequence[Word]) -> OPoly | None:
+    def _rhs_for_schema(self, rule: SchemaRule, slice_word: Word, values: tuple[Word, ...]) -> OPoly | None:
+        """The replacement of ``slice_word`` by ``rule`` at ``values``, or
+        None when the instance is zero or, under an order, does not lead
+        with the slice.  An expanded instance of this identity at these
+        values that leads with the slice is already monic, so its
+        replacement is read from it; any other match (a zero instance, a
+        lead out of bounds, a duplicate the expansion dropped, a second
+        alignment) instantiates, guards and scales."""
+        g = self._instances.get(slice_word)
+        if g is not None and g.opi is rule.opi and g.values == values:
+            return OPoly.from_word(slice_word) - g.poly
         inst = rule.opi.instance(values)
         if inst.is_zero():
             return None
@@ -255,7 +279,7 @@ class RuleSet:
             for sigma in align_factors(rule.lhs.factors, sl, variables, rule.nonempty):
                 if slice_word is None:
                     slice_word = Word(sl)
-                values = [sigma[v] for v in variables]
+                values = tuple([sigma[v] for v in variables])
                 rhs = self._rhs_for_schema(rule, slice_word, values)
                 if rhs is not None:
                     out.append((rule.rule_id, tuple(zip(variables, values)), rhs))
@@ -273,7 +297,7 @@ class RuleSet:
             if matches is None:
                 matches = slices[sl] = self._match_slice(sl)
             if matches:
-                q = slice_context(level, i, j, frames)
+                q = _context_at(level, i, j, frames)
                 for rule_id, sigma, rhs in matches:
                     yield Redex(rule_id, q, sigma, rhs)
 

@@ -35,7 +35,11 @@ splice plan and :func:`_splice` runs it on word values.  A context is a
 word with exactly one hole ``@``, kept as the hole's position in the
 coordinates :func:`iter_slices` yields: plugging a word puts its factors
 in place of the hole (plugging the unit deletes the hole) and rebuilds the
-enclosing brackets around it.
+enclosing brackets around it, and its text is rendered from the same
+position with the cached texts of the untouched factors.  Only contexts
+taken from words that may hold a hole (parsed contexts, occurrence scans)
+are checked for a second hole; redex search and record indexing scan
+polynomial monomials and skip that walk.
 """
 
 from __future__ import annotations
@@ -198,7 +202,7 @@ def structural_key(u: Word) -> tuple:
     key = u._key
     if key is None:
         if u.factors:
-            text = "*".join(f if isinstance(f, str) else "[" + render(f) + "]" for f in u.factors)
+            text = "*".join(map(_factor_text, u.factors))
         else:
             text = "1"
         key = u._key = (u.z_degree, u.op_degree, len(u.factors), text)
@@ -208,6 +212,11 @@ def structural_key(u: Word) -> tuple:
 def render(u: Word) -> str:
     """Canonical text form: ``*``-joined factors, unit rendered ``1``."""
     return structural_key(u)[3]
+
+
+def _factor_text(f: Factor) -> str:
+    """A factor's text: a letter, or its word's text in brackets."""
+    return f if f.__class__ is str else f"[{render(f)}]"
 
 
 class Alphabet:
@@ -494,7 +503,9 @@ class Context:
     position: the hole stands for ``level[i:j]``, and ``frames`` are the
     enclosing ``(factors, bracket index)`` pairs, outermost first (the
     coordinates :func:`iter_slices` yields).  Plugging rebuilds the word
-    around the plugged factors, frame by frame."""
+    around the plugged factors, frame by frame; the text is rendered from
+    the same coordinates and the cached texts of the untouched factors, so
+    printing, comparing or hashing a context builds no word."""
 
     __slots__ = ("level", "i", "j", "frames")
 
@@ -523,18 +534,23 @@ class Context:
         return w
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Context) and self.word == other.word
+        # equal texts are equal words: rendering is canonical
+        return isinstance(other, Context) and str(self) == str(other)
 
     def __hash__(self) -> int:
-        # by text: the word is built afresh each time, so its identity is
-        # not stable
-        return hash((Context, render(self.word)))
+        return hash((Context, str(self)))
 
     def __str__(self) -> str:
-        return render(self.word)
+        # render(self.word) without building it: the hole's level with ``@``
+        # for the slice, then each enclosing level around its bracket's text
+        level = self.level
+        text = "*".join([*map(_factor_text, level[: self.i]), HOLE, *map(_factor_text, level[self.j :])])
+        for outer, k in reversed(self.frames):
+            text = "*".join([*map(_factor_text, outer[:k]), f"[{text}]", *map(_factor_text, outer[k + 1 :])])
+        return text
 
     def __repr__(self) -> str:
-        return f"Context({render(self.word)!r})"
+        return f"Context({str(self)!r})"
 
 
 def parse_context(
@@ -557,6 +573,19 @@ def substitute(q: Context, s):
     return s.map_words(q.plug)
 
 
+@lru_cache(maxsize=256)
+def _level_slices(n: int, fixed: tuple[int, ...], open_from: int) -> tuple[tuple[int, tuple[int, ...], range], ...]:
+    """The wanted slices of one level of ``n`` factors, in scan order, as
+    ``(i, ends, more)`` per start ``i``: the slice ends ``j`` of the lengths
+    in ``fixed`` (ascending) below ``open_from``, then every end in the
+    range ``more`` (the lengths from ``open_from`` up).  Linear in ``n``,
+    and cached per level size."""
+    return tuple(
+        (i, tuple([i + k for k in fixed if k < open_from and i + k <= n]), range(i + open_from, n + 1))
+        for i in range(n)
+    )
+
+
 def iter_slices(
     w: Word, lengths: Iterable[int] | None = None, open_from: int | None = None
 ) -> Iterator[tuple[tuple[Factor, ...], int, int, tuple]]:
@@ -567,8 +596,10 @@ def iter_slices(
 
     This is the package's one scan order, shared by redex search,
     occurrences, schema matching and record indexing: the top-level
-    slices by start, then by end, then the slices inside each bracket
-    factor, left to right, recursively.
+    slices by start, then by end (:func:`_level_slices`), then the slices
+    inside each bracket factor, left to right, recursively.  So the slices
+    of a word are its top-level slices followed by each bracket factor's
+    slices one frame down, which is how the record scan composes them.
 
     Given ``lengths`` (the slice lengths ``j - i`` wanted) or ``open_from``
     (every length from it up), or both, only the slices of a wanted length
@@ -578,33 +609,37 @@ def iter_slices(
         open_from = 1 if lengths is None else sys.maxsize
     elif open_from < 1:
         open_from = 1
-    # at each start, the wanted lengths below open_from come first, ascending,
-    # then every length from open_from up
-    fixed = () if lengths is None else sorted(lengths)
+    fixed = () if lengths is None else tuple(sorted(lengths))
     stack = [(w.factors, ())]
     while stack:
         level, frames = stack.pop()
-        n = len(level)
-        for i in range(n):
-            for k in fixed:
-                if k >= open_from or i + k > n:
-                    break
-                yield level, i, i + k, frames
-            for j in range(i + open_from, n + 1):
+        for i, ends, more in _level_slices(len(level), fixed, open_from):
+            for j in ends:
                 yield level, i, j, frames
-        for k in range(n - 1, -1, -1):
+            for j in more:
+                yield level, i, j, frames
+        for k in range(len(level) - 1, -1, -1):
             f = level[k]
             if f.__class__ is Word:
                 stack.append((f.factors, frames + ((level, k),)))
+
+
+def _context_at(level: tuple[Factor, ...], i: int, j: int, frames: tuple) -> Context:
+    """The context around ``level[i:j]`` at ``frames``, unchecked: for scans
+    of polynomial monomials (redex search, record indexing), which hold no
+    hole."""
+    q = Context.__new__(Context)
+    q.level, q.i, q.j, q.frames = level, i, j, frames
+    return q
 
 
 def slice_context(level: tuple[Factor, ...], i: int, j: int, frames: tuple) -> Context:
     """The context around a slice from :func:`iter_slices`: plugging
     ``Word(level[i:j])`` into it gives back the scanned word.  It keeps the
     scanned word's own ``level`` and ``frames``; a scanned word that holds
-    a hole is refused, as its context would hold two."""
-    q = Context.__new__(Context)
-    q.level, q.i, q.j, q.frames = level, i, j, frames
+    a hole is refused, as its context would hold two (the walk this takes
+    is why redex search and record indexing build theirs unchecked)."""
+    q = _context_at(level, i, j, frames)
     if next(_holes(frames[0][0] if frames else level), None) is not None:
         Context(q.word)  # refused: the hole word holds two holes or more
     return q

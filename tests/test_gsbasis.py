@@ -323,6 +323,20 @@ def test_check_gs_report_holds_no_trace():
     assert report.counts["trivial"] and all(r.verdict.steps == () for r in report.records)
 
 
+def test_check_gs_leaves_no_cyclic_garbage():
+    # what a check builds for itself (the record scan's memo of bracket
+    # factor hits among it) is freed by reference counting alone
+    check_gs(rb_commutator_set(), (2, 1), 100)
+    gc.collect()
+    gc.disable()
+    try:
+        for route in ("auto", "raw"):
+            check_gs(rb_commutator_set(), (3, 2), 2000, route=route)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_check_gs_command_frees_every_rule_set(monkeypatch, capsys, tmp_path):
     # the memo of word normal forms lives on its rule set: none outlives the call
     built = []

@@ -21,7 +21,8 @@ each against the reference path it replaced.
   insertion and every slice context of every word of
   ``all_words(Z12, 3, 2)`` must plug each word of ``all_words(Z12, 2, 1)``
   to the same word, and a slice context must be the context of the hole
-  word built the old way.
+  word built the old way.  Its text, rendered from the hole's position,
+  must be the hole word's text.
 """
 
 from itertools import product
@@ -46,6 +47,7 @@ from opalg.terms import (
     iter_slices,
     parse_context,
     parse_word,
+    render,
     slice_context,
     word_tuples,
 )
@@ -323,6 +325,18 @@ def test_slice_contexts_are_the_contexts_of_their_hole_words():
             assert q.is_trivial() == want.is_trivial()
             trivial += q.is_trivial()
     assert trivial == len(WORDS) - 1  # every word but the unit is one whole slice
+
+
+def test_context_text_is_rendered_from_the_holes_position():
+    # str, repr and hash render the coordinates, never building the hole word
+    contexts = [slice_context(*sl) for w in WORDS for sl in iter_slices(w)]
+    contexts += [parse_context(t, Z12) for t in ("@", "z1*@", "[@]*[1]", "z1*[z2*[@]*z1]*[[z2]]", "[[1]*@*[z1*z2]]")]
+    for q in contexts:
+        text = render(q.word)
+        assert str(q) == text and repr(q) == f"Context({text!r})"
+        assert hash(q) == hash((Context, text))
+        assert q == parse_context(text, Z12)
+    assert len(contexts) > 7000
 
 
 def test_a_word_holding_a_hole_has_no_occurrence_contexts():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import Z12, nonzero_opolys, opolys, owords
-from opalg import OPoly, OrderSpec, parse_opoly, render_opoly
+from opalg import GeneratorSet, OPoly, OrderSpec, normal_form, parse_catalog, parse_opoly, render_opoly
 from opalg.terms import UNIT, ParseError, parse_word
 
 DB = OrderSpec.for_alphabet("db", Z12)
@@ -41,6 +41,21 @@ def test_cancellation_drops_terms():
     f = P("z1 - z1")
     assert f.is_zero()
     assert not f
+
+
+def test_results_that_cancel_are_the_one_shared_zero():
+    # a zero result holds no term dict of its own
+    zero = OPoly.zero()
+    f = P("z1*[z2] - 2*[z1]")
+    assert f - f is zero and f + (-f) is zero and f.scale(0) is zero
+    assert f * zero is zero and zero.apply_bracket() is zero
+    order = OrderSpec.for_alphabet("db", Z12)
+    gens = GeneratorSet((parse_catalog("rb:6?lambda=1"),), (P("z2*z1 - z1*z2"),), order, Z12)
+    rules = gens.ruleset((3, 2))
+    h = P("z2*z1*[z1] - [z1*z2]*z1*z2 + [z2*z1]*z2*z1 - z1*z2*[z1]")
+    for want_trace in (True, False):
+        res = normal_form(h, rules, 100, want_trace=want_trace)
+        assert res.poly is zero and not res.exhausted
 
 
 def test_coefficients_stay_exact():

@@ -137,6 +137,38 @@ def test_random_bracketed_sets_match_all_pairs_scan(left_polys, right_polys, bou
     assert_agree(left, right, bounds)
 
 
+def _depth(w):
+    return max((1 + _depth(f) for f in w.factors if isinstance(f, Word)), default=0)
+
+
+# leads nesting four and five brackets deep, which share bracket factors at
+# several depths, and inner leads that occur at every depth, some twice in
+# one level
+DEEP_LEADS = [
+    "[[[[z1*[z2]]]]]*[z1*[z2]]*z1",
+    "[[z1*[z2]]*[[[z2]]*z1]]*[z2]",
+    "[z1*[[[[z2]]]]]*[[z2]]*[[z2]]",
+    "[[[[z2]]*[z1*[z2]]]]*z2*z1",
+    "z1*[z2]",
+    "[z2]",
+    "[[z2]]",
+    "z2*z1",
+    "[z1*[z2]]*z1",
+]
+
+
+def test_composed_bracket_hits_match_all_pairs_scan_on_deep_leads():
+    # the scan reads each bracket factor's hits once and composes them into
+    # every lead that holds it; the per-pair scan walks every lead whole
+    polys = tuple(parse_opoly(f"{t} - z1", Z12) for t in DEEP_LEADS)
+    bounds = (5, 9)
+    gens = GeneratorSet((), polys, DB12, Z12).expanded(bounds)
+    assert sum(_depth(g.lm) >= 4 for g in gens) == 4
+    assert assert_agree(gens, None, bounds) == 27
+    assert assert_agree(gens[:4], gens[4:], bounds) == 21
+    assert assert_agree(gens[4:], gens[:4], bounds) == 21
+
+
 def test_rb_commutator_records_at_4_3_are_pinned():
     gens = GeneratorSet((parse_catalog("rb:6?lambda=1"),), (COMMUTATOR,), DB12, Z12)
     report = check_gs(gens, (4, 3), 10_000).to_json_dict()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import Z1, Z12
+from conftest import CATALOG_SELECTORS, Z1, Z12
 from opalg import (
     OPI,
     CatalogEntry,
@@ -26,7 +26,7 @@ from opalg import (
     render_opoly,
 )
 from opalg.opi import MAX_EXPANSION_WORDS
-from opalg.terms import count_words, parse_word, render
+from opalg.terms import Word, all_words, count_words, iter_slices, parse_word, render
 from reference import normal_form_random, random_word
 
 DB = OrderSpec.for_alphabet("db", Z12)
@@ -305,3 +305,77 @@ def test_type_report_json_dict():
         ],
         "passed": False,
     }
+
+
+# -- schema matches read the expanded instances -------------------------------
+
+SLICE_WORDS = all_words(Z12, 3, 2)
+
+
+def matches_as_without_index(rules):
+    """Assert that every slice of ``SLICE_WORDS`` a rule of ``rules`` can
+    match matches as in the same rule set without an instance index, which
+    instantiates, guards and scales every schema match: the same rule ids,
+    assignments and replacements, in the same order.  Returns how many
+    matches the index answered."""
+    bare = RuleSet(rules.rules, rules.order, rules.bounds)
+    assert not bare._instances
+    seen = set()
+    read = 0
+    for w in SLICE_WORDS:
+        for level, i, j, _ in iter_slices(w, rules._lengths, rules._open_from):
+            sl = level[i:j]
+            if sl in seen:
+                continue
+            seen.add(sl)
+            got = rules._match_slice(sl)
+            assert got == bare._match_slice(sl), render(Word(sl))
+            g = rules._instances.get(Word(sl))
+            read += sum(
+                g is not None and sigma is not None and g.opi.name == rule_id and g.values == tuple(v for _, v in sigma)
+                for rule_id, sigma, _ in got
+            )
+    return read
+
+
+@pytest.mark.parametrize("bounds", [(2, 2), (3, 2)])
+def test_schema_matches_read_the_expanded_instance_as_instantiating_would(bounds):
+    read = 0
+    for selector in CATALOG_SELECTORS:
+        for concrete in ((), ("z2*z1 - z1*z2",)):
+            rules, _ = rules_for(selector, bounds, concrete=concrete)
+            read += matches_as_without_index(rules)
+    assert read > 1000
+
+
+def test_a_dropped_duplicate_instance_is_instantiated():
+    # rb:6[x1=z1, x2=z2] is this concrete generator, so the expansion keeps
+    # the concrete one and indexes no instance at its lead
+    dup = "[z1]*[z2] - [z1*[z2]] - [[z1]*z2] - [z1*z2]"
+    rules, _ = rules_for("rb:6?lambda=1", (3, 2), concrete=(dup,))
+    lead = W("[z1]*[z2]")
+    assert lead not in rules._instances
+    (schema, concrete) = rules._match_slice(lead.factors)
+    assert schema[:2] == ("rb:6", (("x1", W("z1")), ("x2", W("z2"))))
+    assert concrete[0] == "g0" and schema[2] == concrete[2] == OPoly.from_word(lead) - P(dup)
+    assert matches_as_without_index(rules) > 0
+
+
+def test_a_lead_that_aligns_two_ways_reads_only_its_own_instance():
+    # [x1*z1*x2] meets [z1*z1*z1] three ways, with three distinct instances
+    # of first; the index keeps the first of them, and second's instances
+    # at the same values lose to first's in the index
+    xs = ("x1", "x2")
+    first = OPI("first", xs, schema_poly("[x1*z1*x2] - [x1]*x2"))
+    second = OPI("second", xs, schema_poly("[x1*z1*x2] - x2*[x1]"))
+    entry = CatalogEntry("pair", "pair", (first, second), "db", (), True, True)
+    rules = GeneratorSet((entry,), (), DB, Z12).ruleset((3, 2))
+    lead = W("[z1*z1*z1]")
+    g = rules._instances[lead]
+    assert (g.opi, g.values) == (first, (W("1"), W("z1*z1")))
+    matches = rules._match_slice(lead.factors)
+    assert [(rule_id, tuple(render(v) for _, v in sigma)) for rule_id, sigma, _ in matches] == [
+        (name, values) for name in ("first", "second") for values in (("1", "z1*z1"), ("z1", "z1"), ("z1*z1", "1"))
+    ]
+    assert len({str(rhs) for _, _, rhs in matches}) == 5  # second at x2=1 is first at x2=1
+    assert matches_as_without_index(rules) > 0
